@@ -5,7 +5,8 @@ eigenvalues), ``identify`` (lifting / direct coefficient estimation) and
 ``sweep-ts`` (sampling-time convergence study).
 
 Exit codes: 0 success, 2 integration blow-up, 3 insufficient data (m < n),
-4 matrix-logarithm branch failure, 64 usage error, 65 precondition violation.
+4 matrix-logarithm branch failure, 64 usage error or malformed input file,
+65 precondition violation.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def _cmd_identify(args) -> int:
     dataset = fileio.read_dataset(args.data)
     dictionary = fileio.read_dictionary(args.dict)
     weight = fileio.parse_weight_spec(args.weight)
+    truth = fileio.read_truth(args.truth, len(dictionary)) if args.truth else None
     method = lifting_identify if args.method == "lifting" else direct_identify
     result = method(dataset, dictionary, weight)
-    truth = fileio.read_truth(args.truth) if args.truth else None
     fileio.atomic_write_text(args.out, fileio.identification_to_csv(result, truth))
     print(f"wrote {len(dictionary)} coefficient estimates ({args.method}) to {args.out}")
     if truth is not None:

@@ -55,6 +55,24 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+def _get(rec, key: str, what: str, convert=None):
+    """``rec[key]``, passed through ``convert`` when given; a record that is
+    not an object, lacks the key or holds a value ``convert`` rejects raises
+    InvalidInputError naming ``what``."""
+    if not isinstance(rec, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, got {type(rec).__name__}")
+    if key not in rec:
+        raise InvalidInputError(f"{what} has no {key!r} field")
+    if convert is None:
+        return rec[key]
+    try:
+        return convert(rec[key])
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"{what} field {key!r} is not a valid {convert.__name__}: {rec[key]!r}"
+        ) from None
+
+
 # ---------------------------------------------------------------------------
 # term / dictionary / weight / functional records
 
@@ -70,14 +88,18 @@ def term_to_record(term: TermSpec) -> dict:
 
 
 def term_from_record(rec: dict) -> TermSpec:
-    kind = rec.get("kind")
+    kind = _get(rec, "kind", "term record")
     if kind == "constant":
         return Constant()
     if kind == "monomial":
-        return MonomialDerivative(int(rec["j"]), int(rec["k"]))
+        return MonomialDerivative(
+            _get(rec, "j", "monomial term", int), _get(rec, "k", "monomial term", int)
+        )
     if kind == "graphon":
-        f = rec["f"]
-        return GraphonKernel(KernelSpec(float(f["c0"]), float(f["cx"]), float(f["cy"])))
+        f = _get(rec, "f", "graphon term")
+        return GraphonKernel(KernelSpec(
+            *(_get(f, c, "graphon kernel", float) for c in ("c0", "cx", "cy"))
+        ))
     raise InvalidInputError(f"unknown term kind: {kind!r}")
 
 
@@ -103,11 +125,12 @@ def weight_to_record(weight: WeightSpec) -> dict:
 
 
 def weight_from_record(rec: dict) -> WeightSpec:
-    kind = rec.get("kind")
+    kind = _get(rec, "kind", "weight record")
     if kind == "bump":
-        return Bump(float(rec["L"]), recentered=bool(rec.get("recentered", False)))
+        return Bump(_get(rec, "L", "bump weight", float),
+                    recentered=bool(rec.get("recentered", False)))
     if kind == "power":
-        return PowerLaw(int(rec["p"]))
+        return PowerLaw(_get(rec, "p", "power weight", int))
     if kind == "constant":
         return ConstantWeight()
     raise InvalidInputError(f"unknown weight kind: {kind!r}")
@@ -137,13 +160,19 @@ def functional_to_record(spec: FunctionalSpec) -> dict:
 
 
 def functional_from_record(rec: dict) -> FunctionalSpec:
-    kind = rec.get("kind")
+    kind = _get(rec, "kind", "functional record")
     if kind == "cosine":
-        return InnerProductPower(float(rec["a"]), float(rec["b"]), int(rec["k"]), int(rec["l"]))
+        return InnerProductPower(
+            _get(rec, "a", "cosine functional", float), _get(rec, "b", "cosine functional", float),
+            _get(rec, "k", "cosine functional", int), _get(rec, "l", "cosine functional", int),
+        )
     if kind == "point":
-        return PointEvaluation(float(rec["x"]))
+        return PointEvaluation(_get(rec, "x", "point functional", float))
     if kind == "lifted":
-        return LiftedTerm(term_from_record(rec["term"]), weight_from_record(rec["weight"]))
+        return LiftedTerm(
+            term_from_record(_get(rec, "term", "lifted functional")),
+            weight_from_record(_get(rec, "weight", "lifted functional")),
+        )
     raise InvalidInputError(f"unknown functional kind: {kind!r}")
 
 
@@ -170,18 +199,24 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
 
 def dataset_from_json(text: str) -> SnapshotDataset:
     doc = json.loads(text)
-    g = doc["grid"]
-    grid = Grid1D(float(g["x_min"]), float(g["x_max"]), int(g["num_points"]))
+    g = _get(doc, "grid", "dataset")
+    grid = Grid1D(
+        _get(g, "x_min", "dataset grid", float),
+        _get(g, "x_max", "dataset grid", float),
+        _get(g, "num_points", "dataset grid", int),
+    )
     dirichlet = bool(doc.get("dirichlet", False))
+
+    def snapshot(pair, key):
+        values = np.array(_get(pair, key, "dataset pair"), dtype=float)
+        return Field(grid, values, dirichlet=dirichlet)
+
     pairs = tuple(
-        (
-            Field(grid, np.array(p["u"], dtype=float), dirichlet=dirichlet),
-            Field(grid, np.array(p["u_next"], dtype=float), dirichlet=dirichlet),
-        )
-        for p in doc["pairs"]
+        (snapshot(p, "u"), snapshot(p, "u_next")) for p in _get(doc, "pairs", "dataset")
     )
     return SnapshotDataset(
-        grid, float(doc["sampling_time"]), pairs, provenance=doc.get("provenance") or None
+        grid, _get(doc, "sampling_time", "dataset", float), pairs,
+        provenance=doc.get("provenance") or None,
     )
 
 
@@ -198,12 +233,14 @@ def read_dataset(path: str) -> SnapshotDataset:
 # model files (custom models for the CLI)
 
 def model_from_record(doc: dict, num_points: int | None = None) -> Model:
-    g = doc["grid"]
+    g = _get(doc, "grid", "model")
     grid = Grid1D(
-        float(g["x_min"]), float(g["x_max"]), int(num_points or g.get("num_points", 256))
+        _get(g, "x_min", "model grid", float),
+        _get(g, "x_max", "model grid", float),
+        int(num_points or g.get("num_points", 256)),
     )
-    terms = tuple(term_from_record(r) for r in doc["dictionary"])
-    coefficients = tuple(float(c) for c in doc["coefficients"])
+    terms = tuple(term_from_record(r) for r in _get(doc, "dictionary", "model"))
+    coefficients = tuple(float(c) for c in _get(doc, "coefficients", "model"))
     dic = Dictionary(terms, coefficients)
     boundary = doc.get("boundary", "none")
     if boundary not in ("dirichlet", "none"):
@@ -229,9 +266,19 @@ def read_basis(path: str) -> List[FunctionalSpec]:
         return [functional_from_record(r) for r in json.load(fh)]
 
 
-def read_truth(path: str) -> np.ndarray:
+def read_truth(path: str, num_terms: int) -> np.ndarray:
+    """Read the true coefficients: one number per dictionary term."""
     with open(path) as fh:
-        return np.array(json.load(fh), dtype=float)
+        doc = json.load(fh)
+    try:
+        truth = np.array(doc, dtype=float)
+    except (TypeError, ValueError):
+        truth = None
+    if truth is None or truth.shape != (num_terms,):
+        raise InvalidInputError(
+            f"truth must be a list of {num_terms} numbers, one per dictionary term"
+        )
+    return truth
 
 
 # ---------------------------------------------------------------------------

