@@ -22,7 +22,7 @@ from .errors import (
     RankDeficiencyWarning,
     ShapeError,
 )
-from .fields import Field, Grid1D, derivative, inner_product, pointwise_map
+from .fields import Field, Grid1D, derivative, inner_product
 from .identify import (
     ConvergenceReport,
     IdentificationResult,
@@ -31,7 +31,6 @@ from .identify import (
     reconstruct_operator,
     true_coefficients,
     ts_convergence_study,
-    weak_residual,
 )
 from .koopman import (
     KoopmanFit,
@@ -64,7 +63,6 @@ from .operators import (
     MonomialDerivative,
     TermSpec,
     apply_rhs,
-    apply_term,
 )
 from .simulate import (
     BUILTIN_MODELS,

@@ -69,7 +69,7 @@ def _resolve_burn_in(args, model) -> float:
 def _cmd_simulate(args) -> int:
     model, family = _resolve_model(args.model, args.grid)
     dataset = generate_pairs(
-        model, family, args.trajectories, args.pairs, args.ts, args.seed,
+        model, family, args.trajectories, args.total_pairs, args.ts, args.seed,
         burn_in=_resolve_burn_in(args, model),
     )
     fileio.write_dataset(args.out, dataset)
@@ -137,7 +137,7 @@ def _cmd_sweep_ts(args) -> int:
         dictionary = type(dictionary)(dictionary.terms)
     weight = fileio.parse_weight_spec(args.weight)
     defaults = EXPERIMENT_DEFAULTS.get(model.name, (50, 25, None, None, 0.0))
-    pairs = args.pairs or defaults[0]
+    pairs = args.total_pairs or defaults[0]
     trajectories = args.trajectories or defaults[1]
     report = ts_convergence_study(
         model, dictionary, weight, ts_list, family, trajectories, pairs, args.seed,
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a snapshot-pair dataset")
     p.add_argument("--model", required=True, help="burgers | pde1 | graphon | custom:<path>")
-    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--pairs", dest="total_pairs", type=int, required=True)
     p.add_argument("--trajectories", type=int, required=True)
     p.add_argument("--ts", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--ts-list", required=True, help="comma-separated decreasing sampling times")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--pairs", dest="total_pairs", type=int, default=None)
     p.add_argument("--trajectories", type=int, default=None)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--burn-in", type=float, default=None,

@@ -54,18 +54,31 @@ class Field:
     dirichlet: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.shape[0] != self.grid.num_points:
-            raise ShapeError(
-                f"values must be 1-D of length {self.grid.num_points}, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("field values must be finite")
-        if self.dirichlet and (v[0] != 0.0 or v[-1] != 0.0):
-            raise InvalidInputError("dirichlet-tagged field must vanish at both boundaries")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", grid_values(self.grid, self.values, self.dirichlet, 1))
+
+
+def grid_values(grid: Grid1D, values, dirichlet: bool, ndim: int) -> np.ndarray:
+    """``values`` as a read-only float copy with ``ndim`` axes, the last one
+    sampling ``grid``.
+
+    The values must be finite and, when ``dirichlet`` is set, exactly zero at
+    both boundaries; anything else raises ShapeError or InvalidInputError.
+    """
+    try:
+        v = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("values must be a rectangular array of numbers") from None
+    if v.ndim != ndim or v.shape[-1] != grid.num_points:
+        raise ShapeError(
+            f"values must have {ndim} axes, the last of length {grid.num_points}, "
+            f"got shape {v.shape}"
+        )
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("values must be finite")
+    if dirichlet and (np.any(v[..., 0] != 0.0) or np.any(v[..., -1] != 0.0)):
+        raise InvalidInputError("dirichlet-tagged values must vanish at both boundaries")
+    v.setflags(write=False)
+    return v
 
 
 def trapezoid_weights(grid: Grid1D) -> np.ndarray:
@@ -144,12 +157,3 @@ def derivative(u: Field, order: int) -> Field:
     """Spatial derivative of the given order (1, 2 or 3)."""
     d = diff_values(u.values, u.grid.spacing, order, u.dirichlet)
     return Field(u.grid, d, dirichlet=False)
-
-
-def pointwise_map(u: Field, power: int) -> Field:
-    """Node-wise power ``u(x)**power``; power 0 gives the constant-1 field."""
-    if power < 0:
-        raise InvalidInputError(f"power must be nonnegative, got {power}")
-    if power == 0:
-        return Field(u.grid, np.ones(u.grid.num_points), dirichlet=False)
-    return Field(u.grid, u.values**power, dirichlet=u.dirichlet)

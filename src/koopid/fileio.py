@@ -17,7 +17,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .fields import Field, Grid1D
+from .fields import Grid1D
 from .identify import ConvergenceReport, IdentificationResult
 from .koopman import SpectrumResult
 from .observables import (
@@ -187,11 +187,11 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
             "num_points": dataset.grid.num_points,
         },
         "sampling_time": dataset.sampling_time,
-        "dirichlet": bool(dataset.pairs[0][0].dirichlet),
+        "dirichlet": bool(dataset.dirichlet),
         "provenance": dataset.provenance or {},
         "pairs": [
-            {"u": u.values.tolist(), "u_next": un.values.tolist()}
-            for u, un in dataset.pairs
+            {"u": u, "u_next": un}
+            for u, un in zip(dataset.u.tolist(), dataset.u_next.tolist())
         ],
     }
     return json.dumps(doc, indent=1)
@@ -205,17 +205,12 @@ def dataset_from_json(text: str) -> SnapshotDataset:
         _get(g, "x_max", "dataset grid", float),
         _get(g, "num_points", "dataset grid", int),
     )
-    dirichlet = bool(doc.get("dirichlet", False))
-
-    def snapshot(pair, key):
-        values = np.array(_get(pair, key, "dataset pair"), dtype=float)
-        return Field(grid, values, dirichlet=dirichlet)
-
-    pairs = tuple(
-        (snapshot(p, "u"), snapshot(p, "u_next")) for p in _get(doc, "pairs", "dataset")
-    )
+    pairs = _get(doc, "pairs", "dataset", list)
     return SnapshotDataset(
-        grid, _get(doc, "sampling_time", "dataset", float), pairs,
+        grid, _get(doc, "sampling_time", "dataset", float),
+        [_get(p, "u", "dataset pair") for p in pairs],
+        [_get(p, "u_next", "dataset pair") for p in pairs],
+        dirichlet=bool(doc.get("dirichlet", False)),
         provenance=doc.get("provenance") or None,
     )
 
@@ -252,8 +247,8 @@ def read_model(path: str, num_points: int | None = None):
     """Read a custom model file; returns (model, ic_family)."""
     with open(path) as fh:
         doc = json.load(fh)
-    family = ICFamily(doc.get("family", "burgers"))
-    return model_from_record(doc, num_points), family
+    model = model_from_record(doc, num_points)
+    return model, ICFamily(doc.get("family", "burgers"))
 
 
 def read_dictionary(path: str) -> Dictionary:

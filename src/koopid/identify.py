@@ -132,7 +132,7 @@ def direct_identify(
         estimates=_unpermute(coeffs, order),
         t_s=dataset.sampling_time,
         l_tilde=None,
-        rank_used=matrix_rank(xi1),
+        rank_used=xi1.shape[1],  # _lifted_fit_inputs has checked full column rank
         residual=residual,
     )
 
@@ -199,22 +199,3 @@ def reconstruct_operator(result: IdentificationResult, u: Field) -> Field:
     dic = Dictionary(result.dictionary.terms, tuple(result.estimates))
     return apply_rhs(dic, u, dirichlet=u.dirichlet)
 
-
-def weak_residual(
-    result: IdentificationResult,
-    reference: Model,
-    states: Sequence[Field],
-    weight: WeightSpec,
-) -> float:
-    """Sum of squared weighted mismatches between the reconstructed and the
-    reference right-hand side over the given states."""
-    from .fields import inner_product
-    from .observables import weight_values
-
-    total = 0.0
-    for u in states:
-        est = reconstruct_operator(result, u)
-        ref = apply_rhs(reference.dictionary, u, dirichlet=reference.dirichlet)
-        w = Field(u.grid, weight_values(weight, u.grid))
-        total += inner_product(Field(u.grid, est.values - ref.values), w) ** 2
-    return total

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, KoopidError, RankDeficiencyWarning, ShapeError
 from .fields import Field
-from .linalg import eig, matrix_rank, pinv
+from .linalg import branch_cut_mask, eig, matrix_rank, pinv
 from .observables import FunctionalSpec, functional_values
 from .simulate import SnapshotDataset
 
@@ -32,21 +32,21 @@ def build_data_matrices(
 
     Returns (Xi1, Xi2), both m x n: rows follow the dataset order, columns the
     basis order; Xi1 holds values on the initial snapshots, Xi2 on the
-    advanced ones.
+    advanced ones.  Each column is one functional evaluated on all snapshots
+    at once.
     """
     if len(basis) == 0:
         raise KoopidError("basis must be nonempty")
     m, n = len(dataset), len(basis)
     xi1 = np.empty((m, n))
     xi2 = np.empty((m, n))
-    grid = dataset.grid
-    for k, (u, u_next) in enumerate(dataset.pairs):
-        for i, spec in enumerate(basis):
-            try:
-                xi1[k, i] = functional_values(spec, u.values, grid, u.dirichlet)
-                xi2[k, i] = functional_values(spec, u_next.values, grid, u_next.dirichlet)
-            except KoopidError as exc:
-                raise type(exc)(f"functional {i} failed on pair {k}: {exc}") from exc
+    grid, dirichlet = dataset.grid, dataset.dirichlet
+    for i, spec in enumerate(basis):
+        try:
+            xi1[:, i] = functional_values(spec, dataset.u, grid, dirichlet)
+            xi2[:, i] = functional_values(spec, dataset.u_next, grid, dirichlet)
+        except KoopidError as exc:
+            raise type(exc)(f"functional {i} failed: {exc}") from exc
     return xi1, xi2
 
 
@@ -108,7 +108,8 @@ class SpectrumMode:
 
     ``lambda_l`` is the generator-scale eigenvalue ``log(lambda_u)/t_s`` via
     the principal branch, or None when ``lambda_u`` lies on the closed
-    negative real axis.  ``residual_score`` is the data-consistency residual
+    negative real axis by the rule of :func:`linalg.branch_cut_mask`, which
+    ``logm`` shares.  ``residual_score`` is the data-consistency residual
     ``||Xi2 v - lambda_u Xi1 v|| / ||lambda_u Xi1 v||``, used to rank
     plausibility (never as a hard filter); the denominator scale keeps
     strongly decaying modes from ranking well merely because their one-step
@@ -140,14 +141,14 @@ def spectrum(fit: KoopmanFit) -> SpectrumResult:
     ascending (undefined generator eigenvalues sort last within a score tie).
     """
     dec = eig(fit.U)
+    on_cut = branch_cut_mask(dec.eigenvalues)
     modes = []
     for i, lam in enumerate(dec.eigenvalues):
         v = dec.right_eigenvectors[:, i]
         x1v = fit.xi1 @ v
         denom = abs(lam) * np.linalg.norm(x1v)
         score = float(np.linalg.norm(fit.xi2 @ v - lam * x1v) / denom) if denom > 0 else np.inf
-        on_cut = lam.imag == 0.0 and lam.real <= 0.0
-        lam_l = None if on_cut else cmath.log(lam) / fit.t_s
+        lam_l = None if on_cut[i] else cmath.log(lam) / fit.t_s
         modes.append(
             SpectrumMode(
                 lambda_u=complex(lam),

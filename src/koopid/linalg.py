@@ -130,6 +130,18 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
+def branch_cut_mask(w: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+    """Which eigenvalues ``w`` lie on the closed negative real axis, where the
+    principal logarithm is undefined.
+
+    An eigenvalue counts as on it when it is zero or has a nonpositive real
+    part and an imaginary part no larger than ``rcond * max(max |w|, 1)``.
+    """
+    w = np.asarray(w)
+    tol = rcond * max(float(np.max(np.abs(w))), 1.0)
+    return (np.abs(w) <= tol) | ((w.real <= 0.0) & (np.abs(w.imag) <= tol))
+
+
 def logm(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     """Principal matrix logarithm of a real square matrix.
 
@@ -145,8 +157,7 @@ def logm(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
         raise InvalidInputError("logm expects a real matrix")
     dec = eig(a)
     w = dec.eigenvalues
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    on_cut = (np.abs(w) <= rcond * scale) | ((w.real <= 0.0) & (np.abs(w.imag) <= rcond * scale))
+    on_cut = branch_cut_mask(w, rcond)
     if np.any(on_cut):
         bad = w[on_cut]
         raise BranchCutError(

@@ -9,14 +9,14 @@ Three functional families are supported:
 * ``LiftedTerm(term, weight)`` -- ``<W_term(u), w>`` for a weighting function
   from the ``WeightSpec`` family.
 
-Grid-sampled weights and cosine kernels are cached per (spec, grid) since a
-matrix assembly evaluates each functional once per snapshot.
+Functionals evaluate on node values whose last axis is space, so one call
+evaluates a functional on a whole ``(m, N)`` batch of snapshots and returns
+its m values; data-matrix assembly makes one such call per basis column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -61,9 +61,8 @@ class ConstantWeight:
 WeightSpec = Union[Bump, PowerLaw, ConstantWeight]
 
 
-@lru_cache(maxsize=256)
 def weight_values(weight: WeightSpec, grid: Grid1D) -> np.ndarray:
-    """Weighting function sampled on the grid nodes (cached, read-only)."""
+    """Weighting function sampled on the grid nodes."""
     x = grid.nodes()
     if isinstance(weight, Bump):
         t = (2.0 * x / weight.L - 1.0) if weight.recentered else x / weight.L
@@ -76,7 +75,6 @@ def weight_values(weight: WeightSpec, grid: Grid1D) -> np.ndarray:
         w = np.ones_like(x)
     else:
         raise InvalidInputError(f"unknown weight spec: {weight!r}")
-    w.setflags(write=False)
     return w
 
 
@@ -112,30 +110,24 @@ class LiftedTerm:
 FunctionalSpec = Union[InnerProductPower, PointEvaluation, LiftedTerm]
 
 
-@lru_cache(maxsize=512)
-def _cosine_kernel(a: float, b: float, grid: Grid1D) -> np.ndarray:
-    x = grid.nodes()
-    g = np.cos(a * (np.pi * x / 2.0) + b * np.pi / 2.0)
-    g.setflags(write=False)
-    return g
-
-
 def functional_values(spec: FunctionalSpec, values: np.ndarray, grid: Grid1D, dirichlet: bool):
-    """Evaluate a functional on raw node values (last axis = space)."""
+    """Evaluate a functional on raw node values (last axis = space); a batch
+    of snapshots gives one value per snapshot."""
     v = np.asarray(values, dtype=float)
     q = trapezoid_weights(grid)
+    x = grid.nodes()
     if isinstance(spec, InnerProductPower):
-        g = _cosine_kernel(spec.a, spec.b, grid)
+        g = np.cos(spec.a * (np.pi * x / 2.0) + spec.b * np.pi / 2.0)
         return (v**spec.state_power @ (q * g)) ** spec.outer_power
     if isinstance(spec, PointEvaluation):
         if not (grid.x_min <= spec.x_j <= grid.x_max):
             raise InvalidInputError(
                 f"evaluation point {spec.x_j} outside domain [{grid.x_min}, {grid.x_max}]"
             )
-        x = grid.nodes()
-        if v.ndim == 1:
-            return float(np.interp(spec.x_j, x, v))
-        return np.apply_along_axis(lambda row: np.interp(spec.x_j, x, row), -1, v)
+        # nodes j and j + 1 bracket x_j; the weights reproduce node values exactly
+        j = min(int(np.searchsorted(x, spec.x_j, side="right")) - 1, grid.num_points - 2)
+        t = (spec.x_j - x[j]) / (x[j + 1] - x[j])
+        return (1.0 - t) * v[..., j] + t * v[..., j + 1]
     if isinstance(spec, LiftedTerm):
         w = weight_values(spec.weight, grid)
         t = term_values(spec.term, v, grid, dirichlet)

@@ -166,11 +166,6 @@ def term_values(
     raise InvalidInputError(f"unknown term type: {term!r}")
 
 
-def apply_term(term: TermSpec, u: Field) -> Field:
-    """Evaluate a single candidate operator on a field."""
-    return Field(u.grid, term_values(term, u.values, u.grid, u.dirichlet), dirichlet=False)
-
-
 def rhs_values(
     dictionary: Dictionary,
     values: np.ndarray,

@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BlowUpError, InvalidInputError, PreconditionError, ShapeError
-from .fields import Field, Grid1D
+from .fields import Field, Grid1D, grid_values
 from .operators import (
     Constant,
     Dictionary,
@@ -78,24 +78,34 @@ def sample_initial_condition(family: ICFamily, grid: Grid1D, a: float, b: float)
 
 @dataclass(frozen=True, eq=False)
 class SnapshotDataset:
-    """m snapshot pairs (u_k, u_k advanced by the sampling time)."""
+    """m snapshot pairs as two read-only ``(m, N)`` arrays on one grid.
+
+    Row k of ``u_next`` is row k of ``u`` advanced by the sampling time.  Both
+    arrays pass the checks of a :class:`Field` row by row: finite values on
+    the grid's N nodes and, with ``dirichlet`` set, zero boundary values.
+    """
 
     grid: Grid1D
     sampling_time: float
-    pairs: Tuple[Tuple[Field, Field], ...]
+    u: np.ndarray = field(repr=False)
+    u_next: np.ndarray = field(repr=False)
+    dirichlet: bool = False
     provenance: Optional[dict] = field(default=None)
 
     def __post_init__(self):
         if self.sampling_time <= 0:
             raise InvalidInputError(f"sampling time must be positive, got {self.sampling_time}")
-        if len(self.pairs) < 1:
+        u = grid_values(self.grid, self.u, self.dirichlet, 2)
+        u_next = grid_values(self.grid, self.u_next, self.dirichlet, 2)
+        if u.shape != u_next.shape:
+            raise ShapeError(f"u has shape {u.shape} but u_next has shape {u_next.shape}")
+        if len(u) < 1:
             raise InvalidInputError("dataset must contain at least one pair")
-        for u, un in self.pairs:
-            if u.grid != self.grid or un.grid != self.grid:
-                raise ShapeError("all dataset fields must share the dataset grid")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u_next", u_next)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.u)
 
 
 #: the linear diffusion term that the integrator can integrate exactly
@@ -329,7 +339,9 @@ def _pair_datasets(
             ) from None
 
     quotas_arr = np.asarray(quotas)
-    tag = model.dirichlet
+    # pair k spans segment pair_seg[k] of trajectory pair_traj[k], trajectory-major
+    pair_traj = np.repeat(np.arange(num_trajectories), quotas)
+    pair_seg = np.concatenate([np.arange(q) for q in quotas])
     for t_s in ts_list:
         states = start
         snapshots = [states]
@@ -346,16 +358,8 @@ def _pair_datasets(
                     trajectory=exc.trajectory,
                 ) from None
             snapshots.append(states)
+        snapshots = np.stack(snapshots)
 
-        pairs = []
-        for i, quota in enumerate(quotas):
-            for j in range(quota):
-                pairs.append(
-                    (
-                        Field(model.grid, snapshots[j][i], dirichlet=tag),
-                        Field(model.grid, snapshots[j + 1][i], dirichlet=tag),
-                    )
-                )
         provenance = {
             "model": model.name,
             "family": family.value,
@@ -364,7 +368,11 @@ def _pair_datasets(
             "pairs": int(total_pairs),
             "burn_in": float(burn_in),
         }
-        yield SnapshotDataset(model.grid, float(t_s), tuple(pairs), provenance=provenance)
+        yield SnapshotDataset(
+            model.grid, float(t_s),
+            snapshots[pair_seg, pair_traj], snapshots[pair_seg + 1, pair_traj],
+            dirichlet=model.dirichlet, provenance=provenance,
+        )
 
 
 # ---------------------------------------------------------------------------

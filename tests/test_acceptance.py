@@ -29,7 +29,7 @@ from koopid import (
 )
 from koopid.cli import EXIT_OK, main
 from koopid.simulate import EXPERIMENT_DEFAULTS, _advance, stable_substep
-from helpers import dirichlet_field, sine_mode
+from helpers import sine_mode
 
 
 def verdict(capfd, num, name, ok, detail):
@@ -134,13 +134,10 @@ def _heat_pairs(model, states, ts):
     states[:, -1] = 0.0
     s1 = _advance(model, states, ts, dt)
     s2 = _advance(model, s1, ts, dt)
-    pairs = []
-    for i in range(states.shape[0]):
-        pairs.append((dirichlet_field(model.grid, states[i]),
-                      dirichlet_field(model.grid, s1[i])))
-        pairs.append((dirichlet_field(model.grid, s1[i]),
-                      dirichlet_field(model.grid, s2[i])))
-    return SnapshotDataset(model.grid, ts, tuple(pairs))
+    # pairs (states_i, s1_i) and (s1_i, s2_i), state by state
+    u = np.stack([states, s1], axis=1).reshape(-1, states.shape[1])
+    u_next = np.stack([s1, s2], axis=1).reshape(-1, states.shape[1])
+    return SnapshotDataset(model.grid, ts, u, u_next, dirichlet=True)
 
 
 def test_criterion_6_linear_system_oracle(capfd):

@@ -59,6 +59,17 @@ class TestSimulate:
         code = main(["simulate", "--model", "graphon"])
         assert code == EXIT_USAGE
 
+    def test_model_file_not_an_object_is_usage_error(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps([{"kind": "monomial", "j": 1, "k": 0}]))
+        code = main([
+            "simulate", "--model", f"custom:{model_path}", "--pairs", "4",
+            "--trajectories", "2", "--ts", "0.1", "--seed", "1",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == EXIT_USAGE
+        assert "JSON object" in capsys.readouterr().err
+
     def test_blow_up_exit_code(self, tmp_path, capsys):
         # the third-order benchmark is mesh-unstable on a fine grid
         code = main([
@@ -148,6 +159,25 @@ class TestIdentify:
         code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
         assert code == EXIT_USAGE
         assert "'x_min'" in capsys.readouterr().err
+
+    def test_dataset_pairs_not_a_list_is_usage_error(self, tmp_path, graphon_data, capsys):
+        doc = json.loads(graphon_data.read_text())
+        doc["pairs"] = 5
+        graphon_data.write_text(json.dumps(doc))
+        code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
+        assert code == EXIT_USAGE
+        assert "'pairs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["ragged", "text"])
+    def test_dataset_snapshot_not_numbers_is_usage_error(self, tmp_path, graphon_data, capsys,
+                                                         bad):
+        doc = json.loads(graphon_data.read_text())
+        u = doc["pairs"][3]["u"]
+        doc["pairs"][3]["u"] = u[:-1] if bad == "ragged" else ["x"] * len(u)
+        graphon_data.write_text(json.dumps(doc))
+        code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
+        assert code == EXIT_USAGE
+        assert "rectangular array of numbers" in capsys.readouterr().err
 
     def test_branch_cut_exit_code_with_hint(self, tmp_path, capsys):
         # pde1 sampled without burn-in at ts = 0.3 hits the logarithm branch cut

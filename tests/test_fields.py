@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import koopid
-from koopid import Field, Grid1D, derivative, inner_product, pointwise_map
+from koopid import Field, Grid1D, derivative, inner_product
 from koopid.errors import InvalidInputError, PreconditionError, ShapeError
 from koopid.fields import diff_values, trapezoid_weights
 
@@ -131,14 +131,3 @@ class TestDerivatives:
         assert np.allclose(d[0], np.cos(x), atol=1e-3)
         assert np.allclose(d[1], -np.sin(x), atol=1e-3)
 
-
-class TestPointwiseMap:
-    def test_powers(self, grid):
-        x = grid.nodes()
-        u = Field(grid, x)
-        assert np.allclose(pointwise_map(u, 3).values, x**3)
-        assert np.allclose(pointwise_map(u, 0).values, 1.0)
-
-    def test_negative_power_rejected(self, grid):
-        with pytest.raises(InvalidInputError):
-            pointwise_map(Field(grid, np.zeros(grid.num_points)), -1)

@@ -34,9 +34,8 @@ class TestDatasetRoundTrip:
         assert back.sampling_time == ds.sampling_time
         assert back.grid == ds.grid
         assert len(back) == len(ds)
-        for (u1, v1), (u2, v2) in zip(ds.pairs, back.pairs):
-            assert np.array_equal(u1.values, u2.values)
-            assert np.array_equal(v1.values, v2.values)
+        assert np.array_equal(back.u, ds.u)
+        assert np.array_equal(back.u_next, ds.u_next)
 
     def test_preserves_provenance_and_dirichlet(self, tmp_path):
         m = koopid.burgers_model(64)
@@ -46,7 +45,7 @@ class TestDatasetRoundTrip:
         back = fileio.read_dataset(str(p))
         assert back.provenance["seed"] == 2
         assert back.provenance["burn_in"] == 0.0
-        assert back.pairs[0][0].dirichlet is True
+        assert back.dirichlet is True
 
     def test_deterministic_serialization(self, tmp_path):
         _, ds = small_dataset()

@@ -20,11 +20,10 @@ from koopid import (
     reconstruct_operator,
     true_coefficients,
     ts_convergence_study,
-    weak_residual,
 )
 from koopid.errors import PreconditionError
 from koopid.simulate import _advance, stable_substep
-from helpers import dirichlet_field, sine_mode
+from helpers import heat_pairs, sine_mode
 
 
 def heat_modes_dataset(modes=(1, 3), ts=0.1, seed=1, num_states=5, grid_points=256):
@@ -45,14 +44,7 @@ def heat_modes_dataset(modes=(1, 3), ts=0.1, seed=1, num_states=5, grid_points=2
     )
     states[:, 0] = 0.0
     states[:, -1] = 0.0
-    dt = stable_substep(m)
-    s1 = _advance(m, states, ts, dt)
-    s2 = _advance(m, s1, ts, dt)
-    pairs = []
-    for i in range(num_states):
-        pairs.append((dirichlet_field(m.grid, states[i]), dirichlet_field(m.grid, s1[i])))
-        pairs.append((dirichlet_field(m.grid, s1[i]), dirichlet_field(m.grid, s2[i])))
-    return m, SnapshotDataset(m.grid, ts, tuple(pairs))
+    return m, heat_pairs(m, states, ts)
 
 
 HEAT_CANDIDATES = Dictionary((MonomialDerivative(1, 0), MonomialDerivative(0, 2)))
@@ -125,10 +117,7 @@ class TestDirectIdentify:
         ts = 0.001
         states = np.stack([np.full(32, c) for c in (0.5, 1.0, 1.5)])
         s1 = _advance(m, states, ts, dt)
-        pairs = tuple(
-            (Field(g, states[i]), Field(g, s1[i])) for i in range(3)
-        )
-        ds = SnapshotDataset(g, ts, pairs)
+        ds = SnapshotDataset(g, ts, states, s1)
         result = direct_identify(ds, Dictionary((MonomialDerivative(1, 0),)), ConstantWeight())
         assert result.estimates[0] == pytest.approx(-2.0, abs=1e-2)
 
@@ -190,24 +179,17 @@ class TestConvergenceStudy:
         for ds, t_s in zip(seen, ts_list):
             ref = generate_pairs(m, ICFamily.GRAPHON, 5, 10, t_s, 1, burn_in=0.3)
             assert ds.provenance == ref.provenance
-            for (u, un), (v, vn) in zip(ds.pairs, ref.pairs, strict=True):
-                assert np.array_equal(u.values, v.values)
-                assert np.array_equal(un.values, vn.values)
+            assert np.array_equal(ds.u, ref.u)
+            assert np.array_equal(ds.u_next, ref.u_next)
 
 
 class TestReconstruction:
     def test_reconstruct_matches_true_rhs_when_estimates_exact(self):
         m, ds = heat_modes_dataset()
         result = lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
-        u = ds.pairs[0][0]
+        u = Field(ds.grid, ds.u[0], dirichlet=True)
         est = reconstruct_operator(result, u)
         ref = koopid.apply_rhs(m.dictionary, u, dirichlet=True)
         scale = np.max(np.abs(ref.values))
         assert np.allclose(est.values, ref.values, atol=1e-2 * scale)
 
-    def test_weak_residual_zero_for_exact_estimates(self):
-        m, ds = heat_modes_dataset()
-        result = lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
-        states = [ds.pairs[0][0], ds.pairs[1][0]]
-        r = weak_residual(result, m, states, ConstantWeight())
-        assert r <= 1e-4

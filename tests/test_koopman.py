@@ -17,8 +17,7 @@ from koopid import (
     spectrum,
 )
 from koopid.errors import KoopidError, RankDeficiencyWarning, ShapeError
-from koopid.simulate import _advance, stable_substep
-from helpers import dirichlet_field, sine_mode
+from helpers import dirichlet_field, heat_pairs, sine_mode
 
 
 def heat_sine_dataset(num_modes=4, ts=0.05, num_states=6, seed=0, grid_points=256):
@@ -34,14 +33,7 @@ def heat_sine_dataset(num_modes=4, ts=0.05, num_states=6, seed=0, grid_points=25
     )
     states[:, 0] = 0.0
     states[:, -1] = 0.0
-    dt = stable_substep(m)
-    s1 = _advance(m, states, ts, dt)
-    s2 = _advance(m, s1, ts, dt)
-    pairs = []
-    for i in range(num_states):
-        pairs.append((dirichlet_field(m.grid, states[i]), dirichlet_field(m.grid, s1[i])))
-        pairs.append((dirichlet_field(m.grid, s1[i]), dirichlet_field(m.grid, s2[i])))
-    return m, SnapshotDataset(m.grid, ts, tuple(pairs))
+    return m, heat_pairs(m, states, ts)
 
 
 def sine_basis(num_modes=4):
@@ -57,8 +49,33 @@ class TestDataMatrices:
         xi1, xi2 = build_data_matrices(ds, basis)
         assert xi1.shape == xi2.shape == (len(ds), len(basis))
         # row k must hold the functionals of pair k in basis order
-        u0 = ds.pairs[0][0]
+        u0 = koopid.Field(ds.grid, ds.u[0], dirichlet=True)
         assert xi1[0, 2] == pytest.approx(koopid.eval_functional(basis[2], u0))
+
+    def test_batched_columns_match_row_by_row_values(self):
+        # one call per column must give what one call per snapshot gives
+        from koopid.observables import functional_values
+
+        g = koopid.Grid1D(0.0, 1.0, 33)
+        rng = np.random.default_rng(3)
+        ds = SnapshotDataset(g, 0.1, rng.standard_normal((7, 33)), rng.standard_normal((7, 33)))
+        x = g.nodes()
+        basis = [
+            InnerProductPower(0.3, 0.7, 1, 1), InnerProductPower(0.9, 0.2, 3, 2),
+            koopid.PointEvaluation(x[5]), koopid.PointEvaluation(0.5 * (x[9] + x[10])),
+            koopid.PointEvaluation(g.x_max),
+            koopid.LiftedTerm(koopid.MonomialDerivative(1, 1), koopid.PowerLaw(2)),
+            koopid.LiftedTerm(koopid.MonomialDerivative(0, 3), koopid.Bump(1.0)),
+            koopid.LiftedTerm(koopid.GraphonKernel(koopid.KernelSpec(1.0, -0.7, -0.3)),
+                              koopid.ConstantWeight()),
+        ]
+        xi1, xi2 = build_data_matrices(ds, basis)
+        for xi, states in ((xi1, ds.u), (xi2, ds.u_next)):
+            ref = np.array([[functional_values(spec, row, g, False) for spec in basis]
+                            for row in states])
+            scale = np.max(np.abs(ref), axis=0)
+            assert np.all(scale > 0)
+            assert np.all(np.max(np.abs(xi - ref), axis=0) <= 1e-12 * scale)
 
     def test_empty_basis_rejected(self):
         _, ds = heat_sine_dataset(num_states=2)
@@ -137,6 +154,15 @@ class TestSpectrum:
         lam_l = {round(m.lambda_u.real, 6): m.lambda_l for m in result.modes}
         assert lam_l[-0.5] is None
         assert lam_l[0.5] is not None
+
+    def test_branch_cut_rule_shared_with_logm(self):
+        # eigenvalues -0.5 +- 1e-13i sit on the cut within logm's tolerance
+        u = np.array([[-0.5, 1e-13], [-1e-13, -0.5]])
+        assert np.allclose(np.abs(np.linalg.eigvals(u).imag), 1e-13)
+        result = spectrum(edmd_fit(np.eye(2), u, 0.1))
+        assert [m.lambda_l for m in result.modes] == [None, None]
+        with pytest.raises(koopid.BranchCutError):
+            koopid.logm(u)
 
     def test_sorted_by_residual(self):
         _, ds = heat_sine_dataset()

@@ -77,6 +77,18 @@ class TestPointEvaluation:
         # linear interpolation between x=0.1 (0.01) and x=0.2 (0.04)
         assert eval_functional(PointEvaluation(0.15), u) == pytest.approx(0.025)
 
+    def test_batch_matches_numpy_interp(self):
+        # at a node, between nodes and at both ends, row by row
+        from koopid.observables import functional_values
+
+        g = Grid1D(-1.0, 2.0, 31)
+        x = g.nodes()
+        batch = np.random.default_rng(0).standard_normal((4, 31))
+        for x_j in (x[0], x[7], 0.3 * x[11] + 0.7 * x[12], x[-1]):
+            got = functional_values(PointEvaluation(x_j), batch, g, False)
+            ref = [np.interp(x_j, x, row) for row in batch]
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
+
     def test_outside_domain_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
         u = Field(g, np.zeros(11))

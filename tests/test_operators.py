@@ -14,7 +14,6 @@ from koopid import (
     KernelSpec,
     MonomialDerivative,
     apply_rhs,
-    apply_term,
 )
 from koopid.errors import DomainError, InvalidInputError, ShapeError
 from koopid.fields import trapezoid_weights
@@ -58,13 +57,12 @@ class TestMonomialTerms:
     def test_monomial_derivative_oracle(self, unit_grid):
         # u = x^2 on [0,1]: u * du/dx = 2 x^3 exactly (quadratics are exact)
         x = unit_grid.nodes()
-        u = Field(unit_grid, x**2)
-        out = apply_term(MonomialDerivative(1, 1), u)
-        assert np.allclose(out.values, 2 * x**3, atol=1e-9)
+        out = term_values(MonomialDerivative(1, 1), x**2, unit_grid, dirichlet=False)
+        assert np.allclose(out, 2 * x**3, atol=1e-9)
 
     def test_constant_term(self, unit_grid):
-        u = Field(unit_grid, unit_grid.nodes())
-        assert np.allclose(apply_term(Constant(), u).values, 1.0)
+        out = term_values(Constant(), unit_grid.nodes(), unit_grid, dirichlet=False)
+        assert np.allclose(out, 1.0)
 
 
 class TestGraphonTerms:
@@ -72,35 +70,38 @@ class TestGraphonTerms:
         # separable evaluation vs literal O(N^2) per-node trapezoid quadrature
         rng = np.random.default_rng(5)
         x = unit_grid.nodes()
-        u = Field(unit_grid, 0.1 * np.cos(3 * x) + 0.05 * rng.standard_normal(x.size))
+        u = 0.1 * np.cos(3 * x) + 0.05 * rng.standard_normal(x.size)
         ker = KernelSpec(-1.0, 0.7, 0.3)
-        out = apply_term(GraphonKernel(ker), u)
+        out = term_values(GraphonKernel(ker), u, unit_grid, dirichlet=False)
         q = trapezoid_weights(unit_grid)
         f = ker.c0 + ker.cx * x[:, None] + ker.cy * x[None, :]
-        direct = (f * (u.values[None, :] - u.values[:, None])) @ q
-        assert np.allclose(out.values, direct, atol=1e-12)
+        direct = (f * (u[None, :] - u[:, None])) @ q
+        assert np.allclose(out, direct, atol=1e-12)
 
     def test_constant_kernel_on_constant_field_is_zero(self, unit_grid):
-        u = Field(unit_grid, np.full(unit_grid.num_points, 0.7))
-        out = apply_term(GraphonKernel(KernelSpec.one()), u)
-        assert np.allclose(out.values, 0.0, atol=1e-14)
+        u = np.full(unit_grid.num_points, 0.7)
+        out = term_values(GraphonKernel(KernelSpec.one()), u, unit_grid, dirichlet=False)
+        assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_affine_kernel_decomposes(self, unit_grid):
         # affine kernel = c0 * one + cx * coord_x + cy * coord_y, node-wise
-        u = Field(unit_grid, np.sin(2 * np.pi * unit_grid.nodes()) * 0.3)
-        combo = apply_term(GraphonKernel(KernelSpec(-1.0, 0.7, 0.3)), u).values
+        u = np.sin(2 * np.pi * unit_grid.nodes()) * 0.3
+
+        def graphon(ker):
+            return term_values(GraphonKernel(ker), u, unit_grid, dirichlet=False)
+
+        combo = graphon(KernelSpec(-1.0, 0.7, 0.3))
         parts = (
-            -1.0 * apply_term(GraphonKernel(KernelSpec.one()), u).values
-            + 0.7 * apply_term(GraphonKernel(KernelSpec.coord_x()), u).values
-            + 0.3 * apply_term(GraphonKernel(KernelSpec.coord_y()), u).values
+            -1.0 * graphon(KernelSpec.one())
+            + 0.7 * graphon(KernelSpec.coord_x())
+            + 0.3 * graphon(KernelSpec.coord_y())
         )
         assert np.allclose(combo, parts, atol=1e-12)
 
     def test_requires_unit_interval(self):
         g = Grid1D(0.0, 2.0, 32)
-        u = Field(g, np.zeros(32))
         with pytest.raises(DomainError):
-            apply_term(GraphonKernel(KernelSpec.one()), u)
+            term_values(GraphonKernel(KernelSpec.one()), np.zeros(32), g, dirichlet=False)
 
 
 class TestRhs:

@@ -15,12 +15,14 @@ from koopid import (
     heat_model,
     integrate,
 )
-from koopid.errors import InvalidInputError, PreconditionError, ShapeError
+from koopid.errors import InvalidInputError, KoopidError, PreconditionError, ShapeError
 from koopid.operators import GraphonKernel
 from koopid.simulate import (
     DT_MAX,
     EXPERIMENT_DEFAULTS,
     Model,
+    SnapshotDataset,
+    _advance,
     _split_diffusion,
     sample_initial_condition,
     stable_substep,
@@ -174,29 +176,37 @@ class TestGeneratePairs:
         m = koopid.graphon_model(64)
         ds = generate_pairs(m, ICFamily.GRAPHON, 3, 5, 0.5, seed=1)
         assert len(ds) == 5
-        # quotas 2,2,1: trajectory-major means pairs 0-1 share a trajectory
-        assert np.allclose(ds.pairs[0][1].values, ds.pairs[1][0].values)
+        # quotas 2, 2, 1 in trajectory-major order: pair k starts trajectory
+        # traj at segment seg; every trajectory is simulated here on its own
+        rng = np.random.default_rng(1)
+        snapshots = [np.stack([
+            sample_initial_condition(ICFamily.GRAPHON, m.grid, *rng.random(2)) for _ in range(3)
+        ])]
+        for _ in range(2):
+            snapshots.append(_advance(m, snapshots[-1], 0.5, stable_substep(m)))
+        for k, (traj, seg) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]):
+            assert np.allclose(ds.u[k], snapshots[seg][traj], rtol=0.0, atol=1e-12)
+            assert np.allclose(ds.u_next[k], snapshots[seg + 1][traj], rtol=0.0, atol=1e-12)
 
     def test_deterministic_per_seed(self):
         m = koopid.graphon_model(64)
         a = generate_pairs(m, ICFamily.GRAPHON, 2, 4, 0.5, seed=9)
         b = generate_pairs(m, ICFamily.GRAPHON, 2, 4, 0.5, seed=9)
-        for (u1, v1), (u2, v2) in zip(a.pairs, b.pairs):
-            assert np.array_equal(u1.values, u2.values)
-            assert np.array_equal(v1.values, v2.values)
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.u_next, b.u_next)
 
     def test_seed_changes_data(self):
         m = koopid.graphon_model(64)
         a = generate_pairs(m, ICFamily.GRAPHON, 2, 4, 0.5, seed=1)
         b = generate_pairs(m, ICFamily.GRAPHON, 2, 4, 0.5, seed=2)
-        assert not np.array_equal(a.pairs[0][0].values, b.pairs[0][0].values)
+        assert not np.array_equal(a.u[0], b.u[0])
 
     def test_burn_in_shifts_sampling_window(self):
         # burn-in b then one step equals no burn-in sampled one segment later
         m = koopid.graphon_model(64)
         a = generate_pairs(m, ICFamily.GRAPHON, 1, 2, 0.5, seed=3, burn_in=0.5)
         b = generate_pairs(m, ICFamily.GRAPHON, 1, 3, 0.5, seed=3)
-        assert np.allclose(a.pairs[0][0].values, b.pairs[1][0].values, atol=1e-12)
+        assert np.allclose(a.u[0], b.u[1], atol=1e-12)
         assert a.provenance["burn_in"] == 0.5
 
     def test_negative_burn_in_rejected(self):
@@ -216,3 +226,39 @@ class TestGeneratePairs:
         burn = EXPERIMENT_DEFAULTS["pde1"][4]
         ds = generate_pairs(m, ICFamily.PDE1, 5, 10, 0.3, seed=1, burn_in=burn)
         assert len(ds) == 10
+
+
+class TestSnapshotDataset:
+    GRID = Grid1D(0.0, 1.0, 16)
+
+    def rows(self):
+        """Three Dirichlet snapshots on GRID."""
+        return np.outer([1.0, -0.5, 2.0], sine_mode(self.GRID, 1))
+
+    def test_holds_read_only_copies(self):
+        u = self.rows()
+        ds = SnapshotDataset(self.GRID, 0.1, u, 0.5 * u, dirichlet=True)
+        assert len(ds) == 3 and ds.u.shape == ds.u_next.shape == (3, 16)
+        u[0, 1] = 7.0
+        assert ds.u[0, 1] != 7.0
+        with pytest.raises(ValueError):
+            ds.u_next[0, 1] = 1.0
+
+    @pytest.mark.parametrize(
+        "case", ["non-finite", "last-axis", "shape-mismatch", "zero-pairs", "dirichlet-boundary"]
+    )
+    def test_rejects_malformed_arrays(self, case):
+        u = self.rows()
+        u_next = 0.5 * u
+        if case == "non-finite":
+            u_next[1, 3] = np.nan
+        elif case == "last-axis":
+            u, u_next = u[:, :-1], u_next[:, :-1]
+        elif case == "shape-mismatch":
+            u_next = u_next[:2]
+        elif case == "zero-pairs":
+            u, u_next = u[:0], u_next[:0]
+        else:
+            u_next[2, -1] = 1e-3
+        with pytest.raises(KoopidError):
+            SnapshotDataset(self.GRID, 0.1, u, u_next, dirichlet=True)
