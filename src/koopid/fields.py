@@ -66,7 +66,7 @@ def grid_values(grid: Grid1D, values, dirichlet: bool, ndim: int) -> np.ndarray:
     """
     try:
         v = np.array(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidInputError("values must be a rectangular array of numbers") from None
     if v.ndim != ndim or v.shape[-1] != grid.num_points:
         raise ShapeError(

@@ -67,10 +67,17 @@ def _get(rec, key: str, what: str, convert=None):
         return rec[key]
     try:
         return convert(rec[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(
             f"{what} field {key!r} is not a valid {convert.__name__}: {rec[key]!r}"
         ) from None
+
+
+def _records(value, what: str) -> list:
+    """``value`` if it is a JSON list, else InvalidInputError naming ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInputError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +115,7 @@ def dictionary_to_records(dictionary: Dictionary) -> List[dict]:
 
 
 def dictionary_from_records(records: Sequence[dict]) -> Dictionary:
-    return Dictionary(tuple(term_from_record(r) for r in records))
+    return Dictionary(tuple(term_from_record(r) for r in _records(records, "dictionary")))
 
 
 def weight_to_record(weight: WeightSpec) -> dict:
@@ -139,13 +146,15 @@ def weight_from_record(rec: dict) -> WeightSpec:
 def parse_weight_spec(text: str) -> WeightSpec:
     """Parse the CLI shorthand: ``bump:L``, ``power:p`` or ``constant``."""
     parts = text.split(":")
-    if parts[0] == "constant" and len(parts) == 1:
-        return ConstantWeight()
-    if parts[0] == "bump" and len(parts) in (2, 3):
-        recentered = len(parts) == 3 and parts[2] == "recentered"
-        return Bump(float(parts[1]), recentered=recentered)
-    if parts[0] == "power" and len(parts) == 2:
-        return PowerLaw(int(parts[1]))
+    try:
+        if parts[0] == "constant" and len(parts) == 1:
+            return ConstantWeight()
+        if parts[0] == "bump" and len(parts) in (2, 3) and parts[2:] in ([], ["recentered"]):
+            return Bump(float(parts[1]), recentered=len(parts) == 3)
+        if parts[0] == "power" and len(parts) == 2:
+            return PowerLaw(int(parts[1]))
+    except ValueError:
+        pass
     raise InvalidInputError(f"cannot parse weight spec {text!r}")
 
 
@@ -198,7 +207,10 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
 
 
 def dataset_from_json(text: str) -> SnapshotDataset:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+        raise InvalidInputError(f"dataset is not valid JSON: {exc}") from None
     g = _get(doc, "grid", "dataset")
     grid = Grid1D(
         _get(g, "x_min", "dataset grid", float),
@@ -229,13 +241,15 @@ def read_dataset(path: str) -> SnapshotDataset:
 
 def model_from_record(doc: dict, num_points: int | None = None) -> Model:
     g = _get(doc, "grid", "model")
-    grid = Grid1D(
-        _get(g, "x_min", "model grid", float),
-        _get(g, "x_max", "model grid", float),
-        int(num_points or g.get("num_points", 256)),
+    x_min = _get(g, "x_min", "model grid", float)
+    x_max = _get(g, "x_max", "model grid", float)
+    if not num_points:
+        num_points = _get(g, "num_points", "model grid", int) if "num_points" in g else 256
+    grid = Grid1D(x_min, x_max, num_points)
+    terms = tuple(
+        term_from_record(r) for r in _records(_get(doc, "dictionary", "model"), "model dictionary")
     )
-    terms = tuple(term_from_record(r) for r in _get(doc, "dictionary", "model"))
-    coefficients = tuple(float(c) for c in _get(doc, "coefficients", "model"))
+    coefficients = _records(_get(doc, "coefficients", "model"), "model coefficients")
     dic = Dictionary(terms, coefficients)
     boundary = doc.get("boundary", "none")
     if boundary not in ("dirichlet", "none"):
@@ -248,7 +262,8 @@ def read_model(path: str, num_points: int | None = None):
     with open(path) as fh:
         doc = json.load(fh)
     model = model_from_record(doc, num_points)
-    return model, ICFamily(doc.get("family", "burgers"))
+    family = _get(doc, "family", "model", ICFamily) if "family" in doc else ICFamily.BURGERS
+    return model, family
 
 
 def read_dictionary(path: str) -> Dictionary:
@@ -258,7 +273,7 @@ def read_dictionary(path: str) -> Dictionary:
 
 def read_basis(path: str) -> List[FunctionalSpec]:
     with open(path) as fh:
-        return [functional_from_record(r) for r in json.load(fh)]
+        return [functional_from_record(r) for r in _records(json.load(fh), "basis")]
 
 
 def read_truth(path: str, num_terms: int) -> np.ndarray:

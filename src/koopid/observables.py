@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
 from .fields import Field, Grid1D, trapezoid_weights
-from .operators import IDENTITY_TERM, Dictionary, TermSpec, term_values
+from .operators import IDENTITY_TERM, Dictionary, TermSpec, _int_power, term_values
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def functional_values(spec: FunctionalSpec, values: np.ndarray, grid: Grid1D, di
     x = grid.nodes()
     if isinstance(spec, InnerProductPower):
         g = np.cos(spec.a * (np.pi * x / 2.0) + spec.b * np.pi / 2.0)
-        return (v**spec.state_power @ (q * g)) ** spec.outer_power
+        return _int_power(_int_power(v, spec.state_power) @ (q * g), spec.outer_power)
     if isinstance(spec, PointEvaluation):
         if not (grid.x_min <= spec.x_j <= grid.x_max):
             raise InvalidInputError(

@@ -93,8 +93,10 @@ class SnapshotDataset:
     provenance: Optional[dict] = field(default=None)
 
     def __post_init__(self):
-        if self.sampling_time <= 0:
-            raise InvalidInputError(f"sampling time must be positive, got {self.sampling_time}")
+        if not 0 < self.sampling_time < np.inf:
+            raise InvalidInputError(
+                f"sampling time must be positive and finite, got {self.sampling_time}"
+            )
         u = grid_values(self.grid, self.u, self.dirichlet, 2)
         u_next = grid_values(self.grid, self.u_next, self.dirichlet, 2)
         if u.shape != u_next.shape:
@@ -235,23 +237,25 @@ def _advance(
     n_full = int(horizon / dt)
     rem = horizon - n_full * dt
     t = 0.0
-    for i in range(n_full + 1):
-        step = dt if i < n_full else rem
-        if step <= 1e-15:
-            break
-        u = stepper.step(u, step)
-        if model.dirichlet:
-            u[..., 0] = 0.0
-            u[..., -1] = 0.0
-        t += step
-        if not np.isfinite(np.sum(u)):
-            bad = np.argwhere(~np.isfinite(u).all(axis=-1))
-            raise BlowUpError(
-                f"non-finite state at t = {t0 + t:.6g} while integrating model "
-                f"'{model.name}'",
-                time=t0 + t,
-                trajectory=int(bad[0][0]) if u.ndim > 1 and bad.size else None,
-            )
+    # a state that overflows is reported by the BlowUpError below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_full + 1):
+            step = dt if i < n_full else rem
+            if step <= 1e-15:
+                break
+            u = stepper.step(u, step)
+            if model.dirichlet:
+                u[..., 0] = 0.0
+                u[..., -1] = 0.0
+            t += step
+            if not np.isfinite(np.sum(u)):
+                bad = np.argwhere(~np.isfinite(u).all(axis=-1))
+                raise BlowUpError(
+                    f"non-finite state at t = {t0 + t:.6g} while integrating model "
+                    f"'{model.name}'",
+                    time=t0 + t,
+                    trajectory=int(bad[0][0]) if u.ndim > 1 and bad.size else None,
+                )
     return u
 
 

@@ -70,6 +70,40 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["dictionary", "coefficients"])
+    def test_model_list_field_holding_a_number_is_usage_error(self, tmp_path, capsys, field):
+        doc = {
+            "grid": {"x_min": 0.0, "x_max": 1.0, "num_points": 32},
+            "dictionary": [{"kind": "monomial", "j": 1, "k": 0}],
+            "coefficients": [-1.0],
+        }
+        doc[field] = 5
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        code = main([
+            "simulate", "--model", f"custom:{model_path}", "--pairs", "4",
+            "--trajectories", "2", "--ts", "0.1", "--seed", "1",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == EXIT_USAGE
+        assert "JSON list" in capsys.readouterr().err
+
+    def test_model_unknown_family_is_usage_error(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps({
+            "grid": {"x_min": 0.0, "x_max": 1.0, "num_points": 32},
+            "dictionary": [{"kind": "monomial", "j": 1, "k": 0}],
+            "coefficients": [-1.0],
+            "family": "nope",
+        }))
+        code = main([
+            "simulate", "--model", f"custom:{model_path}", "--pairs", "4",
+            "--trajectories", "2", "--ts", "0.1", "--seed", "1",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == EXIT_USAGE
+        assert "'family'" in capsys.readouterr().err
+
     def test_blow_up_exit_code(self, tmp_path, capsys):
         # the third-order benchmark is mesh-unstable on a fine grid
         code = main([
@@ -108,6 +142,14 @@ class TestSpectrum:
         code = main(["spectrum", "--data", str(data), "--basis", "burgers:1",
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_INSUFFICIENT
+
+    def test_basis_file_holding_a_number_is_usage_error(self, tmp_path, graphon_data, capsys):
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text("5")
+        code = main(["spectrum", "--data", str(graphon_data), "--basis", f"file:{basis_path}",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert "JSON list" in capsys.readouterr().err
 
     def test_bad_basis_spec(self, tmp_path, graphon_data):
         code = main(["spectrum", "--data", str(graphon_data), "--basis", "what",
@@ -151,6 +193,12 @@ class TestIdentify:
         code = self._identify(tmp_path, graphon_data, [{"kind": "monomial", "j": 1}])
         assert code == EXIT_USAGE
         assert "'k'" in capsys.readouterr().err
+
+    def test_dictionary_file_holding_a_number_is_usage_error(self, tmp_path, graphon_data,
+                                                             capsys):
+        code = self._identify(tmp_path, graphon_data, 5)
+        assert code == EXIT_USAGE
+        assert "JSON list" in capsys.readouterr().err
 
     def test_dataset_without_grid_bound_is_usage_error(self, tmp_path, graphon_data, capsys):
         doc = json.loads(graphon_data.read_text())

@@ -20,7 +20,8 @@ from koopid import (
     eval_functional,
 )
 from koopid.errors import InvalidInputError, PreconditionError
-from koopid.observables import lifting_order, weight_values
+from koopid.fields import trapezoid_weights
+from koopid.observables import functional_values, lifting_order, weight_values
 
 
 class TestWeights:
@@ -64,6 +65,20 @@ class TestInnerProductPower:
         base = eval_functional(InnerProductPower(0.3, 0.7, 2, 1), u)
         cubed = eval_functional(InnerProductPower(0.3, 0.7, 2, 3), u)
         assert cubed == pytest.approx(base**3, rel=1e-12)
+
+    def test_cubes_match_pow_form(self):
+        # 1e-14 relative to the size of <w, u^3> without cancellation: the cube
+        # of each node value may move by 1 ulp, and a mixed-sign sum scales that
+        # by its cancellation; the outer cube triples the inner relative error
+        g = Grid1D(-1.0, 1.0, 256)
+        x = g.nodes()
+        batch = np.random.default_rng(3).standard_normal((25, 256))
+        spec = InnerProductPower(0.3, 0.7, 3, 3)
+        weights = trapezoid_weights(g) * np.cos(0.3 * np.pi * x / 2.0 + 0.7 * np.pi / 2.0)
+        inner = batch**3 @ weights
+        size = np.abs(batch) ** 3 @ np.abs(weights)
+        out = functional_values(spec, batch, g, dirichlet=False)
+        assert np.all(np.abs(out - inner**3) <= 1e-14 * 3.0 * inner**2 * size)
 
     def test_powers_must_be_positive(self):
         with pytest.raises(InvalidInputError):

@@ -17,7 +17,7 @@ from koopid import (
 )
 from koopid.errors import DomainError, InvalidInputError, ShapeError
 from koopid.fields import trapezoid_weights
-from koopid.operators import describe_term, term_values
+from koopid.operators import _int_power, describe_term, rhs_values, term_values
 
 
 @pytest.fixture
@@ -104,7 +104,49 @@ class TestGraphonTerms:
             term_values(GraphonKernel(KernelSpec.one()), np.zeros(32), g, dirichlet=False)
 
 
+class TestIntPower:
+    @pytest.fixture
+    def mixed(self):
+        v = np.random.default_rng(7).standard_normal((25, 256))
+        v.setflags(write=False)
+        return v
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_bit_identical_to_pow_up_to_squares(self, mixed, j):
+        assert np.array_equal(_int_power(mixed, j), mixed**j)
+
+    def test_cube_within_one_ulp(self, mixed):
+        ref = mixed**3
+        assert np.all(np.abs(_int_power(mixed, 3) - ref) <= np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_new_writeable_array_from_read_only_input(self, mixed, j):
+        out = _int_power(mixed, j)
+        assert out.flags.writeable
+        assert not np.shares_memory(out, mixed)
+
+
 class TestRhs:
+    @pytest.mark.parametrize("skip_zero", [True, False])
+    def test_folded_graphon_kernel_matches_per_term_sum(self, skip_zero):
+        model = koopid.graphon_model()
+        ds = koopid.generate_pairs(model, koopid.ICFamily.GRAPHON, 5, 5, 0.5, seed=1)
+        dic = model.dictionary
+        out = rhs_values(dic, ds.u, model.grid, False, skip_zero=skip_zero)
+        ref = sum(c * term_values(t, ds.u, model.grid, False)
+                  for t, c in zip(dic.terms, dic.coefficients))
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_cancelling_graphon_terms_still_need_unit_interval(self):
+        g = Grid1D(0.0, 2.0, 32)
+        dic = Dictionary(
+            (MonomialDerivative(1, 0), GraphonKernel(KernelSpec.one()),
+             GraphonKernel(KernelSpec(2.0, 0.0, 0.0))),
+            coefficients=(-1.0, 1.0, -0.5),
+        )
+        with pytest.raises(DomainError):
+            rhs_values(dic, np.zeros((2, 32)), g, dirichlet=False)
+
     def test_weighted_sum_of_terms(self, unit_grid):
         x = unit_grid.nodes()
         u = Field(unit_grid, x**2)
