@@ -55,22 +55,44 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def _get(rec, key: str, what: str, convert=None):
-    """``rec[key]``, passed through ``convert`` when given; a record that is
-    not an object, lacks the key or holds a value ``convert`` rejects raises
-    InvalidInputError naming ``what``."""
+#: the JSON values each strict conversion of :func:`_get` accepts: a number
+#: is never read from a string, a flag never from a number or a string, and a
+#: JSON boolean is no number (Python's ``bool`` subclasses ``int``)
+_JSON_TYPES = {int: ("integer", (int,)), float: ("number", (int, float)),
+               bool: ("boolean", (bool,)), list: ("list", (list,))}
+
+_REQUIRED = object()
+
+
+def _convert(value, convert, what: str):
+    """``convert(value)``, where ``value`` must be of the JSON type that
+    ``convert`` stands for in ``_JSON_TYPES`` (any value for other callables);
+    anything else raises InvalidInputError naming ``what``."""
+    name, types = _JSON_TYPES.get(convert, (convert.__name__, None))
+    if types is not None and (
+        not isinstance(value, types) or (convert is not bool and isinstance(value, bool))
+    ):
+        raise InvalidInputError(f"{what} must be a JSON {name}, got {value!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{what} is not a valid {name}: {value!r}") from None
+
+
+def _get(rec, key: str, what: str, convert=None, default=_REQUIRED):
+    """``rec[key]``, passed through ``convert`` when given (see
+    :func:`_convert`), or ``default`` when the key is absent and a default is
+    given; a record that is not an object, lacks a required key or holds a
+    value ``convert`` rejects raises InvalidInputError naming ``what``."""
     if not isinstance(rec, dict):
         raise InvalidInputError(f"{what} must be a JSON object, got {type(rec).__name__}")
     if key not in rec:
+        if default is not _REQUIRED:
+            return default
         raise InvalidInputError(f"{what} has no {key!r} field")
     if convert is None:
         return rec[key]
-    try:
-        return convert(rec[key])
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(
-            f"{what} field {key!r} is not a valid {convert.__name__}: {rec[key]!r}"
-        ) from None
+    return _convert(rec[key], convert, f"{what} field {key!r}")
 
 
 def _records(value, what: str) -> list:
@@ -135,7 +157,7 @@ def weight_from_record(rec: dict) -> WeightSpec:
     kind = _get(rec, "kind", "weight record")
     if kind == "bump":
         return Bump(_get(rec, "L", "bump weight", float),
-                    recentered=bool(rec.get("recentered", False)))
+                    recentered=_get(rec, "recentered", "bump weight", bool, False))
     if kind == "power":
         return PowerLaw(_get(rec, "p", "power weight", int))
     if kind == "constant":
@@ -222,7 +244,7 @@ def dataset_from_json(text: str) -> SnapshotDataset:
         grid, _get(doc, "sampling_time", "dataset", float),
         [_get(p, "u", "dataset pair") for p in pairs],
         [_get(p, "u_next", "dataset pair") for p in pairs],
-        dirichlet=bool(doc.get("dirichlet", False)),
+        dirichlet=_get(doc, "dirichlet", "dataset", bool, False),
         provenance=doc.get("provenance") or None,
     )
 
@@ -244,12 +266,15 @@ def model_from_record(doc: dict, num_points: int | None = None) -> Model:
     x_min = _get(g, "x_min", "model grid", float)
     x_max = _get(g, "x_max", "model grid", float)
     if not num_points:
-        num_points = _get(g, "num_points", "model grid", int) if "num_points" in g else 256
+        num_points = _get(g, "num_points", "model grid", int, 256)
     grid = Grid1D(x_min, x_max, num_points)
     terms = tuple(
         term_from_record(r) for r in _records(_get(doc, "dictionary", "model"), "model dictionary")
     )
-    coefficients = _records(_get(doc, "coefficients", "model"), "model coefficients")
+    coefficients = [
+        _convert(c, float, "model coefficient")
+        for c in _records(_get(doc, "coefficients", "model"), "model coefficients")
+    ]
     dic = Dictionary(terms, coefficients)
     boundary = doc.get("boundary", "none")
     if boundary not in ("dirichlet", "none"):
@@ -262,7 +287,7 @@ def read_model(path: str, num_points: int | None = None):
     with open(path) as fh:
         doc = json.load(fh)
     model = model_from_record(doc, num_points)
-    family = _get(doc, "family", "model", ICFamily) if "family" in doc else ICFamily.BURGERS
+    family = _get(doc, "family", "model", ICFamily, ICFamily.BURGERS)
     return model, family
 
 
@@ -280,15 +305,11 @@ def read_truth(path: str, num_terms: int) -> np.ndarray:
     """Read the true coefficients: one number per dictionary term."""
     with open(path) as fh:
         doc = json.load(fh)
-    try:
-        truth = np.array(doc, dtype=float)
-    except (TypeError, ValueError):
-        truth = None
-    if truth is None or truth.shape != (num_terms,):
+    if not isinstance(doc, list) or len(doc) != num_terms:
         raise InvalidInputError(
             f"truth must be a list of {num_terms} numbers, one per dictionary term"
         )
-    return truth
+    return np.array([_convert(c, float, "truth coefficient") for c in doc])
 
 
 # ---------------------------------------------------------------------------

@@ -89,13 +89,10 @@ class EigenDecomposition:
     """Right eigenpairs of a square matrix.
 
     ``eigenvalues[i]`` pairs with column ``i`` of ``right_eigenvectors``.
-    ``condition_estimate`` is the 2-norm condition number of the eigenvector
-    matrix; large values signal a nearly defective matrix.
     """
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
-    condition_estimate: float
 
 
 def eig(a: np.ndarray) -> EigenDecomposition:
@@ -121,7 +118,7 @@ def eig(a: np.ndarray) -> EigenDecomposition:
             IllConditionedWarning,
             stacklevel=2,
         )
-    return EigenDecomposition(eigenvalues=w, right_eigenvectors=v, condition_estimate=cond)
+    return EigenDecomposition(eigenvalues=w, right_eigenvectors=v)
 
 
 def expm(a: np.ndarray) -> np.ndarray:

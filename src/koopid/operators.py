@@ -10,9 +10,28 @@ A dictionary is an ordered list of terms from a closed family:
 
 The affine kernel integral separates, so graphon terms are evaluated in
 O(N) per field via the moments ``int u dy`` and ``int y u(y) dy`` (trapezoid
-weights throughout, so results are bit-reproducible).  Graphon terms are
-linear in their kernel, so a right-hand side folds all of them into one
-kernel ``sum_i c_i (c0, cx, cy)_i`` and evaluates that kernel once per call.
+weights throughout, so results are bit-reproducible): the coupling is a
+rank-2 operator minus a diagonal one.
+
+A right-hand side ``sum_i c_i W_i(u)`` is compiled once into an
+:class:`RhsPlan` for one grid and boundary rule, then evaluated by
+:func:`rhs_values` as often as an integrator needs it:
+
+* the derivative-free terms ``c u^j`` and ``c`` form one polynomial in u,
+  evaluated by Horner's rule;
+* the derivative terms ``c u^j d^k u`` that share a power j are summed into
+  one matrix ``A_j = sum_k c_jk D_k``.  Its entries are read off
+  :func:`~koopid.fields.diff_values` applied to comb vectors (sums of identity
+  rows whose stencils do not overlap), so the odd-reflection and one-sided
+  closures are exactly those of ``diff_values``.  All ``A_j`` are stacked into
+  one ``scipy.sparse`` CSR matrix with at most 9 entries per row, so one
+  sparse product per call yields every ``A_j u``;
+* graphon terms are linear in their kernel, so they fold into one kernel
+  ``sum_i c_i (c0, cx, cy)_i``; its rank-2 part costs two small matrix
+  products per call, and its diagonal part joins the polynomial's linear
+  coefficient as a node array.
+
+Importing this module imports ``scipy.sparse`` (about 15 ms).
 
 Integer powers of states are taken by repeated multiplication
 (``_int_power``), never through ``**``: numpy hands a float exponent of 3
@@ -28,6 +47,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DomainError, InvalidInputError, ShapeError
 from .fields import Field, Grid1D, diff_values, trapezoid_weights
@@ -148,44 +168,41 @@ def _int_power(v, j: int):
     return out
 
 
-def _graphon_values(c0: float, cx: float, cy: float, v: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """``int_0^1 (c0 + cx*x + cy*y) (u(y) - u(x)) dy`` at every node x, i.e.
-    ``a*mass + cy*moment - u*(a*sum(q) + cy*(q.y))`` with ``a = c0 + cx*x``."""
+def _graphon_kernel(c0: float, cx: float, cy: float, grid: Grid1D) -> tuple:
+    """``(moments, spread, diagonal)`` of the affine kernel ``c0 + cx*x + cy*y``
+    on the unit interval, as :func:`_graphon_values` takes them.
+
+    With trapezoid weights q, ``moments = [q, q*y]`` is ``(N, 2)``,
+    ``spread = [c0 + cx*x, cy]`` is ``(2, N)`` and ``diagonal = (c0 + cx*x) *
+    sum(q) + cy * (q.y)``, so the coupling is ``(u @ moments) @ spread -
+    diagonal * u``: a rank-2 operator minus a diagonal one.
+    """
     _require_unit_interval(grid)
     q = trapezoid_weights(grid)
     y = grid.nodes()
-    qy = q * y
     a = c0 + cx * y  # kernel's x-dependent part sampled at nodes
-    out = a * (v @ q)[..., None]
-    out += cy * (v @ qy)[..., None]
-    out -= v * (a * np.sum(q) + cy * np.sum(qy))
+    moments = np.stack([q, q * y], axis=1)
+    spread = np.stack([a, np.full_like(a, cy)])
+    return moments, spread, a * np.sum(q) + cy * np.sum(moments[:, 1])
+
+
+def _graphon_values(kernel: tuple, v: np.ndarray) -> np.ndarray:
+    """``int_0^1 (c0 + cx*x + cy*y) (u(y) - u(x)) dy`` at every node x."""
+    moments, spread, diagonal = kernel
+    out = (v @ moments) @ spread
+    out -= v * diagonal
     return out
 
 
-def term_values(
-    term: TermSpec,
-    values: np.ndarray,
-    grid: Grid1D,
-    dirichlet: bool,
-    deriv_cache: Optional[dict] = None,
-) -> np.ndarray:
-    """Evaluate a term on raw node values (last axis = space).
-
-    ``deriv_cache`` maps derivative order -> precomputed derivative array and
-    lets a right-hand-side assembly share derivatives across terms.
-    """
+def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: bool) -> np.ndarray:
+    """Evaluate a term on raw node values (last axis = space)."""
     v = np.asarray(values, dtype=float)
     if isinstance(term, Constant):
         return np.ones_like(v)
     if isinstance(term, MonomialDerivative):
         if term.k == 0:
             return _int_power(v, term.j)
-        if deriv_cache is not None and term.k in deriv_cache:
-            d = deriv_cache[term.k]
-        else:
-            d = diff_values(v, grid.spacing, term.k, dirichlet)
-            if deriv_cache is not None:
-                deriv_cache[term.k] = d
+        d = diff_values(v, grid.spacing, term.k, dirichlet)
         if term.j == 0:
             return d
         out = _int_power(v, term.j)
@@ -193,45 +210,142 @@ def term_values(
         return out
     if isinstance(term, GraphonKernel):
         ker = term.kernel
-        return _graphon_values(ker.c0, ker.cx, ker.cy, v, grid)
+        return _graphon_values(_graphon_kernel(ker.c0, ker.cx, ker.cy, grid), v)
     raise InvalidInputError(f"unknown term type: {term!r}")
 
 
-def rhs_values(
-    dictionary: Dictionary,
-    values: np.ndarray,
-    grid: Grid1D,
-    dirichlet: bool,
-    skip_zero: bool = False,
-) -> np.ndarray:
-    """Sum of coefficient-weighted terms on raw node values.
+#: the farthest node any ``diff_values`` stencil reads, counted from the node
+#: it differentiates (the one-sided third-order rows at both ends)
+_STENCIL_REACH = 4
 
-    The graphon terms are folded into one kernel ``sum_i c_i (c0, cx, cy)_i``
-    and evaluated once.  Under Dirichlet conditions the boundary entries of
-    the result are forced to zero so that the boundary values of the state
-    stay pinned.
+
+def _stencil_matrix(groups: dict, grid: Grid1D, dirichlet: bool) -> scipy.sparse.csr_array:
+    """``A_j = sum_k c_jk D_k`` for each power j of ``groups`` (j -> {k: c_jk}),
+    stacked in ``groups`` order into one ``(len(groups) * N, N)`` CSR matrix.
+
+    Comb vector r holds ones at the nodes congruent to r modulo
+    ``2 * _STENCIL_REACH + 1``, so every stencil reads at most one of its ones
+    and row i of ``diff_values`` applied to it is the entry of ``D_k`` in the
+    column congruent to r within reach of i -- the same arithmetic, hence the
+    same number, as ``diff_values`` applied to that identity row.
     """
-    if dictionary.coefficients is None:
-        raise InvalidInputError("right-hand side evaluation requires coefficients")
+    n = grid.num_points
+    period = 2 * _STENCIL_REACH + 1
+    combs = (np.arange(n) % period == np.arange(period)[:, None]).astype(float)
+    cols = np.arange(n)[:, None] + np.arange(-_STENCIL_REACH, _STENCIL_REACH + 1)
+    inside = (cols >= 0) & (cols < n)
+    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)[inside]
+    cols = cols[inside]
+    blocks = []
+    for b, orders in enumerate(groups.values()):
+        probed = sum(c * diff_values(combs, grid.spacing, k, dirichlet) for k, c in orders.items())
+        entries = probed[cols % period, rows]
+        keep = entries != 0.0
+        blocks.append((entries[keep], rows[keep] + b * n, cols[keep]))
+    data, r, c = (np.concatenate(parts) for parts in zip(*blocks))
+    return scipy.sparse.csr_array((data, (r, c)), shape=(len(groups) * n, n))
+
+
+class RhsPlan:
+    """A dictionary's right-hand side compiled for one grid and boundary rule.
+
+    Build it once per integration and evaluate it with :func:`rhs_values`.
+    ``skip_zero`` leaves zero-coefficient terms out; otherwise they are kept,
+    so that, for example, a zero-coefficient graphon term still requires the
+    unit interval.  Building raises what evaluating the terms would raise:
+    ``InvalidInputError`` without coefficients, ``DomainError`` for graphon
+    terms off ``[0, 1]`` (even when their kernels cancel) and
+    ``PreconditionError`` for a grid too short for a derivative order.
+    """
+
+    def __init__(self, dictionary: Dictionary, grid: Grid1D, dirichlet: bool, skip_zero: bool = False):
+        if dictionary.coefficients is None:
+            raise InvalidInputError("right-hand side evaluation requires coefficients")
+        self.grid = grid
+        self.dirichlet = dirichlet
+        poly: dict = {}    # power j -> coefficient of u^j (j = 0: the constant)
+        groups: dict = {}  # power j -> {order k: coefficient of u^j d^k u}
+        graphons = []      # (coefficient, kernel) of each graphon term
+        for term, c in zip(dictionary.terms, dictionary.coefficients):
+            if skip_zero and c == 0.0:
+                continue
+            if isinstance(term, Constant):
+                poly[0] = c
+            elif isinstance(term, MonomialDerivative) and term.k == 0:
+                poly[term.j] = c
+            elif isinstance(term, MonomialDerivative):
+                groups.setdefault(term.j, {})[term.k] = c
+            elif isinstance(term, GraphonKernel):
+                graphons.append((c, term.kernel))
+            else:
+                raise InvalidInputError(f"unknown term type: {term!r}")
+        # Horner coefficients of the derivative-free terms, constant first;
+        # the graphon coupling's diagonal part joins the linear one
+        coeffs = [poly.get(j, 0.0) for j in range(max(poly, default=0) + 1)]
+        self.graphon = None  # the coupling's rank-2 part, (moments, spread)
+        if graphons:
+            moments, spread, diagonal = _graphon_kernel(
+                sum(c * k.c0 for c, k in graphons),
+                sum(c * k.cx for c, k in graphons),
+                sum(c * k.cy for c, k in graphons),
+                grid,
+            )
+            self.graphon = (moments, spread)
+            coeffs += [0.0] * (2 - len(coeffs))
+            coeffs[1] = coeffs[1] - diagonal
+        self.poly = tuple(coeffs) if poly or graphons else ()
+        self.powers = tuple(groups)
+        self.stencils = _stencil_matrix(groups, grid, dirichlet) if groups else None
+
+    def _polynomial(self, v: np.ndarray) -> np.ndarray:
+        """The derivative-free terms at ``v``, by Horner's rule; always a new
+        array.  The linear coefficient may be a node array."""
+        *lower, top = self.poly
+        if not lower:
+            return np.full(v.shape, top)
+        out = top * v
+        for c in lower[:0:-1]:
+            if isinstance(c, np.ndarray) or c != 0.0:
+                out += c
+            out *= v
+        if lower[0] != 0.0:
+            out += lower[0]
+        return out
+
+
+def rhs_values(plan: RhsPlan, values: np.ndarray) -> np.ndarray:
+    """``sum_i c_i W_i(u)`` of the plan's dictionary on raw node values (last
+    axis = space, any leading batch axes).
+
+    Under Dirichlet conditions the boundary entries of the result are forced
+    to zero so that the boundary values of the state stay pinned.
+    """
     v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)
-    cache: dict = {}
-    graphons = []  # (coefficient, kernel) of each graphon term, folded below
-    for term, c in zip(dictionary.terms, dictionary.coefficients):
-        if skip_zero and c == 0.0:
-            continue
-        if isinstance(term, GraphonKernel):
-            graphons.append((c, term.kernel))
-        else:
-            out += c * term_values(term, v, grid, dirichlet, deriv_cache=cache)
-    if graphons:
-        out += _graphon_values(
-            sum(c * k.c0 for c, k in graphons),
-            sum(c * k.cx for c, k in graphons),
-            sum(c * k.cy for c, k in graphons),
-            v, grid,
-        )
-    if dirichlet:
+    n = plan.grid.num_points
+    if v.shape[-1:] != (n,):
+        raise ShapeError(f"values must have a last axis of length {n}, got shape {v.shape}")
+    parts = [plan._polynomial(v)] if plan.poly else []
+    if plan.stencils is not None:
+        # one product for all A_j; the copy lays each A_j u out like v, which
+        # makes the elementwise work below about twice as fast on 25 x 64
+        rows = v.reshape(-1, n)
+        derivs = (plan.stencils @ rows.T).reshape(len(plan.powers), n, len(rows))
+        derivs = derivs.transpose(0, 2, 1).copy()
+        for j, d in zip(plan.powers, derivs):
+            d = d.reshape(v.shape)
+            if j:
+                d *= v if j == 1 else _int_power(v, j)
+            parts.append(d)
+    if plan.graphon is not None:
+        moments, spread = plan.graphon
+        parts.append((v @ moments) @ spread)
+    if not parts:
+        return np.zeros_like(v)
+    # every part is a new array, so the first one takes the sum
+    out = parts[0]
+    for part in parts[1:]:
+        out += part
+    if plan.dirichlet:
         out[..., 0] = 0.0
         out[..., -1] = 0.0
     return out
@@ -239,8 +353,9 @@ def rhs_values(
 
 def apply_rhs(dictionary: Dictionary, u: Field, dirichlet: bool = False) -> Field:
     """Evaluate ``sum_i c_i W_i(u)`` on a field."""
-    out = rhs_values(dictionary, u.values, u.grid, dirichlet or u.dirichlet)
-    return Field(u.grid, out, dirichlet=dirichlet or u.dirichlet)
+    dirichlet = dirichlet or u.dirichlet
+    out = rhs_values(RhsPlan(dictionary, u.grid, dirichlet), u.values)
+    return Field(u.grid, out, dirichlet=dirichlet)
 
 
 def describe_term(term: TermSpec) -> str:

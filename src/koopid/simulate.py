@@ -14,6 +14,12 @@ where D2 and D3 are the largest coefficient magnitudes of the explicitly
 integrated second- and third-derivative terms (absent terms are skipped);
 without a split the step is classical RK4.  Under homogeneous Dirichlet
 conditions the boundary values are re-clamped to zero after every substep.
+
+Each integration -- one ``integrate`` or ``generate_pairs`` call, or one
+sweep over sampling times -- builds one stepper, which compiles the explicitly
+integrated terms once into an :class:`~koopid.operators.RhsPlan` (stacked
+sparse derivative matrices, a polynomial and a folded graphon kernel); every
+RK4 stage then evaluates ``rhs_values(plan, values)`` on the whole batch.
 Trajectories of a dataset are advanced together as one batched array; random
 initial-condition parameters are drawn up front from a single seeded
 generator, so datasets are bit-reproducible per seed.
@@ -35,6 +41,7 @@ from .operators import (
     GraphonKernel,
     KernelSpec,
     MonomialDerivative,
+    RhsPlan,
     rhs_values,
 )
 
@@ -182,12 +189,14 @@ class _LawsonRK4:
 
     With ``c u_xx`` split off, its half-step flow P = exp((h/2) c D2) is
     applied exactly in the sine basis and RK4 integrates the remaining terms
-    f; without a split P is the identity and the step is classical RK4.
+    f, compiled once into ``plan``; without a split P is the identity and the
+    step is classical RK4.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        self.explicit, c = _split_diffusion(model)
+        explicit, c = _split_diffusion(model)
+        self.plan = RhsPlan(explicit, model.grid, model.dirichlet, skip_zero=True)
         self._rates = None
         if c:
             n = model.grid.num_points
@@ -205,8 +214,7 @@ class _LawsonRK4:
         return self._factors[h]
 
     def _f(self, v: np.ndarray) -> np.ndarray:
-        m = self.model
-        return rhs_values(self.explicit, v, m.grid, m.dirichlet, skip_zero=True)
+        return rhs_values(self.plan, v)
 
     def step(self, u: np.ndarray, h: float) -> np.ndarray:
         factor = self._half_flow_factor(h)
@@ -229,7 +237,8 @@ def _advance(
 ) -> np.ndarray:
     """Advance batched states (last axis = space) by ``horizon`` at substep ``dt``.
 
-    Calls that pass one ``stepper`` share its diffusion split and exact factors.
+    Calls that pass one ``stepper`` share its diffusion split, exact factors
+    and right-hand-side plan.
     """
     if stepper is None:
         stepper = _LawsonRK4(model)

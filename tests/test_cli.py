@@ -151,6 +151,17 @@ class TestSpectrum:
         assert code == EXIT_USAGE
         assert "JSON list" in capsys.readouterr().err
 
+    def test_weight_flag_holding_text_is_usage_error(self, tmp_path, graphon_data, capsys):
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([{
+            "kind": "lifted", "term": {"kind": "monomial", "j": 1, "k": 0},
+            "weight": {"kind": "bump", "L": 1.0, "recentered": "false"},
+        }]))
+        code = main(["spectrum", "--data", str(graphon_data), "--basis", f"file:{basis_path}",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert "'recentered' must be a JSON boolean" in capsys.readouterr().err
+
     def test_bad_basis_spec(self, tmp_path, graphon_data):
         code = main(["spectrum", "--data", str(graphon_data), "--basis", "what",
                      "--out", str(tmp_path / "s.csv")])
@@ -193,6 +204,24 @@ class TestIdentify:
         code = self._identify(tmp_path, graphon_data, [{"kind": "monomial", "j": 1}])
         assert code == EXIT_USAGE
         assert "'k'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "monomial", "j": 1.5, "k": 0},
+        {"kind": "monomial", "j": True, "k": "2"},
+    ], ids=["fractional-j", "bool-j-text-k"])
+    def test_term_field_not_a_json_integer_is_usage_error(self, tmp_path, graphon_data, capsys,
+                                                           record):
+        code = self._identify(tmp_path, graphon_data, [record])
+        assert code == EXIT_USAGE
+        assert "'j' must be a JSON integer" in capsys.readouterr().err
+
+    def test_dataset_flag_holding_text_is_usage_error(self, tmp_path, graphon_data, capsys):
+        doc = json.loads(graphon_data.read_text())
+        doc["dirichlet"] = "no"
+        graphon_data.write_text(json.dumps(doc))
+        code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
+        assert code == EXIT_USAGE
+        assert "'dirichlet' must be a JSON boolean" in capsys.readouterr().err
 
     def test_dictionary_file_holding_a_number_is_usage_error(self, tmp_path, graphon_data,
                                                              capsys):

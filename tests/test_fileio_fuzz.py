@@ -256,6 +256,43 @@ def test_known_leaks_are_input_errors(reader, arg):
         reader(arg)
 
 
+BUMP = {"kind": "bump", "L": 1.0}
+
+
+@pytest.mark.parametrize("reader, arg", [
+    pytest.param(fileio.term_from_record, {"kind": "monomial", "j": 1.5, "k": 0},
+                 id="fractional-int"),
+    pytest.param(fileio.term_from_record, {"kind": "monomial", "j": True, "k": "2"},
+                 id="bool-and-text-int"),
+    pytest.param(fileio.term_from_record, {"kind": "monomial", "j": 1, "k": 2.0},
+                 id="float-int"),
+    pytest.param(fileio.term_from_record,
+                 {"kind": "graphon", "f": {"c0": "1.5", "cx": 0.0, "cy": 0.0}}, id="text-float"),
+    pytest.param(fileio.weight_from_record, {**BUMP, "L": True}, id="bool-float"),
+    pytest.param(fileio.weight_from_record, {**BUMP, "recentered": "false"}, id="text-flag"),
+    pytest.param(fileio.weight_from_record, {**BUMP, "recentered": 1}, id="number-flag"),
+    pytest.param(fileio.model_from_record, {**MODEL, "grid": {**GRID, "num_points": 64.9}},
+                 id="fractional-num-points"),
+    pytest.param(fileio.model_from_record, {**MODEL, "coefficients": ["1.5"]},
+                 id="numeric-text-coef"),
+    pytest.param(fileio.model_from_record, {**MODEL, "coefficients": [True]}, id="bool-coef"),
+    pytest.param(fileio.dataset_from_json, _dataset_text(dirichlet="no"), id="text-dirichlet"),
+    pytest.param(fileio.dataset_from_json, _dataset_text(sampling_time="0.1"),
+                 id="text-sampling-time"),
+])
+def test_values_of_the_wrong_json_type_are_input_errors(reader, arg):
+    # each of these was read as something else: 1.5 as 1, "2" as 2, "no" as true
+    with pytest.raises(InvalidInputError):
+        reader(arg)
+
+
+def test_truth_of_the_wrong_json_type_is_input_error(tmp_path):
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps([1.0, "2.5", True]))
+    with pytest.raises(InvalidInputError):
+        fileio.read_truth(str(path), 3)
+
+
 def test_unknown_model_family_is_input_error(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({**MODEL, "family": "nope"}))

@@ -15,9 +15,16 @@ from koopid import (
     MonomialDerivative,
     apply_rhs,
 )
-from koopid.errors import DomainError, InvalidInputError, ShapeError
-from koopid.fields import trapezoid_weights
-from koopid.operators import _int_power, describe_term, rhs_values, term_values
+from koopid.errors import DomainError, InvalidInputError, PreconditionError, ShapeError
+from koopid.fields import diff_values, trapezoid_weights
+from koopid.operators import (
+    RhsPlan,
+    _int_power,
+    _stencil_matrix,
+    describe_term,
+    rhs_values,
+    term_values,
+)
 
 
 @pytest.fixture
@@ -132,7 +139,7 @@ class TestRhs:
         model = koopid.graphon_model()
         ds = koopid.generate_pairs(model, koopid.ICFamily.GRAPHON, 5, 5, 0.5, seed=1)
         dic = model.dictionary
-        out = rhs_values(dic, ds.u, model.grid, False, skip_zero=skip_zero)
+        out = rhs_values(RhsPlan(dic, model.grid, False, skip_zero=skip_zero), ds.u)
         ref = sum(c * term_values(t, ds.u, model.grid, False)
                   for t, c in zip(dic.terms, dic.coefficients))
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -145,7 +152,7 @@ class TestRhs:
             coefficients=(-1.0, 1.0, -0.5),
         )
         with pytest.raises(DomainError):
-            rhs_values(dic, np.zeros((2, 32)), g, dirichlet=False)
+            rhs_values(RhsPlan(dic, g, dirichlet=False), np.zeros((2, 32)))
 
     def test_weighted_sum_of_terms(self, unit_grid):
         x = unit_grid.nodes()
@@ -172,18 +179,126 @@ class TestRhs:
         assert np.allclose(out.values[1:-1], 1.0)
 
     def test_batched_evaluation_matches_per_row(self, unit_grid):
-        from koopid.operators import rhs_values
-
         rng = np.random.default_rng(2)
         batch = 0.1 * rng.standard_normal((3, unit_grid.num_points))
         dic = Dictionary(
             (MonomialDerivative(1, 0), MonomialDerivative(2, 0), GraphonKernel(KernelSpec.one())),
             coefficients=(-0.5, 1.5, -1.0),
         )
-        full = rhs_values(dic, batch, unit_grid, dirichlet=False)
+        plan = RhsPlan(dic, unit_grid, dirichlet=False)
+        full = rhs_values(plan, batch)
         for i in range(3):
-            row = rhs_values(dic, batch[i], unit_grid, dirichlet=False)
+            row = rhs_values(plan, batch[i])
             assert np.allclose(full[i], row, atol=1e-14)
+
+
+def _mixed_order_model():
+    """A non-Dirichlet model with k = 1, 2, 3 terms at powers 0, 1 and 2, so
+    that the one-sided rows 0, 1, N-2 and N-1 of every order are used."""
+    dic = Dictionary(
+        (Constant(), MonomialDerivative(1, 0), MonomialDerivative(3, 0),
+         MonomialDerivative(0, 1), MonomialDerivative(1, 1), MonomialDerivative(0, 2),
+         MonomialDerivative(2, 2), MonomialDerivative(0, 3), MonomialDerivative(1, 3)),
+        coefficients=(0.3, -1.0, 0.5, 0.7, -1.2, 0.05, 0.02, 0.001, -0.002),
+    )
+    return koopid.Model("mixed", dic, Grid1D(-1.0, 2.0, 40), dirichlet=False)
+
+
+def _graphon_only_model():
+    """Graphon terms alone: the polynomial holds only the coupling's diagonal."""
+    dic = Dictionary(
+        (GraphonKernel(KernelSpec(1.0, -0.7, -0.3)), GraphonKernel(KernelSpec.coord_y())),
+        coefficients=(0.8, 0.1),
+    )
+    return koopid.Model("coupling", dic, Grid1D(0.0, 1.0, 50), dirichlet=False)
+
+
+def _per_term_sum(model, values):
+    """The right-hand side term by term, the form a plan replaces."""
+    dic = model.dictionary
+    ref = sum(c * term_values(t, values, model.grid, model.dirichlet)
+              for t, c in zip(dic.terms, dic.coefficients))
+    if model.dirichlet:
+        ref[..., 0] = 0.0
+        ref[..., -1] = 0.0
+    return ref
+
+
+class TestRhsPlan:
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 9, 10, 23])
+    def test_stencils_equal_diff_values_on_identity_rows(self, dirichlet, k, n):
+        grid = Grid1D(0.0, 1.3, n)
+        matrix = _stencil_matrix({0: {k: 1.0}}, grid, dirichlet).toarray()
+        assert np.array_equal(matrix, diff_values(np.eye(n), grid.spacing, k, dirichlet).T)
+
+    @pytest.mark.parametrize("make_model", [
+        koopid.burgers_model, koopid.heat_model, koopid.pde1_model, koopid.graphon_model,
+        _mixed_order_model, _graphon_only_model,
+    ], ids=["burgers", "heat", "pde1", "graphon", "mixed-orders", "graphon-only"])
+    def test_matches_per_term_sum(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(3)
+        batch = rng.standard_normal((6, model.grid.num_points))
+        if model.dirichlet:
+            batch[:, [0, -1]] = 0.0
+        plan = RhsPlan(model.dictionary, model.grid, model.dirichlet)
+        ref = _per_term_sum(model, batch)
+        out = rhs_values(plan, batch)
+        assert out.shape == batch.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        edges = [0, 1, -2, -1]
+        assert np.max(np.abs(out[:, edges] - ref[:, edges])) <= 1e-13 * np.max(np.abs(ref))
+        row = rhs_values(plan, batch[2])
+        assert row.shape == batch[2].shape
+        assert np.max(np.abs(row - ref[2])) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_built_once_per_generate_pairs(self, monkeypatch):
+        import koopid.simulate
+
+        plans, calls = [], []
+
+        class CountedPlan(RhsPlan):
+            def __init__(self, *args, **kwargs):
+                plans.append(args)
+                super().__init__(*args, **kwargs)
+
+        def counted_rhs(plan, values):
+            calls.append(plan)
+            return rhs_values(plan, values)
+
+        monkeypatch.setattr(koopid.simulate, "RhsPlan", CountedPlan)
+        monkeypatch.setattr(koopid.simulate, "rhs_values", counted_rhs)
+        koopid.generate_pairs(koopid.pde1_model(), koopid.ICFamily.PDE1, 2, 4, 0.01, seed=1)
+        assert len(plans) == 1
+        assert len(calls) == 2 * 10 * 4  # 2 segments of 10 substeps, 4 evaluations each
+        assert all(plan is calls[0] for plan in calls)
+
+    def test_skip_zero_drops_zero_terms(self):
+        g = Grid1D(0.0, 2.0, 32)
+        dic = Dictionary(
+            (MonomialDerivative(1, 0), MonomialDerivative(0, 2), GraphonKernel(KernelSpec.one())),
+            coefficients=(-1.0, 0.0, 0.0),
+        )
+        u = np.sin(np.arange(32.0))
+        out = rhs_values(RhsPlan(dic, g, dirichlet=False, skip_zero=True), u)
+        assert np.array_equal(out, -u)
+        with pytest.raises(DomainError):  # the zero-coefficient graphon term is kept
+            RhsPlan(dic, g, dirichlet=False)
+
+    def test_too_few_nodes_for_an_order(self):
+        # Grid1D admits no grid this short; the plan's diff_values check still guards it
+        from types import SimpleNamespace
+
+        dic = Dictionary((MonomialDerivative(0, 3),), coefficients=(1.0,))
+        with pytest.raises(PreconditionError):
+            RhsPlan(dic, SimpleNamespace(num_points=7, spacing=0.1), dirichlet=False)
+
+    def test_values_off_the_plan_grid_rejected(self, unit_grid):
+        dic = Dictionary((MonomialDerivative(0, 1),), coefficients=(1.0,))
+        with pytest.raises(ShapeError):
+            rhs_values(RhsPlan(dic, unit_grid, dirichlet=False), np.zeros((2, 50)))
 
 
 class TestDescribe:
