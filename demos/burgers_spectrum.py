@@ -28,7 +28,7 @@ basis = koopid.build_burgers_basis(seed=1)
 print(f"fitting the Koopman matrix on {len(basis)} functionals "
       "<cos(a_j pi x/2 + b_j pi/2), u^k>^l ...")
 xi1, xi2 = koopid.build_data_matrices(dataset, basis)
-fit = koopid.edmd_fit(xi1, xi2, dataset.sampling_time, basis=basis)
+fit = koopid.edmd_fit(xi1, xi2, dataset.sampling_time)
 result = koopid.spectrum(fit)
 
 print("\nten lowest-residual generator eigenvalues:")

@@ -22,13 +22,12 @@ from .errors import (
     RankDeficiencyWarning,
     ShapeError,
 )
-from .fields import Field, Grid1D, derivative, inner_product
+from .fields import Grid1D
 from .identify import (
     ConvergenceReport,
     IdentificationResult,
     direct_identify,
     lifting_identify,
-    reconstruct_operator,
     true_coefficients,
     ts_convergence_study,
 )
@@ -38,7 +37,6 @@ from .koopman import (
     SpectrumResult,
     build_data_matrices,
     edmd_fit,
-    eval_eigenfunctional,
     spectrum,
 )
 from .linalg import EigenDecomposition, eig, expm, logm, lstsq_fit, pinv
@@ -53,7 +51,7 @@ from .observables import (
     WeightSpec,
     build_burgers_basis,
     build_lifting_basis,
-    eval_functional,
+    functional_values,
 )
 from .operators import (
     Constant,
@@ -61,8 +59,9 @@ from .operators import (
     GraphonKernel,
     KernelSpec,
     MonomialDerivative,
+    RhsPlan,
     TermSpec,
-    apply_rhs,
+    rhs_values,
 )
 from .simulate import (
     BUILTIN_MODELS,

@@ -93,7 +93,7 @@ def _cmd_spectrum(args) -> int:
     dataset = fileio.read_dataset(args.data)
     basis = _resolve_basis(args.basis)
     xi1, xi2 = build_data_matrices(dataset, basis)
-    fit = edmd_fit(xi1, xi2, dataset.sampling_time, basis=basis)
+    fit = edmd_fit(xi1, xi2, dataset.sampling_time)
     result = spectrum(fit)
     fileio.atomic_write_text(args.out, fileio.spectrum_to_csv(result))
     print(f"wrote {len(result)} eigenvalues to {args.out}")

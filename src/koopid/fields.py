@@ -1,16 +1,18 @@
-"""Uniform 1-D grids, sampled fields, finite-difference derivatives and
-trapezoidal quadrature.
+"""Uniform 1-D grids, checks on node values, trapezoidal quadrature and
+finite-difference derivatives.
 
-Derivatives are second-order accurate central differences.  For fields tagged
-as homogeneous-Dirichlet the stencils reach across the boundary through
-odd-reflection ghost nodes (``u(x_min - d) = -u(x_min + d)``), which keeps the
-boundary-adjacent truncation error at O(h^2).  Fields without the tag use
-one-sided second-order stencils at the ends.
+A state is an array of node values whose last axis samples a grid; leading
+axes index a batch of states.  Derivatives are second-order accurate central
+differences.  For homogeneous-Dirichlet values the stencils reach across the
+boundary through odd-reflection ghost nodes (``u(x_min - d) = -u(x_min +
+d)``), which keeps the boundary-adjacent truncation error at O(h^2); other
+values use one-sided second-order stencils at the ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -41,25 +43,9 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.num_points)
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Real scalar values sampled on a grid.
-
-    ``dirichlet`` tags a field whose first and last values are exactly zero;
-    derivative stencils then use odd reflection across the boundaries.
-    """
-
-    grid: Grid1D
-    values: np.ndarray = field(repr=False)
-    dirichlet: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", grid_values(self.grid, self.values, self.dirichlet, 1))
-
-
-def grid_values(grid: Grid1D, values, dirichlet: bool, ndim: int) -> np.ndarray:
-    """``values`` as a read-only float copy with ``ndim`` axes, the last one
-    sampling ``grid``.
+def grid_values(grid: Grid1D, values, dirichlet: bool, ndims: Tuple[int, ...]) -> np.ndarray:
+    """``values`` as a read-only float copy with as many axes as one of
+    ``ndims``, the last one sampling ``grid``.
 
     The values must be finite and, when ``dirichlet`` is set, exactly zero at
     both boundaries; anything else raises ShapeError or InvalidInputError.
@@ -68,10 +54,10 @@ def grid_values(grid: Grid1D, values, dirichlet: bool, ndim: int) -> np.ndarray:
         v = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError("values must be a rectangular array of numbers") from None
-    if v.ndim != ndim or v.shape[-1] != grid.num_points:
+    if v.ndim not in ndims or v.shape[-1] != grid.num_points:
         raise ShapeError(
-            f"values must have {ndim} axes, the last of length {grid.num_points}, "
-            f"got shape {v.shape}"
+            f"values must have {' or '.join(map(str, ndims))} axes, the last of length "
+            f"{grid.num_points}, got shape {v.shape}"
         )
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("values must be finite")
@@ -87,13 +73,6 @@ def trapezoid_weights(grid: Grid1D) -> np.ndarray:
     q = np.full(grid.num_points, h)
     q[0] = q[-1] = 0.5 * h
     return q
-
-
-def inner_product(f: Field, g: Field) -> float:
-    """Trapezoidal approximation of the L2 inner product over the domain."""
-    if f.grid != g.grid:
-        raise ShapeError("inner_product requires both fields on the same grid")
-    return float(trapezoid_weights(f.grid) @ (f.values * g.values))
 
 
 def diff_values(values: np.ndarray, h: float, order: int, dirichlet: bool) -> np.ndarray:
@@ -151,9 +130,3 @@ def diff_values(values: np.ndarray, h: float, order: int, dirichlet: bool) -> np
             1.5 * v[..., -1] - 5.0 * v[..., -2] + 6.0 * v[..., -3] - 3.0 * v[..., -4] + 0.5 * v[..., -5]
         ) / h3
     return out
-
-
-def derivative(u: Field, order: int) -> Field:
-    """Spatial derivative of the given order (1, 2 or 3)."""
-    d = diff_values(u.values, u.grid.spacing, order, u.dirichlet)
-    return Field(u.grid, d, dirichlet=False)

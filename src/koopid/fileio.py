@@ -59,7 +59,8 @@ def atomic_write_text(path: str, text: str):
 #: is never read from a string, a flag never from a number or a string, and a
 #: JSON boolean is no number (Python's ``bool`` subclasses ``int``)
 _JSON_TYPES = {int: ("integer", (int,)), float: ("number", (int, float)),
-               bool: ("boolean", (bool,)), list: ("list", (list,))}
+               bool: ("boolean", (bool,)), list: ("list", (list,)),
+               str: ("string", (str,)), dict: ("object", (dict,))}
 
 _REQUIRED = object()
 
@@ -240,12 +241,15 @@ def dataset_from_json(text: str) -> SnapshotDataset:
         _get(g, "num_points", "dataset grid", int),
     )
     pairs = _get(doc, "pairs", "dataset", list)
+    provenance = doc.get("provenance")
+    if provenance is not None:  # absent, null and {} all read as no provenance
+        provenance = _get(doc, "provenance", "dataset", dict) or None
     return SnapshotDataset(
         grid, _get(doc, "sampling_time", "dataset", float),
         [_get(p, "u", "dataset pair") for p in pairs],
         [_get(p, "u_next", "dataset pair") for p in pairs],
         dirichlet=_get(doc, "dirichlet", "dataset", bool, False),
-        provenance=doc.get("provenance") or None,
+        provenance=provenance,
     )
 
 
@@ -279,7 +283,8 @@ def model_from_record(doc: dict, num_points: int | None = None) -> Model:
     boundary = doc.get("boundary", "none")
     if boundary not in ("dirichlet", "none"):
         raise InvalidInputError(f"boundary must be 'dirichlet' or 'none', got {boundary!r}")
-    return Model(str(doc.get("name", "custom")), dic, grid, dirichlet=boundary == "dirichlet")
+    name = _get(doc, "name", "model", str, "custom")
+    return Model(name, dic, grid, dirichlet=boundary == "dirichlet")
 
 
 def read_model(path: str, num_points: int | None = None):

@@ -16,25 +16,17 @@ decreases.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    BranchCutError,
-    IllConditionedWarning,
-    InsufficientDataError,
-    PreconditionError,
-    RankDeficiencyError,
-)
-from .fields import Field
+from .errors import BranchCutError, InsufficientDataError, PreconditionError, RankDeficiencyError
 from .koopman import build_data_matrices, edmd_fit
 from .linalg import logm, matrix_rank
 from .observables import WeightSpec, build_lifting_basis, lifting_order
-from .operators import Dictionary, apply_rhs
+from .operators import Dictionary
 from .simulate import ICFamily, Model, SnapshotDataset, _pair_datasets
 # benchmarks/tracing.py times the simulate layer at this module's name
 from .simulate import generate_pairs  # noqa: F401
@@ -55,7 +47,6 @@ class IdentificationResult:
     l_tilde: Optional[np.ndarray]
     rank_used: int
     residual: float
-    logm_warning: bool = False
 
 
 def _lifted_fit_inputs(dataset: SnapshotDataset, dictionary: Dictionary, weight: WeightSpec):
@@ -93,19 +84,16 @@ def lifting_identify(
     The dictionary must contain the identity term W(u) = u.  Raises a
     BranchCutError (annotated with a remediation hint) when the fitted matrix
     has an eigenvalue on the closed negative real axis, which signals a
-    sampling time too large or degenerate data.
+    sampling time too large or degenerate data.  The IllConditionedWarning
+    that ``logm`` issues for an ill-conditioned eigenbasis or a discarded
+    imaginary part reaches the caller.
     """
     xi1, xi2, order = _lifted_fit_inputs(dataset, dictionary, weight)
     fit = edmd_fit(xi1, xi2, dataset.sampling_time)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IllConditionedWarning)
-        try:
-            l_tilde = logm(fit.U) / dataset.sampling_time
-        except BranchCutError as exc:
-            raise BranchCutError(
-                f"sampling time too large or data degenerate: {exc}"
-            ) from exc
-    ill = any(issubclass(w.category, IllConditionedWarning) for w in caught)
+    try:
+        l_tilde = logm(fit.U) / dataset.sampling_time
+    except BranchCutError as exc:
+        raise BranchCutError(f"sampling time too large or data degenerate: {exc}") from exc
     estimates = _unpermute(l_tilde[:, 0], order)
     return IdentificationResult(
         dictionary=dictionary,
@@ -114,7 +102,6 @@ def lifting_identify(
         l_tilde=l_tilde,
         rank_used=fit.rank_used,
         residual=fit.residual,
-        logm_warning=ill,
     )
 
 
@@ -192,10 +179,3 @@ def ts_convergence_study(
         ))
     monotone = entries[-1].max_error < entries[0].max_error
     return ConvergenceReport(entries=tuple(entries), monotone=monotone)
-
-
-def reconstruct_operator(result: IdentificationResult, u: Field) -> Field:
-    """Evaluate the estimated right-hand side on a field."""
-    dic = Dictionary(result.dictionary.terms, tuple(result.estimates))
-    return apply_rhs(dic, u, dirichlet=u.dirichlet)
-

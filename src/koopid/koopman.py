@@ -1,5 +1,5 @@
-"""Generalized EDMD over functional bases: data matrices, operator fit,
-spectrum extraction and eigenfunctional evaluation.
+"""Generalized EDMD over functional bases: data matrices, operator fit and
+spectrum extraction.
 
 The fitted matrix acts on basis coefficients from the right: row k of the
 data matrices collects the functional values on snapshot k, and the fit is
@@ -14,12 +14,11 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InsufficientDataError, KoopidError, RankDeficiencyWarning, ShapeError
-from .fields import Field
 from .linalg import branch_cut_mask, eig, matrix_rank, pinv
 from .observables import FunctionalSpec, functional_values
 from .simulate import SnapshotDataset
@@ -60,15 +59,9 @@ class KoopmanFit:
     t_s: float
     rank_used: int
     residual: float
-    basis: Optional[Tuple[FunctionalSpec, ...]] = None
 
 
-def edmd_fit(
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-    t_s: float,
-    basis: Optional[Sequence[FunctionalSpec]] = None,
-) -> KoopmanFit:
+def edmd_fit(xi1: np.ndarray, xi2: np.ndarray, t_s: float) -> KoopmanFit:
     """Fit ``U = pinv(Xi1) @ Xi2`` and report retained rank and residual.
 
     Requires at least as many snapshot pairs as basis functionals; a retained
@@ -98,7 +91,6 @@ def edmd_fit(
         t_s=float(t_s),
         rank_used=rank,
         residual=residual,
-        basis=tuple(basis) if basis is not None else None,
     )
 
 
@@ -130,9 +122,6 @@ class SpectrumResult:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def lambda_l_values(self) -> List[Optional[complex]]:
-        return [m.lambda_l for m in self.modes]
-
 
 def spectrum(fit: KoopmanFit) -> SpectrumResult:
     """Eigenvalues and eigenfunctional coefficients of a fitted operator.
@@ -159,14 +148,3 @@ def spectrum(fit: KoopmanFit) -> SpectrumResult:
         )
     modes.sort(key=lambda m: (m.residual_score, abs(m.lambda_l.real) if m.lambda_l is not None else np.inf))
     return SpectrumResult(modes=tuple(modes), t_s=fit.t_s)
-
-
-def eval_eigenfunctional(fit: KoopmanFit, coefficients: np.ndarray, u: Field) -> complex:
-    """Evaluate an eigenfunctional, given as basis coefficients, on a field."""
-    if fit.basis is None:
-        raise KoopidError("fit carries no basis; build it with edmd_fit(..., basis=...)")
-    c = np.asarray(coefficients)
-    if c.shape != (len(fit.basis),):
-        raise ShapeError(f"expected {len(fit.basis)} coefficients, got shape {c.shape}")
-    vals = np.array([functional_values(spec, u.values, u.grid, u.dirichlet) for spec in fit.basis])
-    return complex(np.sum(c * vals))

@@ -1,5 +1,5 @@
-"""Scalar observable functionals on fields and the basis builders used by the
-spectrum and identification pipelines.
+"""Scalar observable functionals of the state and the basis builders used by
+the spectrum and identification pipelines.
 
 Three functional families are supported:
 
@@ -22,7 +22,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
-from .fields import Field, Grid1D, trapezoid_weights
+from .fields import Grid1D, trapezoid_weights
 from .operators import IDENTITY_TERM, Dictionary, TermSpec, _int_power, term_values
 
 
@@ -133,11 +133,6 @@ def functional_values(spec: FunctionalSpec, values: np.ndarray, grid: Grid1D, di
         t = term_values(spec.term, v, grid, dirichlet)
         return t @ (q * w)
     raise InvalidInputError(f"unknown functional spec: {spec!r}")
-
-
-def eval_functional(spec: FunctionalSpec, u: Field) -> float:
-    """Evaluate a functional on a field."""
-    return float(functional_values(spec, u.values, u.grid, u.dirichlet))
 
 
 def build_burgers_basis(seed: int) -> List[FunctionalSpec]:

@@ -1,4 +1,4 @@
-"""Candidate nonlinear operators and their evaluation on sampled fields.
+"""Candidate nonlinear operators and their evaluation on node values.
 
 A dictionary is an ordered list of terms from a closed family:
 
@@ -9,7 +9,7 @@ A dictionary is an ordered list of terms from a closed family:
   ``f(x, y) = c0 + cx*x + cy*y``.
 
 The affine kernel integral separates, so graphon terms are evaluated in
-O(N) per field via the moments ``int u dy`` and ``int y u(y) dy`` (trapezoid
+O(N) per state via the moments ``int u dy`` and ``int y u(y) dy`` (trapezoid
 weights throughout, so results are bit-reproducible): the coupling is a
 rank-2 operator minus a diagonal one.
 
@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DomainError, InvalidInputError, ShapeError
-from .fields import Field, Grid1D, diff_values, trapezoid_weights
+from .fields import Grid1D, diff_values, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -349,13 +349,6 @@ def rhs_values(plan: RhsPlan, values: np.ndarray) -> np.ndarray:
         out[..., 0] = 0.0
         out[..., -1] = 0.0
     return out
-
-
-def apply_rhs(dictionary: Dictionary, u: Field, dirichlet: bool = False) -> Field:
-    """Evaluate ``sum_i c_i W_i(u)`` on a field."""
-    dirichlet = dirichlet or u.dirichlet
-    out = rhs_values(RhsPlan(dictionary, u.grid, dirichlet), u.values)
-    return Field(u.grid, out, dirichlet=dirichlet)
 
 
 def describe_term(term: TermSpec) -> str:

@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BlowUpError, InvalidInputError, PreconditionError, ShapeError
-from .fields import Field, Grid1D, grid_values
+from .fields import Grid1D, grid_values
 from .operators import (
     Constant,
     Dictionary,
@@ -88,8 +88,10 @@ class SnapshotDataset:
     """m snapshot pairs as two read-only ``(m, N)`` arrays on one grid.
 
     Row k of ``u_next`` is row k of ``u`` advanced by the sampling time.  Both
-    arrays pass the checks of a :class:`Field` row by row: finite values on
-    the grid's N nodes and, with ``dirichlet`` set, zero boundary values.
+    arrays are copied and must have the same shape, at least one row, a last
+    axis of the grid's N nodes and finite values, zero at both boundaries
+    when ``dirichlet`` is set; anything else raises ShapeError or
+    InvalidInputError.
     """
 
     grid: Grid1D
@@ -104,8 +106,8 @@ class SnapshotDataset:
             raise InvalidInputError(
                 f"sampling time must be positive and finite, got {self.sampling_time}"
             )
-        u = grid_values(self.grid, self.u, self.dirichlet, 2)
-        u_next = grid_values(self.grid, self.u_next, self.dirichlet, 2)
+        u = grid_values(self.grid, self.u, self.dirichlet, (2,))
+        u_next = grid_values(self.grid, self.u_next, self.dirichlet, (2,))
         if u.shape != u_next.shape:
             raise ShapeError(f"u has shape {u.shape} but u_next has shape {u_next.shape}")
         if len(u) < 1:
@@ -268,16 +270,15 @@ def _advance(
     return u
 
 
-def integrate(model: Model, u0: Field, horizon: float) -> Field:
-    """Flow the initial condition forward by ``horizon``."""
+def integrate(model: Model, values, horizon: float) -> np.ndarray:
+    """Flow one state (N node values) or an ``(m, N)`` batch of states
+    forward by ``horizon``; the result has the shape of ``values``."""
     if horizon <= 0:
         raise InvalidInputError(f"horizon must be positive, got {horizon}")
-    if u0.grid != model.grid:
-        raise ShapeError("initial condition must live on the model grid")
-    if model.dirichlet and not (u0.values[0] == 0.0 and u0.values[-1] == 0.0):
+    v = grid_values(model.grid, values, False, (1, 2))
+    if model.dirichlet and (np.any(v[..., 0] != 0.0) or np.any(v[..., -1] != 0.0)):
         raise PreconditionError("Dirichlet model requires an initial condition vanishing at the boundaries")
-    out = _advance(model, u0.values, horizon, stable_substep(model))
-    return Field(model.grid, out, dirichlet=model.dirichlet)
+    return _advance(model, v, horizon, stable_substep(model))
 
 
 def generate_pairs(

@@ -3,7 +3,6 @@
 import numpy as np
 
 import koopid
-from koopid.simulate import _advance, stable_substep
 
 
 def sine_mode(grid: koopid.Grid1D, k: int) -> np.ndarray:
@@ -16,19 +15,11 @@ def sine_mode(grid: koopid.Grid1D, k: int) -> np.ndarray:
     return v
 
 
-def dirichlet_field(grid: koopid.Grid1D, values: np.ndarray) -> koopid.Field:
-    v = np.array(values, dtype=float)
-    v[0] = 0.0
-    v[-1] = 0.0
-    return koopid.Field(grid, v, dirichlet=True)
-
-
 def heat_pairs(model: koopid.Model, states: np.ndarray, ts: float) -> koopid.SnapshotDataset:
     """Pairs (s0, s1) and (s1, s2) of each state, in state order, where s1 and
     s2 are the state advanced by one and two sampling times."""
-    dt = stable_substep(model)
-    s1 = _advance(model, states, ts, dt)
-    s2 = _advance(model, s1, ts, dt)
+    s1 = koopid.integrate(model, states, ts)
+    s2 = koopid.integrate(model, s1, ts)
     n = model.grid.num_points
     u = np.stack([states, s1], axis=1).reshape(-1, n)
     u_next = np.stack([s1, s2], axis=1).reshape(-1, n)

@@ -1,11 +1,10 @@
-"""Grids, fields, quadrature and finite-difference derivatives."""
+"""Grids, quadrature and finite-difference derivatives."""
 
 import numpy as np
 import pytest
 
-import koopid
-from koopid import Field, Grid1D, derivative, inner_product
-from koopid.errors import InvalidInputError, PreconditionError, ShapeError
+from koopid import Grid1D
+from koopid.errors import InvalidInputError, PreconditionError
 from koopid.fields import diff_values, trapezoid_weights
 
 
@@ -24,31 +23,6 @@ class TestGrid:
             Grid1D(0.0, 1.0, 4)
 
 
-class TestField:
-    def test_shape_mismatch(self, grid):
-        with pytest.raises(ShapeError):
-            Field(grid, np.zeros(grid.num_points + 1))
-
-    def test_non_finite_values(self, grid):
-        v = np.zeros(grid.num_points)
-        v[3] = np.nan
-        with pytest.raises(InvalidInputError):
-            Field(grid, v)
-
-    def test_dirichlet_requires_zero_boundary(self, grid):
-        v = np.ones(grid.num_points)
-        with pytest.raises(InvalidInputError):
-            Field(grid, v, dirichlet=True)
-
-    def test_values_are_defensively_copied_and_frozen(self, grid):
-        src = np.zeros(grid.num_points)
-        f = Field(grid, src)
-        src[0] = 7.0
-        assert f.values[0] == 0.0
-        with pytest.raises(ValueError):
-            f.values[0] = 1.0
-
-
 class TestQuadrature:
     def test_weights_sum_to_length(self):
         g = Grid1D(-2.0, 3.0, 41)
@@ -57,8 +31,8 @@ class TestQuadrature:
     def test_matches_numpy_trapezoid(self):
         g = Grid1D(0.0, np.pi, 101)
         v = np.sin(g.nodes())
-        w = Field(g, np.ones(g.num_points))
-        assert inner_product(Field(g, v), w) == pytest.approx(
+        w = np.ones(g.num_points)
+        assert trapezoid_weights(g) @ (v * w) == pytest.approx(
             np.trapezoid(v, g.nodes()), abs=1e-14
         )
 
@@ -66,13 +40,7 @@ class TestQuadrature:
         # int_0^1 x^2 * x dx = 1/4; trapezoid converges at O(h^2)
         g = Grid1D(0.0, 1.0, 2001)
         x = g.nodes()
-        assert inner_product(Field(g, x**2), Field(g, x)) == pytest.approx(0.25, abs=1e-6)
-
-    def test_grid_mismatch(self):
-        a = Field(Grid1D(0.0, 1.0, 16), np.zeros(16))
-        b = Field(Grid1D(0.0, 1.0, 17), np.zeros(17))
-        with pytest.raises(ShapeError):
-            inner_product(a, b)
+        assert trapezoid_weights(g) @ (x**2 * x) == pytest.approx(0.25, abs=1e-6)
 
 
 class TestDerivatives:
@@ -82,8 +50,8 @@ class TestDerivatives:
         def err(n):
             g = Grid1D(0.0, 1.0, n)
             x = g.nodes()
-            u = Field(g, np.exp(x))
-            return float(np.max(np.abs(derivative(u, order).values - np.exp(x))))
+            d = diff_values(np.exp(x), g.spacing, order, dirichlet=False)
+            return float(np.max(np.abs(d - np.exp(x))))
 
         e1, e2 = err(101), err(201)
         assert e1 / e2 > 3.0
@@ -96,13 +64,13 @@ class TestDerivatives:
             x = g.nodes()
             v = np.sin(np.pi * x)
             v[0] = v[-1] = 0.0
-            u = Field(g, v, dirichlet=True)
             exact = {
                 1: np.pi * np.cos(np.pi * x),
                 2: -np.pi**2 * np.sin(np.pi * x),
                 3: -np.pi**3 * np.cos(np.pi * x),
             }[order]
-            return float(np.max(np.abs(derivative(u, order).values - exact)))
+            d = diff_values(v, g.spacing, order, dirichlet=True)
+            return float(np.max(np.abs(d - exact)))
 
         e1, e2 = err(101), err(201)
         assert e1 / e2 > 3.0
@@ -110,13 +78,13 @@ class TestDerivatives:
     def test_exact_on_low_degree_polynomials(self):
         g = Grid1D(0.0, 2.0, 33)
         x = g.nodes()
-        u = Field(g, x**2)
-        assert np.allclose(derivative(u, 1).values, 2 * x, atol=1e-10)
-        assert np.allclose(derivative(u, 2).values, 2.0, atol=1e-9)
+        u = x**2
+        assert np.allclose(diff_values(u, g.spacing, 1, dirichlet=False), 2 * x, atol=1e-10)
+        assert np.allclose(diff_values(u, g.spacing, 2, dirichlet=False), 2.0, atol=1e-9)
 
     def test_invalid_order(self, grid):
         with pytest.raises(InvalidInputError):
-            derivative(Field(grid, np.zeros(grid.num_points)), 4)
+            diff_values(np.zeros(grid.num_points), grid.spacing, 4, dirichlet=False)
 
     def test_too_few_nodes_for_order(self):
         with pytest.raises(PreconditionError):
@@ -130,4 +98,3 @@ class TestDerivatives:
         assert d.shape == batch.shape
         assert np.allclose(d[0], np.cos(x), atol=1e-3)
         assert np.allclose(d[1], -np.sin(x), atol=1e-3)
-

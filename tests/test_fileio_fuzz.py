@@ -279,9 +279,13 @@ BUMP = {"kind": "bump", "L": 1.0}
     pytest.param(fileio.dataset_from_json, _dataset_text(dirichlet="no"), id="text-dirichlet"),
     pytest.param(fileio.dataset_from_json, _dataset_text(sampling_time="0.1"),
                  id="text-sampling-time"),
+    pytest.param(fileio.model_from_record, {**MODEL, "name": {"a": 1}}, id="object-name"),
+    pytest.param(fileio.dataset_from_json, _dataset_text(provenance=[1, 2]), id="list-provenance"),
+    pytest.param(fileio.dataset_from_json, _dataset_text(provenance="abc"), id="text-provenance"),
 ])
 def test_values_of_the_wrong_json_type_are_input_errors(reader, arg):
-    # each of these was read as something else: 1.5 as 1, "2" as 2, "no" as true
+    # each of these was read as something else: 1.5 as 1, "2" as 2, "no" as
+    # true, {"a": 1} as the name "{'a': 1}", [1, 2] as a provenance record
     with pytest.raises(InvalidInputError):
         reader(arg)
 

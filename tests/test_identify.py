@@ -1,5 +1,7 @@
 """Lifting and direct coefficient identification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,21 +10,22 @@ from koopid import (
     BranchCutError,
     ConstantWeight,
     Dictionary,
-    Field,
     ICFamily,
+    IllConditionedWarning,
     MonomialDerivative,
     RankDeficiencyError,
+    RhsPlan,
     SnapshotDataset,
     direct_identify,
     generate_pairs,
     heat_model,
+    integrate,
     lifting_identify,
-    reconstruct_operator,
+    rhs_values,
     true_coefficients,
     ts_convergence_study,
 )
 from koopid.errors import PreconditionError
-from koopid.simulate import _advance, stable_substep
 from helpers import heat_pairs, sine_mode
 
 
@@ -106,6 +109,21 @@ class TestLiftingIdentify:
         with pytest.raises(BranchCutError, match="sampling time"):
             lifting_identify(ds, cand, koopid.Bump(5.0, recentered=True))
 
+    def test_ill_conditioned_logm_warns_the_caller(self, monkeypatch):
+        import koopid.identify
+
+        logm = koopid.identify.logm
+
+        def warning_logm(a):
+            warnings.warn("ill-conditioned eigenbasis", IllConditionedWarning)
+            return logm(a)
+
+        monkeypatch.setattr(koopid.identify, "logm", warning_logm)
+        _, ds = heat_modes_dataset()
+        with pytest.warns(IllConditionedWarning, match="ill-conditioned eigenbasis"):
+            result = lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
+        assert np.allclose(result.estimates, [0.0, 1.0], atol=1e-3)
+
 
 class TestDirectIdentify:
     def test_recovers_slow_linear_system(self):
@@ -113,10 +131,9 @@ class TestDirectIdentify:
         g = koopid.Grid1D(0.0, 1.0, 32)
         dic = Dictionary((MonomialDerivative(1, 0),), coefficients=(-2.0,))
         m = koopid.Model("decay", dic, g)
-        dt = stable_substep(m)
         ts = 0.001
         states = np.stack([np.full(32, c) for c in (0.5, 1.0, 1.5)])
-        s1 = _advance(m, states, ts, dt)
+        s1 = integrate(m, states, ts)
         ds = SnapshotDataset(g, ts, states, s1)
         result = direct_identify(ds, Dictionary((MonomialDerivative(1, 0),)), ConstantWeight())
         assert result.estimates[0] == pytest.approx(-2.0, abs=1e-2)
@@ -187,9 +204,8 @@ class TestReconstruction:
     def test_reconstruct_matches_true_rhs_when_estimates_exact(self):
         m, ds = heat_modes_dataset()
         result = lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
-        u = Field(ds.grid, ds.u[0], dirichlet=True)
-        est = reconstruct_operator(result, u)
-        ref = koopid.apply_rhs(m.dictionary, u, dirichlet=True)
-        scale = np.max(np.abs(ref.values))
-        assert np.allclose(est.values, ref.values, atol=1e-2 * scale)
-
+        estimated = Dictionary(result.dictionary.terms, tuple(result.estimates))
+        est = rhs_values(RhsPlan(estimated, ds.grid, dirichlet=True), ds.u[0])
+        ref = rhs_values(RhsPlan(m.dictionary, ds.grid, dirichlet=True), ds.u[0])
+        scale = np.max(np.abs(ref))
+        assert np.allclose(est, ref, atol=1e-2 * scale)

@@ -12,12 +12,12 @@ from koopid import (
     SnapshotDataset,
     build_data_matrices,
     edmd_fit,
-    eval_eigenfunctional,
+    functional_values,
     heat_model,
     spectrum,
 )
 from koopid.errors import KoopidError, RankDeficiencyWarning, ShapeError
-from helpers import dirichlet_field, heat_pairs, sine_mode
+from helpers import heat_pairs, sine_mode
 
 
 def heat_sine_dataset(num_modes=4, ts=0.05, num_states=6, seed=0, grid_points=256):
@@ -49,13 +49,10 @@ class TestDataMatrices:
         xi1, xi2 = build_data_matrices(ds, basis)
         assert xi1.shape == xi2.shape == (len(ds), len(basis))
         # row k must hold the functionals of pair k in basis order
-        u0 = koopid.Field(ds.grid, ds.u[0], dirichlet=True)
-        assert xi1[0, 2] == pytest.approx(koopid.eval_functional(basis[2], u0))
+        assert xi1[0, 2] == pytest.approx(functional_values(basis[2], ds.u[0], ds.grid, True))
 
     def test_batched_columns_match_row_by_row_values(self):
         # one call per column must give what one call per snapshot gives
-        from koopid.observables import functional_values
-
         g = koopid.Grid1D(0.0, 1.0, 33)
         rng = np.random.default_rng(3)
         ds = SnapshotDataset(g, 0.1, rng.standard_normal((7, 33)), rng.standard_normal((7, 33)))
@@ -179,21 +176,15 @@ class TestEigenfunctional:
         m, ds = heat_sine_dataset()
         basis = sine_basis()
         xi1, xi2 = build_data_matrices(ds, basis)
-        fit = edmd_fit(xi1, xi2, ds.sampling_time, basis=basis)
-        result = spectrum(fit)
+        result = spectrum(edmd_fit(xi1, xi2, ds.sampling_time))
         mode1 = min(
             (mo for mo in result.modes if mo.lambda_l is not None),
             key=lambda mo: abs(mo.lambda_l.real + (np.pi / 2) ** 2),
         )
         coeff = mode1.coefficients / np.linalg.norm(mode1.coefficients)
-        on_mode1 = eval_eigenfunctional(fit, coeff, dirichlet_field(m.grid, sine_mode(m.grid, 1)))
-        on_mode2 = eval_eigenfunctional(fit, coeff, dirichlet_field(m.grid, sine_mode(m.grid, 2)))
+        # the eigenfunctional is the basis functionals dotted with the coefficients
+        modes = np.stack([sine_mode(m.grid, 1), sine_mode(m.grid, 2)])
+        values = np.stack([functional_values(spec, modes, m.grid, True) for spec in basis])
+        on_mode1, on_mode2 = coeff @ values
         assert abs(on_mode1) > 0.1
         assert abs(on_mode2) <= 1e-3
-
-    def test_requires_basis(self):
-        fit = edmd_fit(np.eye(3), np.eye(3), 0.1)
-        with pytest.raises(KoopidError):
-            eval_eigenfunctional(
-                fit, np.ones(3), koopid.Field(koopid.Grid1D(0, 1, 16), np.zeros(16))
-            )

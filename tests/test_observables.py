@@ -8,7 +8,6 @@ from koopid import (
     Bump,
     ConstantWeight,
     Dictionary,
-    Field,
     Grid1D,
     InnerProductPower,
     LiftedTerm,
@@ -17,11 +16,11 @@ from koopid import (
     PowerLaw,
     build_burgers_basis,
     build_lifting_basis,
-    eval_functional,
+    functional_values,
 )
 from koopid.errors import InvalidInputError, PreconditionError
 from koopid.fields import trapezoid_weights
-from koopid.observables import functional_values, lifting_order, weight_values
+from koopid.observables import lifting_order, weight_values
 
 
 class TestWeights:
@@ -55,15 +54,15 @@ class TestInnerProductPower:
     def test_analytic_oracle(self):
         # <cos(pi x / 2), u> with u = cos(pi x / 2) on [-1, 1] equals 1
         g = Grid1D(-1.0, 1.0, 2001)
-        u = Field(g, np.cos(np.pi * g.nodes() / 2.0))
+        u = np.cos(np.pi * g.nodes() / 2.0)
         spec = InnerProductPower(a=1.0, b=0.0)
-        assert eval_functional(spec, u) == pytest.approx(1.0, abs=1e-6)
+        assert functional_values(spec, u, g, False) == pytest.approx(1.0, abs=1e-6)
 
     def test_outer_power_is_power_of_inner_value(self):
         g = Grid1D(-1.0, 1.0, 301)
-        u = Field(g, 0.5 + 0.1 * g.nodes())
-        base = eval_functional(InnerProductPower(0.3, 0.7, 2, 1), u)
-        cubed = eval_functional(InnerProductPower(0.3, 0.7, 2, 3), u)
+        u = 0.5 + 0.1 * g.nodes()
+        base = functional_values(InnerProductPower(0.3, 0.7, 2, 1), u, g, False)
+        cubed = functional_values(InnerProductPower(0.3, 0.7, 2, 3), u, g, False)
         assert cubed == pytest.approx(base**3, rel=1e-12)
 
     def test_cubes_match_pow_form(self):
@@ -88,14 +87,12 @@ class TestInnerProductPower:
 class TestPointEvaluation:
     def test_interpolates_between_nodes(self):
         g = Grid1D(0.0, 1.0, 11)
-        u = Field(g, g.nodes() ** 2)
+        u = g.nodes() ** 2
         # linear interpolation between x=0.1 (0.01) and x=0.2 (0.04)
-        assert eval_functional(PointEvaluation(0.15), u) == pytest.approx(0.025)
+        assert functional_values(PointEvaluation(0.15), u, g, False) == pytest.approx(0.025)
 
     def test_batch_matches_numpy_interp(self):
         # at a node, between nodes and at both ends, row by row
-        from koopid.observables import functional_values
-
         g = Grid1D(-1.0, 2.0, 31)
         x = g.nodes()
         batch = np.random.default_rng(0).standard_normal((4, 31))
@@ -106,27 +103,24 @@ class TestPointEvaluation:
 
     def test_outside_domain_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
-        u = Field(g, np.zeros(11))
         with pytest.raises(InvalidInputError):
-            eval_functional(PointEvaluation(2.0), u)
+            functional_values(PointEvaluation(2.0), np.zeros(11), g, False)
 
 
 class TestLiftedTerm:
     def test_lifted_identity_is_weighted_average(self):
         g = Grid1D(0.0, 1.0, 1001)
         x = g.nodes()
-        u = Field(g, x)
         spec = LiftedTerm(MonomialDerivative(1, 0), PowerLaw(2))
-        # <u, x^2> = int_0^1 x^3 dx = 1/4
-        assert eval_functional(spec, u) == pytest.approx(0.25, abs=1e-6)
+        # <u, x^2> = int_0^1 x^3 dx = 1/4 for u = x
+        assert functional_values(spec, x, g, False) == pytest.approx(0.25, abs=1e-6)
 
     def test_lifted_derivative_uses_dirichlet_tag(self):
         g = Grid1D(0.0, 1.0, 101)
         v = np.sin(np.pi * g.nodes())
         v[0] = v[-1] = 0.0
-        tagged = eval_functional(
-            LiftedTerm(MonomialDerivative(0, 2), ConstantWeight()),
-            Field(g, v, dirichlet=True),
+        tagged = functional_values(
+            LiftedTerm(MonomialDerivative(0, 2), ConstantWeight()), v, g, dirichlet=True
         )
         # <u_xx, 1> for u = sin(pi x) on [0,1] is -pi^2 * 2/pi = -2 pi
         assert tagged == pytest.approx(-2.0 * np.pi, rel=1e-3)

@@ -8,23 +8,16 @@ import koopid
 from koopid import (
     Constant,
     Dictionary,
-    Field,
     Grid1D,
     GraphonKernel,
     KernelSpec,
     MonomialDerivative,
-    apply_rhs,
+    RhsPlan,
+    rhs_values,
 )
 from koopid.errors import DomainError, InvalidInputError, PreconditionError, ShapeError
 from koopid.fields import diff_values, trapezoid_weights
-from koopid.operators import (
-    RhsPlan,
-    _int_power,
-    _stencil_matrix,
-    describe_term,
-    rhs_values,
-    term_values,
-)
+from koopid.operators import _int_power, _stencil_matrix, describe_term, term_values
 
 
 @pytest.fixture
@@ -156,27 +149,26 @@ class TestRhs:
 
     def test_weighted_sum_of_terms(self, unit_grid):
         x = unit_grid.nodes()
-        u = Field(unit_grid, x**2)
         dic = Dictionary(
             (MonomialDerivative(1, 0), MonomialDerivative(0, 1)),
             coefficients=(2.0, -1.0),
         )
-        out = apply_rhs(dic, u)
-        assert np.allclose(out.values, 2 * x**2 - 2 * x, atol=1e-9)
+        out = rhs_values(RhsPlan(dic, unit_grid, dirichlet=False), x**2)
+        assert np.allclose(out, 2 * x**2 - 2 * x, atol=1e-9)
 
     def test_requires_coefficients(self, unit_grid):
         dic = Dictionary((Constant(),))
         with pytest.raises(InvalidInputError):
-            apply_rhs(dic, Field(unit_grid, np.zeros(unit_grid.num_points)))
+            RhsPlan(dic, unit_grid, dirichlet=False)
 
     def test_dirichlet_clamps_boundary(self):
         g = Grid1D(0.0, 1.0, 64)
         v = np.sin(np.pi * g.nodes())
         v[0] = v[-1] = 0.0
         dic = Dictionary((Constant(),), coefficients=(1.0,))  # rhs = 1 everywhere
-        out = apply_rhs(dic, Field(g, v, dirichlet=True), dirichlet=True)
-        assert out.values[0] == 0.0 and out.values[-1] == 0.0
-        assert np.allclose(out.values[1:-1], 1.0)
+        out = rhs_values(RhsPlan(dic, g, dirichlet=True), v)
+        assert out[0] == 0.0 and out[-1] == 0.0
+        assert np.allclose(out[1:-1], 1.0)
 
     def test_batched_evaluation_matches_per_row(self, unit_grid):
         rng = np.random.default_rng(2)

@@ -7,7 +7,6 @@ import koopid
 from koopid import (
     BlowUpError,
     Dictionary,
-    Field,
     Grid1D,
     ICFamily,
     MonomialDerivative,
@@ -78,11 +77,11 @@ class TestIntegrate:
     def test_heat_mode_decay_oracle(self):
         # mode k of the heat equation on [-1,1] decays at exp(-(k pi/2)^2 t)
         m = heat_model(num_points=256)
-        u0 = Field(m.grid, sine_mode(m.grid, 2), dirichlet=True)
+        u0 = sine_mode(m.grid, 2)
         t = 0.1
         out = integrate(m, u0, t)
-        expected = np.exp(-((2 * np.pi / 2) ** 2) * t) * u0.values
-        assert np.allclose(out.values, expected, atol=5e-4)
+        expected = np.exp(-((2 * np.pi / 2) ** 2) * t) * u0
+        assert np.allclose(out, expected, atol=5e-4)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_heat_sine_mode_is_exact(self, k):
@@ -91,29 +90,25 @@ class TestIntegrate:
         m = heat_model(num_points=256)
         n, h = m.grid.num_points, m.grid.spacing
         lam = -(4.0 / h**2) * np.sin(k * np.pi / (2 * (n - 1))) ** 2
-        u0 = Field(m.grid, sine_mode(m.grid, k), dirichlet=True)
+        u0 = sine_mode(m.grid, k)
         t = 0.1234
         out = integrate(m, u0, t)
-        assert np.max(np.abs(out.values - np.exp(lam * t) * u0.values)) <= 1e-12
+        assert np.max(np.abs(out - np.exp(lam * t) * u0)) <= 1e-12
 
     def test_reaction_only_exponential_decay(self):
         g = Grid1D(0.0, 1.0, 32)
         dic = Dictionary((MonomialDerivative(1, 0),), coefficients=(-2.0,))
         m = Model("decay", dic, g)
-        u0 = Field(g, np.ones(32))
-        out = integrate(m, u0, 0.5)
-        assert np.allclose(out.values, np.exp(-1.0), atol=1e-9)
+        out = integrate(m, np.ones(32), 0.5)
+        assert np.allclose(out, np.exp(-1.0), atol=1e-9)
 
     def test_dirichlet_boundary_pinned(self):
         m = koopid.burgers_model(64)
-        u0 = Field(m.grid, sine_mode(m.grid, 1), dirichlet=True)
-        out = integrate(m, u0, 0.2)
-        assert out.values[0] == 0.0 and out.values[-1] == 0.0
+        out = integrate(m, sine_mode(m.grid, 1), 0.2)
+        assert out[0] == 0.0 and out[-1] == 0.0
 
     def test_substep_convergence(self):
         # halving the substep must not change the result materially
-        from koopid.simulate import _advance
-
         m = koopid.burgers_model(64)
         u0 = sine_mode(m.grid, 1)
         dt = stable_substep(m)
@@ -127,19 +122,31 @@ class TestIntegrate:
         dic = Dictionary((MonomialDerivative(3, 0),), coefficients=(1.0,))
         m = Model("explode", dic, g)
         with pytest.raises(BlowUpError) as exc:
-            integrate(m, Field(g, np.full(32, 10.0)), 1.0)
+            integrate(m, np.full(32, 10.0), 1.0)
         assert exc.value.time is not None and exc.value.time < 1.0
 
     def test_rejects_mismatched_grid(self):
         m = heat_model(num_points=64)
-        other = Field(Grid1D(-1.0, 1.0, 32), np.zeros(32))
         with pytest.raises(ShapeError):
-            integrate(m, other, 0.1)
+            integrate(m, np.zeros(32), 0.1)
 
     def test_dirichlet_model_requires_zero_boundary_ic(self):
         m = heat_model(num_points=64)
         with pytest.raises(PreconditionError):
-            integrate(m, Field(m.grid, np.ones(64)), 0.1)
+            integrate(m, np.ones(64), 0.1)
+
+    @pytest.mark.parametrize("model", [koopid.burgers_model(64), koopid.graphon_model(64)],
+                             ids=["burgers", "graphon"])
+    def test_batch_matches_row_by_row(self, model):
+        family = ICFamily(model.name)
+        rng = np.random.default_rng(4)
+        batch = np.stack([sample_initial_condition(family, model.grid, *rng.random(2))
+                          for _ in range(3)])
+        out = integrate(model, batch, 0.2)
+        assert out.shape == batch.shape
+        for row, got in zip(batch, out):
+            ref = integrate(model, row, 0.2)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestBuiltinModels:
