@@ -226,7 +226,7 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
             for u, un in zip(dataset.u.tolist(), dataset.u_next.tolist())
         ],
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def dataset_from_json(text: str) -> SnapshotDataset:

@@ -104,6 +104,20 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "'family'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--ts", "inf"), ("--ts", "nan"), ("--burn-in", "inf"),
+    ])
+    def test_non_finite_time_is_usage_error(self, tmp_path, capsys, flag, value):
+        argv = [
+            "simulate", "--model", "graphon", "--pairs", "2", "--trajectories", "1",
+            "--ts", "0.5", "--burn-in", "0", "--seed", "1", "--grid", "16",
+            "--out", str(tmp_path / "x.json"),
+        ]
+        argv[argv.index(flag) + 1] = value
+        code = main(argv)
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
     def test_blow_up_exit_code(self, tmp_path, capsys):
         # the third-order benchmark is mesh-unstable on a fine grid
         code = main([
@@ -295,6 +309,15 @@ class TestSweep:
         assert code == EXIT_OK
         assert len(out.read_text().strip().split("\n")) == 4
         assert "decreasing" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ts_list", ["0.3,inf", "inf,0.3,0.15", "0.3,nan,0.15"])
+    def test_non_finite_sampling_time_is_usage_error(self, tmp_path, ts_list):
+        code = main([
+            "sweep-ts", "--model", "graphon", "--weight", "power:2",
+            "--ts-list", ts_list, "--seed", "1", "--pairs", "2", "--trajectories", "1",
+            "--grid", "16", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_USAGE
 
     def test_too_few_sampling_times(self, tmp_path):
         code = main([

@@ -37,6 +37,20 @@ class TestDatasetRoundTrip:
         assert np.array_equal(back.u, ds.u)
         assert np.array_equal(back.u_next, ds.u_next)
 
+    def test_bit_exact_on_extreme_floats(self):
+        # the compact writer keeps the document's keys, their order and repr floats
+        g = koopid.Grid1D(0.0, 1.0, 8)
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal((3, 8)) * 10.0 ** rng.integers(-300, 300, (3, 8))
+        u[0, :4] = [5e-324, -0.0, np.nextafter(1.0, 2.0), np.finfo(float).max]
+        ds = koopid.SnapshotDataset(g, 1.0 / 3.0, u, -u)
+        text = fileio.dataset_to_json(ds)
+        assert list(json.loads(text)) == ["grid", "sampling_time", "dirichlet", "provenance", "pairs"]
+        back = fileio.dataset_from_json(text)
+        assert back.sampling_time == ds.sampling_time
+        assert np.array_equal(back.u.view(np.uint64), u.view(np.uint64))
+        assert np.array_equal(back.u_next.view(np.uint64), (-u).view(np.uint64))
+
     def test_preserves_provenance_and_dirichlet(self, tmp_path):
         m = koopid.burgers_model(64)
         ds = koopid.generate_pairs(m, koopid.ICFamily.BURGERS, 2, 4, 0.2, seed=2)

@@ -262,9 +262,11 @@ class TestRhsPlan:
 
         monkeypatch.setattr(koopid.simulate, "RhsPlan", CountedPlan)
         monkeypatch.setattr(koopid.simulate, "rhs_values", counted_rhs)
-        koopid.generate_pairs(koopid.pde1_model(), koopid.ICFamily.PDE1, 2, 4, 0.01, seed=1)
+        model = koopid.pde1_model()
+        koopid.generate_pairs(model, koopid.ICFamily.PDE1, 2, 4, 0.01, seed=1)
+        substeps = int(np.ceil(0.01 / koopid.simulate.stable_substep(model)))
         assert len(plans) == 1
-        assert len(calls) == 2 * 10 * 4  # 2 segments of 10 substeps, 4 evaluations each
+        assert len(calls) == 2 * substeps * 4  # 2 segments, 4 evaluations per substep
         assert all(plan is calls[0] for plan in calls)
 
     def test_skip_zero_drops_zero_terms(self):

@@ -17,6 +17,7 @@ from koopid import (
 from koopid.errors import InvalidInputError, KoopidError, PreconditionError, ShapeError
 from koopid.operators import GraphonKernel
 from koopid.simulate import (
+    BUILTIN_MODELS,
     DT_MAX,
     EXPERIMENT_DEFAULTS,
     Model,
@@ -37,17 +38,20 @@ class TestStableSubstep:
         assert stable_substep(Model("heat", dic, g)) == pytest.approx(0.25 * 0.02**2)
 
     def test_dirichlet_diffusion_split_off(self):
-        # Burgers and heat integrate u_xx exactly and step at DT_MAX
-        for m in (koopid.burgers_model(), heat_model(num_points=101)):
+        # Burgers and heat integrate u_xx exactly; Burgers then steps at its
+        # advection bound h / |c| = h, heat at DT_MAX
+        burgers, heat = koopid.burgers_model(), heat_model(num_points=101)
+        for m in (burgers, heat):
             explicit, c = _split_diffusion(m)
             assert c == 1.0
             # the split-off term stays in place with coefficient 0
             assert explicit.terms == m.dictionary.terms
             assert explicit.coefficients[-1] == 0.0
-            assert stable_substep(m) == DT_MAX
+        assert stable_substep(burgers) == burgers.grid.spacing
+        assert stable_substep(heat) == DT_MAX
 
     @pytest.mark.parametrize("model", [
-        koopid.pde1_model(),        # u_xxx and DT_MAX bind, not u_xx
+        koopid.pde1_model(),        # u_xxx binds, not u_xx
         koopid.pde1_model(256),     # u_xxx binds
         koopid.graphon_model(),     # no u_xx, no Dirichlet conditions
         Model("backward-heat", Dictionary((MonomialDerivative(0, 2),), coefficients=(-1.0,)),
@@ -57,14 +61,27 @@ class TestStableSubstep:
         assert _split_diffusion(model) == (model.dictionary, 0.0)
 
     def test_unsplit_builtin_substeps_stay(self):
-        assert stable_substep(koopid.pde1_model()) == 1e-3
-        assert stable_substep(koopid.graphon_model()) == 1e-3
+        # pde1: u_xxx binds; graphon has no derivative terms
+        pde1 = koopid.pde1_model()
+        assert stable_substep(pde1) == pytest.approx(0.25 * pde1.grid.spacing**3 / 0.1)
+        assert stable_substep(koopid.graphon_model()) == DT_MAX
 
     def test_capped_at_dt_max(self):
         # reaction-only model has no derivative terms: dt = DT_MAX
         g = Grid1D(0.0, 1.0, 64)
         dic = Dictionary((MonomialDerivative(1, 0),), coefficients=(-1.0,))
-        assert stable_substep(Model("decay", dic, g)) == pytest.approx(1e-3)
+        assert stable_substep(Model("decay", dic, g)) == DT_MAX
+
+    @pytest.mark.parametrize("num_points", [256, 1024])
+    def test_advection_limit_sets_burgers_step(self, num_points):
+        # u u_x with c = -1: dt = h / |c|, below DT_MAX on both grids
+        m = koopid.burgers_model(num_points)
+        assert stable_substep(m) == m.grid.spacing < DT_MAX
+
+    def test_advection_limit(self):
+        g = Grid1D(0.0, 1.0, 201)  # h = 0.005
+        dic = Dictionary((MonomialDerivative(0, 1),), coefficients=(-2.0,))
+        assert stable_substep(Model("transport", dic, g)) == pytest.approx(0.005 / 2.0)
 
     def test_dispersion_limit(self):
         g = Grid1D(0.0, 5.0, 128)
@@ -115,6 +132,42 @@ class TestIntegrate:
         a = _advance(m, u0, 0.2, dt)
         b = _advance(m, u0, 0.2, dt / 2)
         assert np.max(np.abs(a - b)) <= 1e-4 * max(1.0, np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("viscosity", [1.0, 0.0], ids=["burgers", "inviscid"])
+    def test_fine_burgers_grid_integrates(self, viscosity):
+        # 1024 nodes: DT_MAX would put RK4 at CFL number 5 on u u_x, which
+        # blows up the inviscid flow within one default segment
+        g = Grid1D(-1.0, 1.0, 1024)
+        dic = Dictionary((MonomialDerivative(1, 1), MonomialDerivative(0, 2)),
+                         coefficients=(-1.0, viscosity))
+        m = Model("burgers", dic, g, dirichlet=True)
+        rng = np.random.default_rng(1)
+        u0 = np.stack([sample_initial_condition(ICFamily.BURGERS, g, *rng.random(2))
+                       for _ in range(3)])
+        out = integrate(m, u0, EXPERIMENT_DEFAULTS["burgers"][2])
+        assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_default_segment_converged_at_stable_substep(self, name):
+        # one default-ts segment after the default burn-in moves by less than
+        # 1e-7 relative when the substep is cut to a quarter
+        m = BUILTIN_MODELS[name]()
+        _, _, ts, family, burn_in = EXPERIMENT_DEFAULTS[name]
+        rng = np.random.default_rng(1)
+        u0 = np.stack([sample_initial_condition(family, m.grid, *rng.random(2))
+                       for _ in range(3)])
+        dt = stable_substep(m)
+        if burn_in:
+            u0 = _advance(m, u0, burn_in, dt)
+        coarse = _advance(m, u0, ts, dt)
+        fine = _advance(m, u0, ts, dt / 4)
+        assert np.max(np.abs(coarse - fine)) <= 1e-7 * np.max(np.abs(fine))
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_nonpositive_or_non_finite_horizon(self, horizon):
+        m = koopid.graphon_model(16)
+        with pytest.raises(InvalidInputError):
+            integrate(m, np.zeros(16), horizon)
 
     def test_blow_up_reports_time(self):
         # explosive growth: du/dt = u^3 from u = 10
@@ -220,6 +273,14 @@ class TestGeneratePairs:
         m = koopid.graphon_model(64)
         with pytest.raises(InvalidInputError):
             generate_pairs(m, ICFamily.GRAPHON, 1, 2, 0.5, seed=3, burn_in=-1.0)
+
+    @pytest.mark.parametrize("t_s, burn_in", [
+        (np.inf, 0.0), (np.nan, 0.0), (0.5, np.inf), (0.5, np.nan),
+    ], ids=["ts-inf", "ts-nan", "burn-in-inf", "burn-in-nan"])
+    def test_non_finite_times_rejected(self, t_s, burn_in):
+        m = koopid.graphon_model(16)
+        with pytest.raises(InvalidInputError):
+            generate_pairs(m, ICFamily.GRAPHON, 1, 2, t_s, seed=3, burn_in=burn_in)
 
     def test_idle_trajectories_rejected(self):
         m = koopid.graphon_model(64)
