@@ -6,7 +6,8 @@ exponential delegate to LAPACK-backed numpy/scipy routines behind the
 package's error contracts.  The principal logarithm is computed by
 eigendecomposition, ``V log(diag(w)) V^{-1}``, which is adequate for the
 near-identity matrices produced by short-sampling-time fits; an
-ill-conditioned eigenvector matrix triggers a warning rather than a failure.
+ill-conditioned eigenvector matrix triggers a warning rather than a failure,
+and the logarithm then falls back to ``scipy.linalg.logm``.
 """
 
 from __future__ import annotations
@@ -88,11 +89,14 @@ def lstsq_fit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 class EigenDecomposition:
     """Right eigenpairs of a square matrix.
 
-    ``eigenvalues[i]`` pairs with column ``i`` of ``right_eigenvectors``.
+    ``eigenvalues[i]`` pairs with column ``i`` of ``right_eigenvectors``;
+    ``condition`` is the 2-norm condition number of ``right_eigenvectors``
+    (inf when it is singular).
     """
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
+    condition: float
 
 
 def eig(a: np.ndarray) -> EigenDecomposition:
@@ -118,7 +122,7 @@ def eig(a: np.ndarray) -> EigenDecomposition:
             IllConditionedWarning,
             stacklevel=2,
         )
-    return EigenDecomposition(eigenvalues=w, right_eigenvectors=v)
+    return EigenDecomposition(eigenvalues=w, right_eigenvectors=v, condition=cond)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -147,7 +151,10 @@ def logm(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     which for sampled-flow matrices signals a sampling time too large or a
     rank-deficient lift.  The result is real for real input off the branch
     cut; residual imaginary parts from the complex eigendecomposition are
-    discarded after a consistency check.
+    discarded after a consistency check.  Where the eigenvector matrix is
+    ill-conditioned (the ``IllConditionedWarning`` of :func:`eig`), the
+    result comes from ``scipy.linalg.logm`` (inverse scaling and squaring on
+    the Schur form) instead, which does not invert the eigenvectors.
     """
     a = _check_square(a)
     if np.iscomplexobj(a):
@@ -161,6 +168,8 @@ def logm(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
             "principal logarithm undefined: eigenvalue(s) on the closed negative "
             f"real axis or numerically zero: {bad}"
         )
+    if dec.condition > CONDITION_WARN_THRESHOLD:
+        return np.ascontiguousarray(scipy.linalg.logm(a).real)
     v = dec.right_eigenvectors
     b = v @ (np.log(w)[:, None] * np.linalg.inv(v))
     imag_norm = np.linalg.norm(b.imag)

@@ -1,12 +1,22 @@
 """Method-of-lines time integration and snapshot-pair dataset generation.
 
 Dynamics are integrated with fixed-substep RK4 in integrating-factor (Lawson)
-form.  On a homogeneous-Dirichlet model whose linear diffusion term
-``c u_xx`` (c > 0) sets the explicit stability limit, that term is split off
-and integrated exactly: the odd-reflection stencil is diagonal in the sine
-basis, with eigenvalues ``-(4 / h^2) sin^2(k pi / (2 (N - 1)))``, and its flow
-is applied through an FFT of the odd extension.  RK4 integrates the remaining
-terms at the fixed substep
+form.  A model's linear part ``L u = sum_k c_k d^k u / dx^k`` (its ``u^0``
+derivative terms, k = 1..3) is split off and integrated exactly when a k = 2
+or k = 3 bound sets the unsplit substep, the split lengthens it and the
+``u_xx`` coefficient is not negative (backward heat stays explicit).  The
+exact half-step flow ``P = exp((h/2) L)`` takes one of two forms:
+
+* ``L = c u_xx`` alone on a homogeneous-Dirichlet model (Burgers, heat): the
+  odd-reflection stencil is diagonal in the sine basis, with eigenvalues
+  ``-(4 / h^2) sin^2(k pi / (2 (N - 1)))``, and P is applied through an FFT
+  of the odd extension in O(N log N);
+* any other L (pde1's ``-0.5 u_x + u_xx + 0.1 u_xxx``): P is a dense
+  ``expm`` of the stencil matrix of L, computed once per substep length and
+  applied as a matrix product.  Under Dirichlet conditions the boundary rows
+  of L are zero, as the right-hand side's boundary entries are.
+
+RK4 integrates the remaining terms at the fixed substep
 
     dt = min(h / D1, 0.25 * h^2 / D2, 0.25 * h^3 / D3, 1e-2)
 
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,8 +56,10 @@ from .operators import (
     KernelSpec,
     MonomialDerivative,
     RhsPlan,
+    _stencil_matrix,
     rhs_values,
 )
+from .linalg import expm
 
 SAFETY = 0.25
 DT_MAX = 1e-2
@@ -123,14 +135,17 @@ class SnapshotDataset:
         return len(self.u)
 
 
-#: the linear diffusion term that the integrator can integrate exactly
-DIFFUSION = MonomialDerivative(0, 2)
+#: the shortest substep the integrator takes; a stability bound below it
+#: would need more than 1e15 substeps per time unit
+MIN_SUBSTEP = 1e-15
 
 
-def _heuristic_substep(dictionary: Dictionary, h: float) -> float:
+def _heuristic_substep(dictionary: Dictionary, h: float, max_order: int = 3) -> float:
+    """The stability bound of the dictionary's derivative terms of order at
+    most ``max_order``, capped at ``DT_MAX``."""
     dt = DT_MAX
     for term, c in zip(dictionary.terms, dictionary.coefficients):
-        if isinstance(term, MonomialDerivative) and c != 0.0:
+        if isinstance(term, MonomialDerivative) and c != 0.0 and term.k <= max_order:
             if term.k == 1:
                 # 35% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
                 # centred stencil, the margin SAFETY keeps on the real axis
@@ -142,26 +157,33 @@ def _heuristic_substep(dictionary: Dictionary, h: float) -> float:
     return dt
 
 
-def _split_diffusion(model: Model) -> Tuple[Dictionary, float]:
-    """The explicitly integrated terms, and the coefficient c of the ``c u_xx``
-    term split off for exact integration (0.0 when nothing is split off).
+def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
+    """The explicitly integrated terms, and the linear part ``{k: c}`` of the
+    terms ``c d^k u / dx^k`` split off for exact integration (empty when
+    nothing is split off).
 
-    The split applies to Dirichlet models with c > 0, whose odd-reflection
-    stencil the sine basis diagonalises, and only where that term sets the
-    explicit substep; elsewhere the exact flow costs work and gains no step
-    length.  The split-off term keeps its place with coefficient 0.
+    The split applies only where a k = 2 or k = 3 bound sets the unsplit
+    substep and the split lengthens it: an exact flow costs transforms or an
+    O(N^3) ``expm``, which does not pay for an O(h) advection bound or the
+    cap.  A negative ``u_xx`` coefficient (backward heat) is never split.
+    The split-off terms keep their place with coefficient 0.
     """
     dic = model.dictionary
-    c = dict(zip(dic.terms, dic.coefficients)).get(DIFFUSION, 0.0)
-    if not model.dirichlet or c <= 0.0:
-        return dic, 0.0
-    explicit = Dictionary(dic.terms, tuple(
-        0.0 if term == DIFFUSION else a for term, a in zip(dic.terms, dic.coefficients)
-    ))
     h = model.grid.spacing
-    if _heuristic_substep(explicit, h) <= _heuristic_substep(dic, h):
-        return dic, 0.0
-    return explicit, c
+    linear = {
+        term.k: c for term, c in zip(dic.terms, dic.coefficients)
+        if isinstance(term, MonomialDerivative) and term.j == 0 and c != 0.0
+    }
+    unsplit = _heuristic_substep(dic, h)
+    if linear.get(2, 0.0) < 0.0 or unsplit >= _heuristic_substep(dic, h, max_order=1):
+        return dic, {}
+    explicit = Dictionary(dic.terms, tuple(
+        0.0 if isinstance(term, MonomialDerivative) and term.j == 0 else c
+        for term, c in zip(dic.terms, dic.coefficients)
+    ))
+    if _heuristic_substep(explicit, h) <= unsplit:
+        return dic, {}
+    return explicit, linear
 
 
 def stable_substep(model: Model) -> float:
@@ -169,10 +191,12 @@ def stable_substep(model: Model) -> float:
     heuristic, applied to the explicitly integrated terms.
 
     The bounds ignore the ``u^j`` factor of each term, so they assume
-    ``|u|^j`` of order 1 or less; a state that breaks this can exceed the
-    stability limit and surfaces as a BlowUpError (CLI exit 2).
+    ``|u|^j`` of order 1 or less.  A state that breaks this can exceed the
+    stability limit: it surfaces as a BlowUpError (CLI exit 2) or, where an
+    exact linear flow damps the growing modes, as a finite state that a
+    shorter substep would not reproduce.
     """
-    explicit, _ = _split_diffusion(model)
+    explicit, _ = _split_linear(model)
     return _heuristic_substep(explicit, model.grid.spacing)
 
 
@@ -186,13 +210,10 @@ def _dst1(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag
 
 
-def _sine_flow(values: np.ndarray, factor: Optional[np.ndarray]) -> np.ndarray:
-    """Scale the sine coefficients of Dirichlet node values by ``factor``;
-    ``None`` leaves the values unchanged.  The boundary values of the result
-    are set to exactly zero.
+def _sine_flow(values: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Scale the sine coefficients of Dirichlet node values by ``factor``.
+    The boundary values of the result are set to exactly zero.
     """
-    if factor is None:
-        return values
     out = _dst1(_dst1(values) * factor) / (2.0 * (values.shape[-1] - 1))
     out[..., 0] = 0.0
     out[..., -1] = 0.0
@@ -202,44 +223,59 @@ def _sine_flow(values: np.ndarray, factor: Optional[np.ndarray]) -> np.ndarray:
 class _LawsonRK4:
     """Fixed-step RK4 for one model in integrating-factor (Lawson) form.
 
-    With ``c u_xx`` split off, its half-step flow P = exp((h/2) c D2) is
-    applied exactly in the sine basis and RK4 integrates the remaining terms
-    f, compiled once into ``plan``; without a split P is the identity and the
-    step is classical RK4.
+    With a linear part L split off, its half-step flow P = exp((h/2) L) is
+    applied exactly -- in the sine basis when L is Dirichlet ``c u_xx``,
+    otherwise as a dense matrix from ``expm`` -- and RK4 integrates the
+    remaining terms f, compiled once into ``plan``; without a split P is the
+    identity and the step is classical RK4.  P is computed once per substep
+    length.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        explicit, c = _split_diffusion(model)
+        explicit, linear = _split_linear(model)
         self.plan = RhsPlan(explicit, model.grid, model.dirichlet, skip_zero=True)
-        self._rates = None
-        if c:
+        self._rates = None      # eigenvalues of L on the sine modes, or
+        self._generator = None  # L as a dense matrix
+        if model.dirichlet and linear.keys() == {2}:
             n = model.grid.num_points
             # eigenvalues of the odd-reflection D2 stencil on the sine modes
             k = np.arange(n)
             lam = -(4.0 / model.grid.spacing**2) * np.sin(k * np.pi / (2 * (n - 1))) ** 2
-            self._rates = c * lam
-        self._factors: dict = {}
+            self._rates = linear[2] * lam
+        elif linear:
+            # the same entries as diff_values, so L u is the split-off terms
+            gen = _stencil_matrix({0: linear}, model.grid, model.dirichlet).toarray()
+            if model.dirichlet:
+                gen[[0, -1]] = 0.0
+            self._generator = gen
+        self._flows: dict = {}
 
-    def _half_flow_factor(self, h: float) -> Optional[np.ndarray]:
-        if self._rates is None:
-            return None
-        if h not in self._factors:
-            self._factors[h] = np.exp((0.5 * h) * self._rates)
-        return self._factors[h]
+    def _half_flow(self, h: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Values -> P values for the substep ``h``."""
+        if h not in self._flows:
+            if self._rates is not None:
+                factor = np.exp((0.5 * h) * self._rates)
+                self._flows[h] = lambda v: _sine_flow(v, factor)
+            elif self._generator is not None:
+                p_t = np.ascontiguousarray(expm((0.5 * h) * self._generator).T)
+                self._flows[h] = lambda v: v @ p_t
+            else:
+                self._flows[h] = lambda v: v
+        return self._flows[h]
 
     def _f(self, v: np.ndarray) -> np.ndarray:
         return rhs_values(self.plan, v)
 
     def step(self, u: np.ndarray, h: float) -> np.ndarray:
-        factor = self._half_flow_factor(h)
-        w = _sine_flow(u, factor)
+        flow = self._half_flow(h)
+        w = flow(u)
         k1 = self._f(u)
-        pk1 = _sine_flow(k1, factor)
+        pk1 = flow(k1)
         k2 = self._f(w + (0.5 * h) * pk1)
         k3 = self._f(w + (0.5 * h) * k2)
-        k4 = self._f(_sine_flow(w + h * k3, factor))
-        return _sine_flow(w + (h / 6.0) * (pk1 + 2.0 * (k2 + k3)), factor) + (h / 6.0) * k4
+        k4 = self._f(flow(w + h * k3))
+        return flow(w + (h / 6.0) * (pk1 + 2.0 * (k2 + k3))) + (h / 6.0) * k4
 
 
 def _advance(
@@ -252,9 +288,15 @@ def _advance(
 ) -> np.ndarray:
     """Advance batched states (last axis = space) by ``horizon`` at substep ``dt``.
 
-    Calls that pass one ``stepper`` share its diffusion split, exact factors
-    and right-hand-side plan.
+    Calls that pass one ``stepper`` share its linear split, exact flows and
+    right-hand-side plan.  A substep ``dt`` at or below ``MIN_SUBSTEP``
+    raises PreconditionError.
     """
+    if dt <= MIN_SUBSTEP:
+        raise PreconditionError(
+            f"stable substep {dt:.4g} of model '{model.name}' is at or below "
+            f"{MIN_SUBSTEP:g}; coarsen the grid or reduce the derivative coefficients"
+        )
     if stepper is None:
         stepper = _LawsonRK4(model)
     u = np.array(states, dtype=float, copy=True)
@@ -265,7 +307,7 @@ def _advance(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_full + 1):
             step = dt if i < n_full else rem
-            if step <= 1e-15:
+            if step <= MIN_SUBSTEP:
                 break
             u = stepper.step(u, step)
             if model.dirichlet:
@@ -429,8 +471,13 @@ def pde1_model(num_points: int = 64) -> Model:
     true coefficients; inactive terms have coefficient 0.  The default grid is
     coarser than the package-wide default because the state-dependent
     diffusion coefficient 1 - 0.2 u turns negative where u > 5, and the
-    resulting backward-heat growth rate scales like 1/h^2: fine grids amplify
-    mesh-scale modes beyond floating-point range before the transient decays.
+    resulting backward-heat growth rate scales like 1/h^2.  At the default
+    burn-in, 64 nodes agree with a quarter substep to about 4e-8 relative and
+    128 nodes to about 8e-5.  On 256 nodes the semi-discrete system blows up
+    near t = 0.022 (as a quarter substep shows), but the stable substep, whose
+    bounds ignore the u factor of -0.2 u u_xx, damps the growing mesh modes
+    and returns a finite, unconverged state; 512 nodes blow up at the stable
+    substep too.
     """
     grid = Grid1D(0.0, 5.0, num_points)
     dic = Dictionary(terms=pde1_terms(), coefficients=(

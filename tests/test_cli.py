@@ -118,15 +118,38 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
-    def test_blow_up_exit_code(self, tmp_path, capsys):
-        # the third-order benchmark is mesh-unstable on a fine grid
-        code = main([
-            "simulate", "--model", "pde1", "--pairs", "4", "--trajectories", "2",
-            "--ts", "0.3", "--seed", "1", "--grid", "256",
+    def simulate_custom(self, tmp_path, doc):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        return main([
+            "simulate", "--model", f"custom:{model_path}", "--pairs", "4",
+            "--trajectories", "2", "--ts", "0.3", "--seed", "1",
             "--out", str(tmp_path / "x.json"),
         ])
+
+    def test_blow_up_exit_code(self, tmp_path, capsys):
+        # du/dt = u^3 from pde1 starts, whose magnitude reaches 6.25, grows
+        # beyond floating-point range within one segment
+        code = self.simulate_custom(tmp_path, {
+            "grid": {"x_min": 0.0, "x_max": 5.0, "num_points": 32},
+            "dictionary": [{"kind": "monomial", "j": 3, "k": 0}],
+            "coefficients": [1.0],
+            "family": "pde1",
+        })
         assert code == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
+
+    def test_substep_at_floor_is_precondition_error(self, tmp_path, capsys):
+        # u u_xxx on a grid 1e-3 long: the stable substep is 9.998e-16
+        code = self.simulate_custom(tmp_path, {
+            "grid": {"x_min": 0.0, "x_max": 1e-3, "num_points": 64},
+            "dictionary": [{"kind": "monomial", "j": 1, "k": 3},
+                           {"kind": "monomial", "j": 1, "k": 0}],
+            "coefficients": [1.0, -1.0],
+        })
+        assert code == EXIT_PRECONDITION
+        assert "1e-15" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestSpectrum:

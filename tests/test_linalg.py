@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopid import BranchCutError, eig, expm, logm, lstsq_fit, pinv
-from koopid.linalg import matrix_rank
+from koopid.errors import IllConditionedWarning
+from koopid.linalg import CONDITION_WARN_THRESHOLD, matrix_rank
 
 
 def random_matrix(seed: int, m: int, n: int) -> np.ndarray:
@@ -104,6 +105,20 @@ class TestExpmLogm:
     def test_singular_matrix_raises(self):
         with pytest.raises(BranchCutError):
             logm(np.diag([1.0, 0.0]))
+
+    def test_ill_conditioned_logm_falls_back_to_schur(self):
+        # exp of a matrix similar to a perturbed 6x6 Jordan block: its
+        # eigenvector matrix has cond about 1e13, where V log(w) V^-1 loses
+        # about 1e-4 relative and scipy's Schur-based logm does not
+        rng = np.random.default_rng(0)
+        s = np.eye(6) + 0.3 * rng.standard_normal((6, 6))
+        jordan = np.diag(0.1 + 1e-3 * np.arange(6)) + np.diag(np.full(5, 0.5), 1)
+        b = s @ jordan @ np.linalg.inv(s)
+        a = expm(b)
+        assert np.linalg.cond(np.linalg.eig(a)[1]) > CONDITION_WARN_THRESHOLD
+        with pytest.warns(IllConditionedWarning):
+            got = logm(a)
+        assert np.linalg.norm(got - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_complex_pair_uses_principal_branch(self):
         # rotation by 90 degrees: eigenvalues +-i, log = +-i pi/2

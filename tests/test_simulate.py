@@ -15,15 +15,19 @@ from koopid import (
     integrate,
 )
 from koopid.errors import InvalidInputError, KoopidError, PreconditionError, ShapeError
+from koopid.fields import diff_values
 from koopid.operators import GraphonKernel
 from koopid.simulate import (
     BUILTIN_MODELS,
     DT_MAX,
     EXPERIMENT_DEFAULTS,
+    MIN_SUBSTEP,
     Model,
     SnapshotDataset,
+    _LawsonRK4,
     _advance,
-    _split_diffusion,
+    _heuristic_substep,
+    _split_linear,
     sample_initial_condition,
     stable_substep,
 )
@@ -32,18 +36,20 @@ from helpers import sine_mode
 
 class TestStableSubstep:
     def test_diffusion_limit(self):
-        # without Dirichlet conditions u_xx stays explicit and limits the step
+        # u_xx sets the unsplit step; without Dirichlet conditions it is split
+        # off into the dense exact flow, and nothing else limits the step
         g = Grid1D(-1.0, 1.0, 101)  # h = 0.02
         dic = Dictionary((MonomialDerivative(0, 2),), coefficients=(1.0,))
-        assert stable_substep(Model("heat", dic, g)) == pytest.approx(0.25 * 0.02**2)
+        assert _heuristic_substep(dic, g.spacing) == pytest.approx(0.25 * 0.02**2)
+        assert stable_substep(Model("heat", dic, g)) == DT_MAX
 
     def test_dirichlet_diffusion_split_off(self):
         # Burgers and heat integrate u_xx exactly; Burgers then steps at its
         # advection bound h / |c| = h, heat at DT_MAX
         burgers, heat = koopid.burgers_model(), heat_model(num_points=101)
         for m in (burgers, heat):
-            explicit, c = _split_diffusion(m)
-            assert c == 1.0
+            explicit, linear = _split_linear(m)
+            assert linear == {2: 1.0}
             # the split-off term stays in place with coefficient 0
             assert explicit.terms == m.dictionary.terms
             assert explicit.coefficients[-1] == 0.0
@@ -51,20 +57,49 @@ class TestStableSubstep:
         assert stable_substep(heat) == DT_MAX
 
     @pytest.mark.parametrize("model", [
-        koopid.pde1_model(),        # u_xxx binds, not u_xx
-        koopid.pde1_model(256),     # u_xxx binds
-        koopid.graphon_model(),     # no u_xx, no Dirichlet conditions
+        koopid.graphon_model(),     # no derivative terms
         Model("backward-heat", Dictionary((MonomialDerivative(0, 2),), coefficients=(-1.0,)),
               Grid1D(-1.0, 1.0, 101), dirichlet=True),
-    ], ids=["pde1", "pde1-256", "graphon", "backward-heat"])
+        # h / 2 = 2.5e-3 binds before 0.25 h^2 / 1e-3 = 6.25e-3
+        Model("transport", Dictionary((MonomialDerivative(0, 1), MonomialDerivative(0, 2)),
+                                      coefficients=(-2.0, 1e-3)), Grid1D(0.0, 1.0, 201)),
+    ], ids=["graphon", "backward-heat", "transport"])
     def test_no_split_where_diffusion_does_not_set_the_step(self, model):
-        assert _split_diffusion(model) == (model.dictionary, 0.0)
+        assert _split_linear(model) == (model.dictionary, {})
+
+    @pytest.mark.parametrize("num_points", [64, 256], ids=["pde1", "pde1-256"])
+    def test_split_where_dispersion_sets_the_step(self, num_points):
+        # pde1's u_xxx bound binds, so its whole linear part is split off and
+        # RK4 steps -0.5 u u_x - 0.2 u u_xx, where the u u_xx bound binds
+        m = koopid.pde1_model(num_points)
+        h = m.grid.spacing
+        explicit, linear = _split_linear(m)
+        assert linear == {1: -0.5, 2: 1.0, 3: 0.1}
+        assert _heuristic_substep(m.dictionary, h) == pytest.approx(0.25 * h**3 / 0.1)
+        assert stable_substep(m) == pytest.approx(0.25 * h**2 / 0.2)
+        assert dict(zip(explicit.terms, explicit.coefficients)) == {
+            **dict(zip(m.dictionary.terms, m.dictionary.coefficients)),
+            MonomialDerivative(0, 1): 0.0, MonomialDerivative(0, 2): 0.0,
+            MonomialDerivative(0, 3): 0.0,
+        }
 
     def test_unsplit_builtin_substeps_stay(self):
-        # pde1: u_xxx binds; graphon has no derivative terms
+        # pde1: u_xxx binds the unsplit step, u u_xx the split one; graphon
+        # has no derivative terms
         pde1 = koopid.pde1_model()
-        assert stable_substep(pde1) == pytest.approx(0.25 * pde1.grid.spacing**3 / 0.1)
+        h = pde1.grid.spacing
+        assert _heuristic_substep(pde1.dictionary, h) == pytest.approx(0.25 * h**3 / 0.1)
+        assert stable_substep(pde1) == pytest.approx(0.25 * h**2 / 0.2)
         assert stable_substep(koopid.graphon_model()) == DT_MAX
+
+    @pytest.mark.parametrize("name, route", [
+        ("burgers", "sine"), ("pde1", "dense"), ("graphon", "none"),
+    ])
+    def test_builtin_flow_routes(self, name, route):
+        stepper = _LawsonRK4(BUILTIN_MODELS[name]())
+        taken = ("sine" if stepper._rates is not None
+                 else "dense" if stepper._generator is not None else "none")
+        assert taken == route
 
     def test_capped_at_dt_max(self):
         # reaction-only model has no derivative terms: dt = DT_MAX
@@ -84,10 +119,23 @@ class TestStableSubstep:
         assert stable_substep(Model("transport", dic, g)) == pytest.approx(0.005 / 2.0)
 
     def test_dispersion_limit(self):
+        # Airy: u_xxx sets the unsplit step and is split off
         g = Grid1D(0.0, 5.0, 128)
         dic = Dictionary((MonomialDerivative(0, 3),), coefficients=(0.1,))
         h = g.spacing
-        assert stable_substep(Model("airy", dic, g)) == pytest.approx(0.25 * h**3 / 0.1)
+        assert _heuristic_substep(dic, h) == pytest.approx(0.25 * h**3 / 0.1)
+        assert stable_substep(Model("airy", dic, g)) == DT_MAX
+
+    def test_substep_at_floor_is_refused(self):
+        # u u_xxx on a grid 1e-3 long: 0.25 h^3 = 9.998e-16 would skip every
+        # substep and return the initial state
+        g = Grid1D(0.0, 1e-3, 64)
+        dic = Dictionary((MonomialDerivative(1, 3), MonomialDerivative(1, 0)),
+                         coefficients=(1.0, -1.0))
+        m = Model("tiny", dic, g)
+        assert stable_substep(m) <= MIN_SUBSTEP
+        with pytest.raises(PreconditionError, match="1e-15"):
+            integrate(m, np.cos(g.nodes()), 0.5)
 
 
 class TestIntegrate:
@@ -111,6 +159,36 @@ class TestIntegrate:
         t = 0.1234
         out = integrate(m, u0, t)
         assert np.max(np.abs(out - np.exp(lam * t) * u0)) <= 1e-12
+
+    @pytest.mark.parametrize("model", [
+        Model("pde1-linear", Dictionary(
+            (MonomialDerivative(0, 1), MonomialDerivative(0, 2), MonomialDerivative(0, 3)),
+            coefficients=(-0.5, 1.0, 0.1)), Grid1D(0.0, 5.0, 64), dirichlet=True),
+        Model("advection-dispersion", Dictionary(
+            (MonomialDerivative(0, 1), MonomialDerivative(0, 2), MonomialDerivative(0, 3)),
+            coefficients=(0.3, 0.5, 0.01)), Grid1D(0.0, 2.0, 48)),
+    ], ids=["pde1-linear-dirichlet", "advection-dispersion"])
+    def test_linear_model_is_exact(self, model):
+        # with nothing left for RK4 the dense flow is exp(t L), including the
+        # shorter last substep of a horizon off the dt grid.  The one-sided end
+        # stencils make L far from normal, so that even scipy's expm is good
+        # only to about 1e-12 on data that are large at the ends: the
+        # non-Dirichlet start is a bump that is small there
+        g = model.grid
+        x = g.nodes()
+        if model.dirichlet:
+            u0 = sample_initial_condition(ICFamily.PDE1, g, 0.3, 0.6)
+        else:
+            u0 = np.exp(-20.0 * (x - 1.0) ** 2)
+        gen = sum(c * diff_values(np.eye(g.num_points), g.spacing, t.k, model.dirichlet).T
+                  for t, c in zip(model.dictionary.terms, model.dictionary.coefficients))
+        if model.dirichlet:
+            gen[[0, -1]] = 0.0
+        t = 0.1234
+        assert t / stable_substep(model) % 1.0 > 0.1
+        ref = koopid.expm(t * gen) @ u0
+        out = integrate(model, u0, t)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_reaction_only_exponential_decay(self):
         g = Grid1D(0.0, 1.0, 32)
@@ -188,8 +266,9 @@ class TestIntegrate:
         with pytest.raises(PreconditionError):
             integrate(m, np.ones(64), 0.1)
 
-    @pytest.mark.parametrize("model", [koopid.burgers_model(64), koopid.graphon_model(64)],
-                             ids=["burgers", "graphon"])
+    @pytest.mark.parametrize("model", [
+        koopid.burgers_model(64), koopid.graphon_model(64), koopid.pde1_model(),
+    ], ids=["burgers", "graphon", "pde1"])
     def test_batch_matches_row_by_row(self, model):
         family = ICFamily(model.name)
         rng = np.random.default_rng(4)
