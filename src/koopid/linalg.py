@@ -150,11 +150,12 @@ def logm(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     axis (including zero); otherwise a :class:`BranchCutError` is raised,
     which for sampled-flow matrices signals a sampling time too large or a
     rank-deficient lift.  The result is real for real input off the branch
-    cut; residual imaginary parts from the complex eigendecomposition are
-    discarded after a consistency check.  Where the eigenvector matrix is
-    ill-conditioned (the ``IllConditionedWarning`` of :func:`eig`), the
-    result comes from ``scipy.linalg.logm`` (inverse scaling and squaring on
-    the Schur form) instead, which does not invert the eigenvectors.
+    cut.  Where the eigenvector matrix is ill-conditioned (the
+    ``IllConditionedWarning`` of :func:`eig`), the result comes from
+    ``scipy.linalg.logm`` (inverse scaling and squaring on the Schur form)
+    instead, which does not invert the eigenvectors.  On either route a
+    residual imaginary part is discarded after a consistency check, which
+    warns when it exceeds 1e-6 of the real part.
     """
     a = _check_square(a)
     if np.iscomplexobj(a):
@@ -169,15 +170,16 @@ def logm(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
             f"real axis or numerically zero: {bad}"
         )
     if dec.condition > CONDITION_WARN_THRESHOLD:
-        return np.ascontiguousarray(scipy.linalg.logm(a).real)
-    v = dec.right_eigenvectors
-    b = v @ (np.log(w)[:, None] * np.linalg.inv(v))
-    imag_norm = np.linalg.norm(b.imag)
-    real_norm = max(np.linalg.norm(b.real), 1.0)
+        b = scipy.linalg.logm(a)
+    else:
+        v = dec.right_eigenvectors
+        b = v @ (np.log(w)[:, None] * np.linalg.inv(v))
+    imag_norm = np.linalg.norm(np.imag(b))
+    real_norm = max(np.linalg.norm(np.real(b)), 1.0)
     if imag_norm > 1e-6 * real_norm:
         warnings.warn(
             f"discarding imaginary part of size {imag_norm:.3e} in matrix logarithm",
             IllConditionedWarning,
             stacklevel=2,
         )
-    return np.ascontiguousarray(b.real)
+    return np.ascontiguousarray(np.real(b))

@@ -29,6 +29,13 @@ accuracy bound where no derivative term limits the step (graphon, heat).
 Without a split the step is classical RK4.  Under homogeneous Dirichlet
 conditions the boundary values are re-clamped to zero after every substep.
 
+These bounds hold where |u| <= 1.  Before every substep each state's largest
+magnitude s is read, and a state for which s^j breaks the bound of an
+explicit ``u^j`` term takes the substep in 2^r equal pieces (at most
+2^10).  Without this, pde1's ``-0.2 u u_xx``, which anti-diffuses where
+u > 5, would be stepped past its growth, and the exact flow of L would damp
+the growing mesh modes instead of reporting the blow-up.
+
 Each integration -- one ``integrate`` or ``generate_pairs`` call, or one
 sweep over sampling times -- builds one stepper, which compiles the explicitly
 integrated terms once into an :class:`~koopid.operators.RhsPlan` (stacked
@@ -140,21 +147,30 @@ class SnapshotDataset:
 MIN_SUBSTEP = 1e-15
 
 
-def _heuristic_substep(dictionary: Dictionary, h: float, max_order: int = 3) -> float:
-    """The stability bound of the dictionary's derivative terms of order at
-    most ``max_order``, capped at ``DT_MAX``."""
-    dt = DT_MAX
+#: a substep is cut into at most 2**MAX_REFINE pieces for a large state
+MAX_REFINE = 10
+
+
+def _term_bounds(dictionary: Dictionary, h: float, max_order: int = 3) -> list:
+    """``(bound, j)`` for each derivative term ``c u^j d^k u / dx^k`` with
+    c != 0 and 1 <= k <= ``max_order``: its substep bound where |u| <= 1,
+    which a larger |u| divides by |u|^j."""
+    bounds = []
     for term, c in zip(dictionary.terms, dictionary.coefficients):
-        if isinstance(term, MonomialDerivative) and c != 0.0 and term.k <= max_order:
+        if isinstance(term, MonomialDerivative) and c != 0.0 and 1 <= term.k <= max_order:
             if term.k == 1:
                 # 35% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
                 # centred stencil, the margin SAFETY keeps on the real axis
-                dt = min(dt, h / abs(c))
-            elif term.k == 2:
-                dt = min(dt, SAFETY * h**2 / abs(c))
-            elif term.k == 3:
-                dt = min(dt, SAFETY * h**3 / abs(c))
-    return dt
+                bounds.append((h / abs(c), term.j))
+            else:
+                bounds.append((SAFETY * h**term.k / abs(c), term.j))
+    return bounds
+
+
+def _heuristic_substep(dictionary: Dictionary, h: float, max_order: int = 3) -> float:
+    """The stability bound of the dictionary's derivative terms of order at
+    most ``max_order`` where |u| <= 1, capped at ``DT_MAX``."""
+    return min([DT_MAX] + [b for b, _ in _term_bounds(dictionary, h, max_order)])
 
 
 def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
@@ -166,7 +182,9 @@ def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
     substep and the split lengthens it: an exact flow costs transforms or an
     O(N^3) ``expm``, which does not pay for an O(h) advection bound or the
     cap.  A negative ``u_xx`` coefficient (backward heat) is never split.
-    The split-off terms keep their place with coefficient 0.
+    On a Dirichlet model only ``c u_xx`` is split off when that alone gives
+    the same substep, so it keeps the O(N log N) sine flow.  The split-off
+    terms keep their place with coefficient 0.
     """
     dic = model.dictionary
     h = model.grid.spacing
@@ -177,12 +195,21 @@ def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
     unsplit = _heuristic_substep(dic, h)
     if linear.get(2, 0.0) < 0.0 or unsplit >= _heuristic_substep(dic, h, max_order=1):
         return dic, {}
-    explicit = Dictionary(dic.terms, tuple(
-        0.0 if isinstance(term, MonomialDerivative) and term.j == 0 else c
-        for term, c in zip(dic.terms, dic.coefficients)
-    ))
-    if _heuristic_substep(explicit, h) <= unsplit:
+
+    def without(split):
+        return Dictionary(dic.terms, tuple(
+            0.0 if isinstance(term, MonomialDerivative) and term.j == 0 and term.k in split
+            else c for term, c in zip(dic.terms, dic.coefficients)
+        ))
+
+    explicit = without(linear)
+    dt = _heuristic_substep(explicit, h)
+    if dt <= unsplit:
         return dic, {}
+    if model.dirichlet and 2 in linear and len(linear) > 1:
+        diffusion_only = without({2})
+        if _heuristic_substep(diffusion_only, h) >= dt:
+            return diffusion_only, {2: linear[2]}
     return explicit, linear
 
 
@@ -190,11 +217,10 @@ def stable_substep(model: Model) -> float:
     """Fixed RK4 substep from the advection/diffusion/dispersion stability
     heuristic, applied to the explicitly integrated terms.
 
-    The bounds ignore the ``u^j`` factor of each term, so they assume
-    ``|u|^j`` of order 1 or less.  A state that breaks this can exceed the
-    stability limit: it surfaces as a BlowUpError (CLI exit 2) or, where an
-    exact linear flow damps the growing modes, as a finite state that a
-    shorter substep would not reproduce.
+    The bounds hold where |u| <= 1.  A state whose largest magnitude s
+    exceeds 1 divides the bound of each ``u^j`` term by s^j, and the
+    integrator cuts the substep for that state into 2^r equal pieces (see
+    ``_LawsonRK4.advance``).
     """
     explicit, _ = _split_linear(model)
     return _heuristic_substep(explicit, model.grid.spacing)
@@ -228,13 +254,19 @@ class _LawsonRK4:
     otherwise as a dense matrix from ``expm`` -- and RK4 integrates the
     remaining terms f, compiled once into ``plan``; without a split P is the
     identity and the step is classical RK4.  P is computed once per substep
-    length.
+    length.  ``advance`` cuts a substep into 2^r pieces for a state whose
+    magnitude breaks the bounds of ``stable_substep``, which hold where
+    |u| <= 1.
     """
 
     def __init__(self, model: Model):
         self.model = model
         explicit, linear = _split_linear(model)
         self.plan = RhsPlan(explicit, model.grid, model.dirichlet, skip_zero=True)
+        # the bounds that a state with |u| > 1 shortens: those of u^j terms, j >= 1
+        bounds = [(b, j) for b, j in _term_bounds(explicit, model.grid.spacing) if j >= 1]
+        self._limits = np.array([b for b, _ in bounds])
+        self._powers = np.array([j for _, j in bounds])
         self._rates = None      # eigenvalues of L on the sine modes, or
         self._generator = None  # L as a dense matrix
         if model.dirichlet and linear.keys() == {2}:
@@ -275,7 +307,40 @@ class _LawsonRK4:
         k2 = self._f(w + (0.5 * h) * pk1)
         k3 = self._f(w + (0.5 * h) * k2)
         k4 = self._f(flow(w + h * k3))
-        return flow(w + (h / 6.0) * (pk1 + 2.0 * (k2 + k3))) + (h / 6.0) * k4
+        u = flow(w + (h / 6.0) * (pk1 + 2.0 * (k2 + k3))) + (h / 6.0) * k4
+        if self.model.dirichlet:
+            u[..., 0] = 0.0
+            u[..., -1] = 0.0
+        return u
+
+    def _refinements(self, u: np.ndarray, h: float) -> Optional[np.ndarray]:
+        """Per state (row of ``u``), the least r >= 0 with ``h / 2^r <= b /
+        s^j`` for each explicit term's bound b and power j, where s is the
+        state's largest magnitude, at least 1; r is capped at MAX_REFINE.
+        None when every r is 0."""
+        s = np.abs(u).max(axis=-1)
+        if not self._limits.size or s.max() <= 1.0:
+            return None
+        ratio = h * np.max(np.maximum(s, 1.0)[:, None] ** self._powers / self._limits, axis=-1)
+        if ratio.max() <= 1.0:
+            return None
+        return np.clip(np.ceil(np.log2(ratio)), 0, MAX_REFINE).astype(int)
+
+    def advance(self, u: np.ndarray, h: float) -> np.ndarray:
+        """Advance ``(m, N)`` states by ``h``, each in 2^r substeps of length
+        ``h / 2^r`` with r from ``_refinements``.  States with the same r are
+        stepped together, so each row's result does not depend on the others."""
+        refine = self._refinements(u, h)
+        if refine is None:
+            return self.step(u, h)
+        out = np.empty_like(u)
+        for r in np.unique(refine):
+            rows = refine == r
+            v = u[rows]
+            for _ in range(2**r):
+                v = self.step(v, h / 2**r)
+            out[rows] = v
+        return out
 
 
 def _advance(
@@ -299,7 +364,8 @@ def _advance(
         )
     if stepper is None:
         stepper = _LawsonRK4(model)
-    u = np.array(states, dtype=float, copy=True)
+    shape = np.shape(states)
+    u = np.array(states, dtype=float, copy=True).reshape(-1, shape[-1])
     n_full = int(horizon / dt)
     rem = horizon - n_full * dt
     t = 0.0
@@ -309,10 +375,7 @@ def _advance(
             step = dt if i < n_full else rem
             if step <= MIN_SUBSTEP:
                 break
-            u = stepper.step(u, step)
-            if model.dirichlet:
-                u[..., 0] = 0.0
-                u[..., -1] = 0.0
+            u = stepper.advance(u, step)
             t += step
             if not np.isfinite(np.sum(u)):
                 bad = np.argwhere(~np.isfinite(u).all(axis=-1))
@@ -320,9 +383,9 @@ def _advance(
                     f"non-finite state at t = {t0 + t:.6g} while integrating model "
                     f"'{model.name}'",
                     time=t0 + t,
-                    trajectory=int(bad[0][0]) if u.ndim > 1 and bad.size else None,
+                    trajectory=int(bad[0][0]) if len(shape) > 1 and bad.size else None,
                 )
-    return u
+    return u.reshape(shape)
 
 
 def integrate(model: Model, values, horizon: float) -> np.ndarray:
@@ -472,12 +535,9 @@ def pde1_model(num_points: int = 64) -> Model:
     coarser than the package-wide default because the state-dependent
     diffusion coefficient 1 - 0.2 u turns negative where u > 5, and the
     resulting backward-heat growth rate scales like 1/h^2.  At the default
-    burn-in, 64 nodes agree with a quarter substep to about 4e-8 relative and
-    128 nodes to about 8e-5.  On 256 nodes the semi-discrete system blows up
-    near t = 0.022 (as a quarter substep shows), but the stable substep, whose
-    bounds ignore the u factor of -0.2 u u_xx, damps the growing mesh modes
-    and returns a finite, unconverged state; 512 nodes blow up at the stable
-    substep too.
+    burn-in, 64 and 128 nodes agree with a quarter substep to about 4e-8
+    and 6e-8 relative; on 256 nodes the integration blows up near t = 0.022 and on
+    512 near t = 0.005.
     """
     grid = Grid1D(0.0, 5.0, num_points)
     dic = Dictionary(terms=pde1_terms(), coefficients=(

@@ -128,6 +128,17 @@ class TestSimulate:
         ])
 
     def test_blow_up_exit_code(self, tmp_path, capsys):
+        # the third-order benchmark is mesh-unstable on a fine grid: its
+        # diffusion coefficient 1 - 0.2 u turns negative where u > 5
+        code = main([
+            "simulate", "--model", "pde1", "--pairs", "4", "--trajectories", "2",
+            "--ts", "0.3", "--seed", "1", "--grid", "256",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == EXIT_BLOWUP
+        assert "blow-up" in capsys.readouterr().err
+
+    def test_custom_blow_up_exit_code(self, tmp_path, capsys):
         # du/dt = u^3 from pde1 starts, whose magnitude reaches 6.25, grows
         # beyond floating-point range within one segment
         code = self.simulate_custom(tmp_path, {

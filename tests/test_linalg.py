@@ -120,6 +120,20 @@ class TestExpmLogm:
             got = logm(a)
         assert np.linalg.norm(got - b) <= 1e-10 * np.linalg.norm(b)
 
+    def test_fallback_warns_before_discarding_imaginary_part(self, monkeypatch):
+        # the Schur route's result passes the same imaginary-part check as
+        # the eigen route before its real part is returned
+        import scipy.linalg
+
+        a = np.diag([2.0, 3.0]) + np.diag([1.0], 1)
+        fake = np.array([[0.7, 0.4], [0.0, 1.1]]) + 0.1j
+        monkeypatch.setattr(scipy.linalg, "logm", lambda m: fake)
+        monkeypatch.setattr("koopid.linalg.CONDITION_WARN_THRESHOLD", 0.0)
+        with pytest.warns(IllConditionedWarning) as record:
+            got = logm(a)
+        assert any("discarding imaginary part" in str(w.message) for w in record)
+        assert np.array_equal(got, fake.real)
+
     def test_complex_pair_uses_principal_branch(self):
         # rotation by 90 degrees: eigenvalues +-i, log = +-i pi/2
         r = np.array([[0.0, -1.0], [1.0, 0.0]])

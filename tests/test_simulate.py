@@ -21,6 +21,7 @@ from koopid.simulate import (
     BUILTIN_MODELS,
     DT_MAX,
     EXPERIMENT_DEFAULTS,
+    MAX_REFINE,
     MIN_SUBSTEP,
     Model,
     SnapshotDataset,
@@ -91,6 +92,50 @@ class TestStableSubstep:
         assert _heuristic_substep(pde1.dictionary, h) == pytest.approx(0.25 * h**3 / 0.1)
         assert stable_substep(pde1) == pytest.approx(0.25 * h**2 / 0.2)
         assert stable_substep(koopid.graphon_model()) == DT_MAX
+
+    @pytest.mark.parametrize("advection, route", [(0.5, "sine"), (5.0, "dense")])
+    def test_dirichlet_diffusion_keeps_sine_flow_where_it_suffices(self, advection, route):
+        # u_xx binds the unsplit step.  With u_xx alone split off, c u_x is
+        # stepped explicitly at h / |c|: capped at DT_MAX for c = 0.5, so the
+        # sine flow gives the full split's step; for c = 5 it does not
+        m = Model("advection-diffusion", Dictionary(
+            (MonomialDerivative(0, 1), MonomialDerivative(0, 2)), coefficients=(advection, 1.0)),
+            Grid1D(0.0, 1.0, 64), dirichlet=True)
+        explicit, linear = _split_linear(m)
+        stepper = _LawsonRK4(m)
+        assert stable_substep(m) == DT_MAX
+        if route == "sine":
+            assert linear == {2: 1.0} and explicit.coefficients == (advection, 0.0)
+            assert stepper._rates is not None
+        else:
+            assert linear == {1: advection, 2: 1.0} and explicit.coefficients == (0.0, 0.0)
+            assert stepper._generator is not None
+
+    def test_large_state_refines_substep(self):
+        # pde1's u u_xx bound, 0.25 h^2 / 0.2, is the stable substep at
+        # |u| <= 1; a state of magnitude 6 needs 2^3 pieces (6 > 4) and the
+        # pieces are capped at 2^MAX_REFINE
+        m = koopid.pde1_model()
+        stepper = _LawsonRK4(m)
+        dt = stable_substep(m)
+        states = np.stack([np.full(64, v) for v in (0.5, 1.0, 1.5, 6.0, 1e300)])
+        assert list(stepper._refinements(states, dt)) == [0, 0, 1, 3, MAX_REFINE]
+        assert list(stepper._refinements(states, dt / 8)) == [0, 0, 0, 0, MAX_REFINE]
+        assert stepper._refinements(states[:2], dt) is None
+
+    def test_large_state_converged_at_stable_substep(self):
+        # pde1 on 128 nodes from starts of magnitude up to 6.2: where u > 5
+        # its total diffusion coefficient is negative, and a substep bound
+        # that ignores |u| steps the exact flow past the growing modes (3e-3
+        # relative from a quarter substep at t = 0.1)
+        m = koopid.pde1_model(128)
+        rng = np.random.default_rng(1)
+        u0 = np.stack([sample_initial_condition(ICFamily.PDE1, m.grid, *rng.random(2))
+                       for _ in range(3)])
+        dt = stable_substep(m)
+        coarse = _advance(m, u0, 0.1, dt)
+        fine = _advance(m, u0, 0.1, dt / 4)
+        assert np.max(np.abs(coarse - fine)) <= 1e-5 * np.max(np.abs(fine))
 
     @pytest.mark.parametrize("name, route", [
         ("burgers", "sine"), ("pde1", "dense"), ("graphon", "none"),
