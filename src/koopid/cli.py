@@ -48,29 +48,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_model(spec: str, num_points):
+    """The model of a ``--model`` spec and its defaults row (pairs,
+    trajectories, sampling time, IC family, burn-in): a built-in model's
+    ``EXPERIMENT_DEFAULTS`` row, or for a ``custom:`` file 50 pairs over 25
+    trajectories, the file's family and no burn-in, whatever its name."""
     if spec.startswith("custom:"):
-        return fileio.read_model(spec.split(":", 1)[1], num_points)
+        model, family = fileio.read_model(spec.split(":", 1)[1], num_points)
+        return model, (50, 25, None, family, 0.0)
     if spec in BUILTIN_MODELS:
         factory = BUILTIN_MODELS[spec]
         model = factory(num_points) if num_points is not None else factory()
-        family = EXPERIMENT_DEFAULTS[spec][3]
-        return model, family
+        return model, EXPERIMENT_DEFAULTS[spec]
     raise _UsageError(f"unknown model {spec!r}; expected one of "
                       f"{sorted(BUILTIN_MODELS)} or custom:<path>")
 
 
-def _resolve_burn_in(args, model) -> float:
-    if args.burn_in is not None:
-        return args.burn_in
-    defaults = EXPERIMENT_DEFAULTS.get(model.name)
-    return defaults[4] if defaults else 0.0
-
-
 def _cmd_simulate(args) -> int:
-    model, family = _resolve_model(args.model, args.grid)
+    model, (_, _, _, family, burn_in) = _resolve_model(args.model, args.grid)
     dataset = generate_pairs(
         model, family, args.trajectories, args.total_pairs, args.ts, args.seed,
-        burn_in=_resolve_burn_in(args, model),
+        burn_in=burn_in if args.burn_in is None else args.burn_in,
     )
     fileio.write_dataset(args.out, dataset)
     print(
@@ -116,7 +113,7 @@ def _cmd_identify(args) -> int:
     dataset = fileio.read_dataset(args.data)
     dictionary = fileio.read_dictionary(args.dict)
     weight = fileio.parse_weight_spec(args.weight)
-    truth = fileio.read_truth(args.truth, len(dictionary)) if args.truth else None
+    truth = fileio.read_truth(args.truth, len(dictionary)) if args.truth is not None else None
     method = lifting_identify if args.method == "lifting" else direct_identify
     result = method(dataset, dictionary, weight)
     fileio.atomic_write_text(args.out, fileio.identification_to_csv(result, truth))
@@ -131,17 +128,17 @@ def _cmd_sweep_ts(args) -> int:
     ts_list = [float(t) for t in args.ts_list.split(",") if t.strip()]
     if len(ts_list) < 3:
         raise _UsageError("--ts-list needs at least 3 comma-separated values")
-    model, family = _resolve_model(args.model, args.grid)
-    dictionary = fileio.read_dictionary(args.dict) if args.dict else model.dictionary
+    model, (pairs, trajectories, _, family, burn_in) = _resolve_model(args.model, args.grid)
+    dictionary = fileio.read_dictionary(args.dict) if args.dict is not None else model.dictionary
     if dictionary.coefficients is not None:
         dictionary = type(dictionary)(dictionary.terms)
     weight = fileio.parse_weight_spec(args.weight)
-    defaults = EXPERIMENT_DEFAULTS.get(model.name, (50, 25, None, None, 0.0))
-    pairs = args.total_pairs or defaults[0]
-    trajectories = args.trajectories or defaults[1]
     report = ts_convergence_study(
-        model, dictionary, weight, ts_list, family, trajectories, pairs, args.seed,
-        burn_in=_resolve_burn_in(args, model),
+        model, dictionary, weight, ts_list, family,
+        trajectories if args.trajectories is None else args.trajectories,
+        pairs if args.total_pairs is None else args.total_pairs,
+        args.seed,
+        burn_in=burn_in if args.burn_in is None else args.burn_in,
     )
     fileio.atomic_write_text(args.out, fileio.sweep_to_csv(report, dictionary))
     print(f"wrote {len(report.entries)} sweep rows to {args.out}")
@@ -207,8 +204,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BlowUpError as exc:
-        where = f" (trajectory {exc.trajectory})" if exc.trajectory is not None else ""
-        print(f"integration blow-up{where}: {exc}", file=sys.stderr)
+        print(f"integration blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except InsufficientDataError as exc:
         print(str(exc), file=sys.stderr)

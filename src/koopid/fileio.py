@@ -269,7 +269,7 @@ def model_from_record(doc: dict, num_points: int | None = None) -> Model:
     g = _get(doc, "grid", "model")
     x_min = _get(g, "x_min", "model grid", float)
     x_max = _get(g, "x_max", "model grid", float)
-    if not num_points:
+    if num_points is None:
         num_points = _get(g, "num_points", "model grid", int, 256)
     grid = Grid1D(x_min, x_max, num_points)
     terms = tuple(

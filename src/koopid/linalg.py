@@ -29,6 +29,9 @@ from .errors import (
 #: cond(V) above which logm/eig results carry an IllConditionedWarning.
 CONDITION_WARN_THRESHOLD = 1e8
 
+#: relative tolerance of :func:`branch_cut_mask`
+BRANCH_CUT_TOL = 1e-12
+
 
 def _check_matrix(a, name="matrix"):
     a = np.asarray(a)
@@ -46,30 +49,29 @@ def _check_square(a, name="matrix"):
     return a
 
 
-def pinv(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
+def _rcond(a: np.ndarray) -> float:
+    """The relative singular-value cutoff of :func:`pinv` and
+    :func:`matrix_rank`: ``max(rows, cols)`` times the machine epsilon of
+    ``a``'s float dtype (float64 for any other dtype)."""
+    return max(a.shape) * np.finfo(a.dtype if a.dtype.kind == "f" else np.float64).eps
+
+
+def pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular-value truncation.
 
-    Singular values below ``rcond * sigma_max`` are treated as zero.  The
-    default ``rcond`` is ``max(rows, cols) * machine epsilon``, the standard
-    rank-revealing choice.
+    Singular values at or below ``_rcond(a) * sigma_max`` are treated as
+    zero, the standard rank-revealing choice.
     """
     a = _check_matrix(a)
-    if rcond is None:
-        rcond = max(a.shape) * np.finfo(a.dtype if a.dtype.kind == "f" else np.float64).eps
-    if rcond < 0:
-        raise InvalidInputError(f"rcond must be nonnegative, got {rcond}")
-    return np.linalg.pinv(a, rcond=rcond)
+    return np.linalg.pinv(a, rcond=_rcond(a))
 
 
-def matrix_rank(a: np.ndarray, rcond: float | None = None) -> int:
-    """Numerical rank under the same truncation rule as :func:`pinv`."""
+def matrix_rank(a: np.ndarray) -> int:
+    """Numerical rank: the number of singular values that :func:`pinv`
+    keeps, those above ``_rcond(a) * sigma_max``."""
     a = _check_matrix(a)
-    if rcond is None:
-        rcond = max(a.shape) * np.finfo(np.float64).eps
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rcond * s[0]))
+    return int(np.count_nonzero(s > _rcond(a) * s[0]))
 
 
 def lstsq_fit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -131,25 +133,26 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
-def branch_cut_mask(w: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def branch_cut_mask(w: np.ndarray) -> np.ndarray:
     """Which eigenvalues ``w`` lie on the closed negative real axis, where the
     principal logarithm is undefined.
 
-    An eigenvalue counts as on it when it is zero or has a nonpositive real
-    part and an imaginary part no larger than ``rcond * max(max |w|, 1)``.
+    An eigenvalue counts as on it when its modulus, or its imaginary part
+    with a nonpositive real part, is no larger than ``BRANCH_CUT_TOL *
+    max(max |w|, 1)``.
     """
     w = np.asarray(w)
-    tol = rcond * max(float(np.max(np.abs(w))), 1.0)
+    tol = BRANCH_CUT_TOL * max(float(np.max(np.abs(w))), 1.0)
     return (np.abs(w) <= tol) | ((w.real <= 0.0) & (np.abs(w.imag) <= tol))
 
 
-def logm(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def logm(a: np.ndarray) -> np.ndarray:
     """Principal matrix logarithm of a real square matrix.
 
     Requires that no eigenvalue of ``a`` lies on the closed negative real
-    axis (including zero); otherwise a :class:`BranchCutError` is raised,
-    which for sampled-flow matrices signals a sampling time too large or a
-    rank-deficient lift.  The result is real for real input off the branch
+    axis (including zero) by the rule of :func:`branch_cut_mask`; otherwise
+    a :class:`BranchCutError` is raised, which for sampled-flow matrices
+    signals a sampling time too large or a rank-deficient lift.  The result is real for real input off the branch
     cut.  Where the eigenvector matrix is ill-conditioned (the
     ``IllConditionedWarning`` of :func:`eig`), the result comes from
     ``scipy.linalg.logm`` (inverse scaling and squaring on the Schur form)
@@ -162,7 +165,7 @@ def logm(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
         raise InvalidInputError("logm expects a real matrix")
     dec = eig(a)
     w = dec.eigenvalues
-    on_cut = branch_cut_mask(w, rcond)
+    on_cut = branch_cut_mask(w)
     if np.any(on_cut):
         bad = w[on_cut]
         raise BranchCutError(

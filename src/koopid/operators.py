@@ -250,15 +250,14 @@ class RhsPlan:
     """A dictionary's right-hand side compiled for one grid and boundary rule.
 
     Build it once per integration and evaluate it with :func:`rhs_values`.
-    ``skip_zero`` leaves zero-coefficient terms out; otherwise they are kept,
-    so that, for example, a zero-coefficient graphon term still requires the
-    unit interval.  Building raises what evaluating the terms would raise:
-    ``InvalidInputError`` without coefficients, ``DomainError`` for graphon
-    terms off ``[0, 1]`` (even when their kernels cancel) and
+    Terms with coefficient 0 are left out, since they add nothing to the
+    sum.  Building raises what evaluating the other terms would raise:
+    ``InvalidInputError`` without coefficients, ``DomainError`` for nonzero
+    graphon terms off ``[0, 1]`` (even when their kernels cancel) and
     ``PreconditionError`` for a grid too short for a derivative order.
     """
 
-    def __init__(self, dictionary: Dictionary, grid: Grid1D, dirichlet: bool, skip_zero: bool = False):
+    def __init__(self, dictionary: Dictionary, grid: Grid1D, dirichlet: bool):
         if dictionary.coefficients is None:
             raise InvalidInputError("right-hand side evaluation requires coefficients")
         self.grid = grid
@@ -267,7 +266,7 @@ class RhsPlan:
         groups: dict = {}  # power j -> {order k: coefficient of u^j d^k u}
         graphons = []      # (coefficient, kernel) of each graphon term
         for term, c in zip(dictionary.terms, dictionary.coefficients):
-            if skip_zero and c == 0.0:
+            if c == 0.0:
                 continue
             if isinstance(term, Constant):
                 poly[0] = c

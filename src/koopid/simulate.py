@@ -254,15 +254,16 @@ class _LawsonRK4:
     otherwise as a dense matrix from ``expm`` -- and RK4 integrates the
     remaining terms f, compiled once into ``plan``; without a split P is the
     identity and the step is classical RK4.  P is computed once per substep
-    length.  ``advance`` cuts a substep into 2^r pieces for a state whose
-    magnitude breaks the bounds of ``stable_substep``, which hold where
-    |u| <= 1.
+    length.  ``dt`` is the substep of ``stable_substep``; ``advance`` cuts a
+    substep into 2^r pieces for a state whose magnitude breaks its bounds,
+    which hold where |u| <= 1.
     """
 
     def __init__(self, model: Model):
         self.model = model
         explicit, linear = _split_linear(model)
-        self.plan = RhsPlan(explicit, model.grid, model.dirichlet, skip_zero=True)
+        self.dt = _heuristic_substep(explicit, model.grid.spacing)
+        self.plan = RhsPlan(explicit, model.grid, model.dirichlet)
         # the bounds that a state with |u| > 1 shortens: those of u^j terms, j >= 1
         bounds = [(b, j) for b, j in _term_bounds(explicit, model.grid.spacing) if j >= 1]
         self._limits = np.array([b for b, _ in bounds])
@@ -296,17 +297,14 @@ class _LawsonRK4:
                 self._flows[h] = lambda v: v
         return self._flows[h]
 
-    def _f(self, v: np.ndarray) -> np.ndarray:
-        return rhs_values(self.plan, v)
-
     def step(self, u: np.ndarray, h: float) -> np.ndarray:
         flow = self._half_flow(h)
         w = flow(u)
-        k1 = self._f(u)
+        k1 = rhs_values(self.plan, u)
         pk1 = flow(k1)
-        k2 = self._f(w + (0.5 * h) * pk1)
-        k3 = self._f(w + (0.5 * h) * k2)
-        k4 = self._f(flow(w + h * k3))
+        k2 = rhs_values(self.plan, w + (0.5 * h) * pk1)
+        k3 = rhs_values(self.plan, w + (0.5 * h) * k2)
+        k4 = rhs_values(self.plan, flow(w + h * k3))
         u = flow(w + (h / 6.0) * (pk1 + 2.0 * (k2 + k3))) + (h / 6.0) * k4
         if self.model.dirichlet:
             u[..., 0] = 0.0
@@ -355,7 +353,9 @@ def _advance(
 
     Calls that pass one ``stepper`` share its linear split, exact flows and
     right-hand-side plan.  A substep ``dt`` at or below ``MIN_SUBSTEP``
-    raises PreconditionError.
+    raises PreconditionError.  A state with a non-finite entry raises
+    BlowUpError, naming its row of an ``(m, N)`` batch (the trajectory) and
+    the time ``t0`` plus the time advanced.
     """
     if dt <= MIN_SUBSTEP:
         raise PreconditionError(
@@ -377,13 +377,14 @@ def _advance(
                 break
             u = stepper.advance(u, step)
             t += step
-            if not np.isfinite(np.sum(u)):
-                bad = np.argwhere(~np.isfinite(u).all(axis=-1))
+            if not np.isfinite(u).all():
+                row = int(np.argmin(np.isfinite(u).all(axis=-1)))
+                trajectory = row if len(shape) > 1 else None
+                which = "" if trajectory is None else f"trajectory {trajectory} of "
                 raise BlowUpError(
-                    f"non-finite state at t = {t0 + t:.6g} while integrating model "
-                    f"'{model.name}'",
+                    f"{which}model '{model.name}' blew up at t = {t0 + t:.6g}",
                     time=t0 + t,
-                    trajectory=int(bad[0][0]) if len(shape) > 1 and bad.size else None,
+                    trajectory=trajectory,
                 )
     return u.reshape(shape)
 
@@ -396,7 +397,8 @@ def integrate(model: Model, values, horizon: float) -> np.ndarray:
     v = grid_values(model.grid, values, False, (1, 2))
     if model.dirichlet and (np.any(v[..., 0] != 0.0) or np.any(v[..., -1] != 0.0)):
         raise PreconditionError("Dirichlet model requires an initial condition vanishing at the boundaries")
-    return _advance(model, v, horizon, stable_substep(model))
+    stepper = _LawsonRK4(model)
+    return _advance(model, v, horizon, stepper.dt, stepper=stepper)
 
 
 def generate_pairs(
@@ -458,17 +460,8 @@ def _pair_datasets(
         [sample_initial_condition(family, model.grid, a, b) for a, b in params]
     )
     stepper = _LawsonRK4(model)
-    dt = stable_substep(model)
     if burn_in > 0:
-        try:
-            start = _advance(model, start, burn_in, dt, stepper=stepper)
-        except BlowUpError as exc:
-            raise BlowUpError(
-                f"trajectory {exc.trajectory} of model '{model.name}' blew up at "
-                f"t = {exc.time:.6g} during burn-in",
-                time=exc.time,
-                trajectory=exc.trajectory,
-            ) from None
+        start = _advance(model, start, burn_in, stepper.dt, stepper=stepper)
 
     quotas_arr = np.asarray(quotas)
     # pair k spans segment pair_seg[k] of trajectory pair_traj[k], trajectory-major
@@ -480,15 +473,9 @@ def _pair_datasets(
         for seg in range(max_quota):
             # trajectories whose quota is filled no longer need stepping
             states = np.where(quotas_arr[:, None] > seg, states, 0.0)
-            try:
-                states = _advance(model, states, t_s, dt, t0=burn_in + seg * t_s, stepper=stepper)
-            except BlowUpError as exc:
-                raise BlowUpError(
-                    f"trajectory {exc.trajectory} of model '{model.name}' blew up at "
-                    f"t = {exc.time:.6g}",
-                    time=exc.time,
-                    trajectory=exc.trajectory,
-                ) from None
+            states = _advance(
+                model, states, t_s, stepper.dt, t0=burn_in + seg * t_s, stepper=stepper
+            )
             snapshots.append(states)
         snapshots = np.stack(snapshots)
 

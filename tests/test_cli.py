@@ -118,14 +118,36 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
-    def simulate_custom(self, tmp_path, doc):
+    def simulate_custom(self, tmp_path, doc, *flags):
         model_path = tmp_path / "m.json"
         model_path.write_text(json.dumps(doc))
         return main([
             "simulate", "--model", f"custom:{model_path}", "--pairs", "4",
             "--trajectories", "2", "--ts", "0.3", "--seed", "1",
-            "--out", str(tmp_path / "x.json"),
+            "--out", str(tmp_path / "x.json"), *flags,
         ])
+
+    DECAY = {
+        "grid": {"x_min": 0.0, "x_max": 5.0, "num_points": 16},
+        "dictionary": [{"kind": "monomial", "j": 1, "k": 0}],
+        "coefficients": [-1.0],
+        "family": "pde1",
+    }
+
+    def test_custom_grid_zero_is_usage_error(self, tmp_path, capsys):
+        # an explicit --grid 0 is rejected, not replaced by the file's grid
+        code = self.simulate_custom(tmp_path, self.DECAY, "--grid", "0")
+        assert code == EXIT_USAGE
+        assert "num_points" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_custom_model_named_like_a_builtin_gets_no_burn_in(self, tmp_path):
+        # the built-in defaults belong to --model pde1, not to a file named "pde1"
+        code = self.simulate_custom(tmp_path, {**self.DECAY, "name": "pde1"})
+        assert code == EXIT_OK
+        provenance = json.loads((tmp_path / "x.json").read_text())["provenance"]
+        assert provenance["model"] == "pde1"
+        assert provenance["burn_in"] == 0.0
 
     def test_blow_up_exit_code(self, tmp_path, capsys):
         # the third-order benchmark is mesh-unstable on a fine grid: its
@@ -352,6 +374,18 @@ class TestSweep:
             "--grid", "16", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--pairs", "--trajectories"])
+    def test_zero_count_is_usage_error(self, tmp_path, capsys, flag):
+        # an explicit 0 is rejected, not replaced by the model's default
+        code = main([
+            "sweep-ts", "--model", "pde1", "--weight", "bump:5",
+            "--ts-list", "0.3,0.15,0.075", "--seed", "1", "--grid", "16",
+            flag, "0", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "at least one" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_too_few_sampling_times(self, tmp_path):
         code = main([

@@ -33,6 +33,16 @@ class TestPinv:
         assert np.allclose(a @ p @ a, a, atol=1e-9)
         assert matrix_rank(a) == 1
 
+    def test_float32_rank_matches_pinv_truncation(self):
+        # float32 round-off leaves singular values near 1e-7 * sigma_max, which
+        # a float64 cutoff would count as rank
+        a = np.outer(np.arange(1, 7), [1.0, 0.3, -2.0, 0.7]).astype(np.float32)
+        p = pinv(a)
+        assert p.dtype == np.float32
+        # a @ pinv(a) projects onto the kept singular directions: trace = their count
+        assert np.trace(a @ p) == pytest.approx(1.0, abs=1e-3)
+        assert matrix_rank(a) == 1
+
     @given(seed=st.integers(0, 20), c=st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)
     def test_pinv_scaling(self, seed, c):

@@ -127,12 +127,17 @@ class TestIntPower:
 
 
 class TestRhs:
-    @pytest.mark.parametrize("skip_zero", [True, False])
-    def test_folded_graphon_kernel_matches_per_term_sum(self, skip_zero):
+    @pytest.mark.parametrize("extra_zero_kernel", [True, False])
+    def test_folded_graphon_kernel_matches_per_term_sum(self, extra_zero_kernel):
         model = koopid.graphon_model()
         ds = koopid.generate_pairs(model, koopid.ICFamily.GRAPHON, 5, 5, 0.5, seed=1)
         dic = model.dictionary
-        out = rhs_values(RhsPlan(dic, model.grid, False, skip_zero=skip_zero), ds.u)
+        if extra_zero_kernel:  # a zero-coefficient kernel must not change the fold
+            dic = Dictionary(
+                dic.terms + (GraphonKernel(KernelSpec(2.0, 0.5, 0.0)),),
+                coefficients=dic.coefficients + (0.0,),
+            )
+        out = rhs_values(RhsPlan(dic, model.grid, False), ds.u)
         ref = sum(c * term_values(t, ds.u, model.grid, False)
                   for t, c in zip(dic.terms, dic.coefficients))
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -287,10 +292,9 @@ class TestRhsPlan:
             coefficients=(-1.0, 0.0, 0.0),
         )
         u = np.sin(np.arange(32.0))
-        out = rhs_values(RhsPlan(dic, g, dirichlet=False, skip_zero=True), u)
+        # the zero-coefficient graphon term is left out, so [0, 2] is accepted
+        out = rhs_values(RhsPlan(dic, g, dirichlet=False), u)
         assert np.array_equal(out, -u)
-        with pytest.raises(DomainError):  # the zero-coefficient graphon term is kept
-            RhsPlan(dic, g, dirichlet=False)
 
     def test_too_few_nodes_for_an_order(self):
         # Grid1D admits no grid this short; the plan's diff_values check still guards it

@@ -293,13 +293,35 @@ class TestIntegrate:
             integrate(m, np.zeros(16), horizon)
 
     def test_blow_up_reports_time(self):
-        # explosive growth: du/dt = u^3 from u = 10
+        # explosive growth: du/dt = u^3 from u = 10 in row 1; row 0 stays at 0
         g = Grid1D(0.0, 1.0, 32)
         dic = Dictionary((MonomialDerivative(3, 0),), coefficients=(1.0,))
         m = Model("explode", dic, g)
         with pytest.raises(BlowUpError) as exc:
-            integrate(m, np.full(32, 10.0), 1.0)
+            integrate(m, np.stack([np.zeros(32), np.full(32, 10.0)]), 1.0)
         assert exc.value.time is not None and exc.value.time < 1.0
+        assert exc.value.trajectory == 1
+        assert f"trajectory 1 of model 'explode' blew up at t = {exc.value.time:.6g}" in str(exc.value)
+
+    def test_blow_up_time_is_absolute_in_a_dataset(self):
+        # starts of magnitude <= 0.1 under du/dt = 1e3 u^3 take at least 0.05
+        # to blow up, so a time below ts = 0.01 would be relative to a segment
+        g = Grid1D(0.0, 1.0, 16)
+        dic = Dictionary((MonomialDerivative(3, 0),), coefficients=(1e3,))
+        m = Model("explode", dic, g)
+        with pytest.raises(BlowUpError) as exc:
+            generate_pairs(m, ICFamily.GRAPHON, 4, 200, 0.01, seed=1, burn_in=0.02)
+        assert exc.value.time > 0.05
+        assert 0 <= exc.value.trajectory < 4
+        assert f"trajectory {exc.value.trajectory} of" in str(exc.value)
+        assert f"t = {exc.value.time:.6g}" in str(exc.value)
+
+    def test_finite_state_with_overflowing_sum_is_not_a_blow_up(self):
+        # the sum of 32 entries of 1e307 overflows; the entries themselves decay
+        g = Grid1D(0.0, 1.0, 32)
+        m = Model("decay", Dictionary((MonomialDerivative(1, 0),), (-1.0,)), g)
+        out = integrate(m, np.full(32, 1e307), 0.01)
+        assert np.allclose(out, 1e307 * np.exp(-0.01), rtol=1e-12)
 
     def test_rejects_mismatched_grid(self):
         m = heat_model(num_points=64)

@@ -1,0 +1,53 @@
+"""The benchmark tracer's wrap table still resolves against the package.
+
+``benchmarks/tracing.py`` wraps functions by the attribute name their caller
+looks them up through, so renaming or deleting one of those names breaks
+only traced benchmark runs.  This test keeps that in tier-1.
+"""
+
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+import koopid
+import koopid.cli
+import koopid.fileio
+import koopid.identify
+import koopid.koopman
+import koopid.linalg
+import koopid.observables
+import koopid.operators
+import koopid.simulate
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+MODULES = (
+    koopid.cli, koopid.fileio, koopid.identify, koopid.koopman, koopid.linalg,
+    koopid.observables, koopid.operators, koopid.simulate,
+)
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    return tracing
+
+
+def test_instrument_resolves_every_name_and_undo_restores(tracing):
+    before = [dict(vars(m)) for m in MODULES]
+    tracer = tracing.Tracer()
+    undo = tracing.instrument(tracer)
+    try:
+        assert koopid.simulate.rhs_values is not before[-1]["rhs_values"]
+        # the RK4 loop calls the wrapped module-level rhs_values
+        koopid.integrate(koopid.heat_model(num_points=16), np.zeros(16), 0.02)
+        assert "operators.rhs" in tracer.names
+        assert tracer.counts["operators.rhs_elems"] > 0
+    finally:
+        undo()
+    for module, names in zip(MODULES, before):
+        for name, value in names.items():
+            assert getattr(module, name) is value, f"{module.__name__}.{name} not restored"
