@@ -130,8 +130,6 @@ def _cmd_sweep_ts(args) -> int:
         raise _UsageError("--ts-list needs at least 3 comma-separated values")
     model, (pairs, trajectories, _, family, burn_in) = _resolve_model(args.model, args.grid)
     dictionary = fileio.read_dictionary(args.dict) if args.dict is not None else model.dictionary
-    if dictionary.coefficients is not None:
-        dictionary = type(dictionary)(dictionary.terms)
     weight = fileio.parse_weight_spec(args.weight)
     report = ts_convergence_study(
         model, dictionary, weight, ts_list, family,

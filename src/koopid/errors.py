@@ -50,8 +50,8 @@ class PreconditionError(KoopidError):
 class RankDeficiencyError(KoopidError):
     """The lifted data matrix has linearly dependent columns.
 
-    ``columns`` lists the indices of the dependent columns (0-based, in the
-    lifted-basis ordering).
+    ``columns`` lists the indices of the dependent columns (0-based, in
+    dictionary order: column i is the lift of ``dictionary.terms[i]``).
     """
 
     def __init__(self, message, columns=()):

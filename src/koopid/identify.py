@@ -5,7 +5,7 @@ Two routes are provided over the same lifted functional basis
 
 * the lifting method: fit the sampled-flow matrix by least squares, take the
   principal matrix logarithm scaled by the sampling time, and read the
-  estimates from the first column;
+  estimates from the column of the linear functional ``<u, w>``;
 * a direct baseline: forward-difference the linear functional ``<u, w>`` in
   time and regress it on the lifted functional values (no smoothing).
 
@@ -24,8 +24,8 @@ import scipy.linalg
 
 from .errors import BranchCutError, InsufficientDataError, PreconditionError, RankDeficiencyError
 from .koopman import build_data_matrices, edmd_fit
-from .linalg import logm, matrix_rank
-from .observables import WeightSpec, build_lifting_basis, lifting_order
+from .linalg import logm, lstsq_fit, matrix_rank
+from .observables import WeightSpec, build_lifting_basis, identity_index
 from .operators import Dictionary
 from .simulate import ICFamily, Model, SnapshotDataset, _pair_datasets
 # benchmarks/tracing.py times the simulate layer at this module's name
@@ -36,9 +36,9 @@ from .simulate import generate_pairs  # noqa: F401
 class IdentificationResult:
     """Coefficient estimates for a candidate dictionary.
 
-    ``estimates[i]`` corresponds to ``dictionary.terms[i]`` (input order).
-    ``l_tilde`` is the scaled-logarithm generator estimate in lifted-basis
-    order (identity-first) and is None for the direct method.
+    ``estimates[i]`` corresponds to ``dictionary.terms[i]``.  ``l_tilde`` is
+    the scaled-logarithm generator estimate, rows and columns in dictionary
+    order, and is None for the direct method.
     """
 
     dictionary: Dictionary
@@ -51,7 +51,6 @@ class IdentificationResult:
 
 def _lifted_fit_inputs(dataset: SnapshotDataset, dictionary: Dictionary, weight: WeightSpec):
     basis = build_lifting_basis(dictionary, weight)
-    order = lifting_order(dictionary)
     xi1, xi2 = build_data_matrices(dataset, basis)
     m, n = xi1.shape
     if m < n:
@@ -63,17 +62,10 @@ def _lifted_fit_inputs(dataset: SnapshotDataset, dictionary: Dictionary, weight:
         dependent = sorted(int(p) for p in piv[rank:])
         raise RankDeficiencyError(
             f"lifted data matrix has rank {rank} < {n}; dependent columns "
-            f"(lifted-basis order): {dependent}",
+            f"(dictionary order): {dependent}",
             columns=dependent,
         )
-    return xi1, xi2, order
-
-
-def _unpermute(column: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    out = np.empty_like(column)
-    for basis_pos, dict_pos in enumerate(order):
-        out[dict_pos] = column[basis_pos]
-    return out
+    return xi1, xi2
 
 
 def lifting_identify(
@@ -88,16 +80,15 @@ def lifting_identify(
     that ``logm`` issues for an ill-conditioned eigenbasis or a discarded
     imaginary part reaches the caller.
     """
-    xi1, xi2, order = _lifted_fit_inputs(dataset, dictionary, weight)
+    xi1, xi2 = _lifted_fit_inputs(dataset, dictionary, weight)
     fit = edmd_fit(xi1, xi2, dataset.sampling_time)
     try:
         l_tilde = logm(fit.U) / dataset.sampling_time
     except BranchCutError as exc:
         raise BranchCutError(f"sampling time too large or data degenerate: {exc}") from exc
-    estimates = _unpermute(l_tilde[:, 0], order)
     return IdentificationResult(
         dictionary=dictionary,
-        estimates=estimates,
+        estimates=l_tilde[:, identity_index(dictionary)],
         t_s=dataset.sampling_time,
         l_tilde=l_tilde,
         rank_used=fit.rank_used,
@@ -110,13 +101,14 @@ def direct_identify(
 ) -> IdentificationResult:
     """Forward-difference baseline: regress the time increment of ``<u, w>``
     on the lifted functional values, by least squares."""
-    xi1, xi2, order = _lifted_fit_inputs(dataset, dictionary, weight)
-    rate = (xi2[:, 0] - xi1[:, 0]) / dataset.sampling_time
-    coeffs, _, _, _ = np.linalg.lstsq(xi1, rate, rcond=None)
+    xi1, xi2 = _lifted_fit_inputs(dataset, dictionary, weight)
+    k = identity_index(dictionary)
+    rate = (xi2[:, k] - xi1[:, k]) / dataset.sampling_time
+    coeffs = lstsq_fit(xi1, rate[:, None])[:, 0]
     residual = float(np.linalg.norm(xi1 @ coeffs - rate))
     return IdentificationResult(
         dictionary=dictionary,
-        estimates=_unpermute(coeffs, order),
+        estimates=coeffs,
         t_s=dataset.sampling_time,
         l_tilde=None,
         rank_used=xi1.shape[1],  # _lifted_fit_inputs has checked full column rank

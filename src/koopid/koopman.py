@@ -18,7 +18,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, KoopidError, RankDeficiencyWarning, ShapeError
+from .errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    KoopidError,
+    RankDeficiencyWarning,
+    ShapeError,
+)
 from .linalg import branch_cut_mask, eig, matrix_rank, pinv
 from .observables import FunctionalSpec, functional_values
 from .simulate import SnapshotDataset
@@ -32,7 +38,8 @@ def build_data_matrices(
     Returns (Xi1, Xi2), both m x n: rows follow the dataset order, columns the
     basis order; Xi1 holds values on the initial snapshots, Xi2 on the
     advanced ones.  Each column is one functional evaluated on all snapshots
-    at once.
+    at once.  Finite data on which a functional overflows raises
+    InvalidInputError naming the first such functional.
     """
     if len(basis) == 0:
         raise KoopidError("basis must be nonempty")
@@ -40,12 +47,18 @@ def build_data_matrices(
     xi1 = np.empty((m, n))
     xi2 = np.empty((m, n))
     grid, dirichlet = dataset.grid, dataset.dirichlet
-    for i, spec in enumerate(basis):
-        try:
-            xi1[:, i] = functional_values(spec, dataset.u, grid, dirichlet)
-            xi2[:, i] = functional_values(spec, dataset.u_next, grid, dirichlet)
-        except KoopidError as exc:
-            raise type(exc)(f"functional {i} failed: {exc}") from exc
+    # an overflowing functional is reported below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, spec in enumerate(basis):
+            try:
+                xi1[:, i] = functional_values(spec, dataset.u, grid, dirichlet)
+                xi2[:, i] = functional_values(spec, dataset.u_next, grid, dirichlet)
+            except KoopidError as exc:
+                raise type(exc)(f"functional {i} failed: {exc}") from exc
+    finite = np.isfinite(xi1).all(axis=0) & np.isfinite(xi2).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidInputError(f"functional {i} is not finite on the data (overflow)")
     return xi1, xi2
 
 

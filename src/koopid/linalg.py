@@ -75,10 +75,12 @@ def matrix_rank(a: np.ndarray) -> int:
 
 
 def lstsq_fit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution ``B`` of ``x1 @ B ~ x2``.
+    """Minimum-norm least-squares solution ``B`` of ``x1 @ B ~ x2``, one
+    column per column of ``x2``.
 
-    Computed as ``pinv(x1) @ x2``; with full column rank this coincides with
-    the normal-equations solution.
+    Computed as ``pinv(x1) @ x2``, so singular values at or below the cutoff
+    that :func:`pinv` and :func:`matrix_rank` share are dropped; with full
+    column rank this coincides with the normal-equations solution.
     """
     x1 = _check_matrix(x1, "x1")
     x2 = _check_matrix(x2, "x2")

@@ -17,7 +17,7 @@ its m values; data-matrix assembly makes one such call per basis column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -154,24 +154,23 @@ def build_burgers_basis(seed: int) -> List[FunctionalSpec]:
 
 
 def build_lifting_basis(dictionary: Dictionary, weight: WeightSpec) -> List[FunctionalSpec]:
-    """Lifted basis ``xi_i(u) = <W_i(u), w>`` in dictionary order, with the
-    identity term moved to the front.
+    """Lifted basis ``xi_i(u) = <W_i(u), w>``, one functional per dictionary
+    term, in dictionary order.
 
     The identity operator W(u) = u must be present so that the linear
-    functional ``<u, w>`` belongs to the basis; its lifted functional becomes
-    position 1.
+    functional ``<u, w>`` belongs to the basis; its position is
+    :func:`identity_index`.
     """
-    order = lifting_order(dictionary)
-    return [LiftedTerm(dictionary.terms[i], weight) for i in order]
+    identity_index(dictionary)  # raises PreconditionError without it
+    return [LiftedTerm(term, weight) for term in dictionary.terms]
 
 
-def lifting_order(dictionary: Dictionary) -> Tuple[int, ...]:
-    """Dictionary indices in lifted-basis order (identity first)."""
+def identity_index(dictionary: Dictionary) -> int:
+    """Position of the identity term W(u) = u in the dictionary."""
     try:
-        idx = dictionary.terms.index(IDENTITY_TERM)
+        return dictionary.terms.index(IDENTITY_TERM)
     except ValueError:
         raise PreconditionError(
             "lifting basis requires the identity term W(u) = u "
             "(add it to the dictionary, possibly with coefficient 0)"
         ) from None
-    return (idx,) + tuple(i for i in range(len(dictionary)) if i != idx)

@@ -143,12 +143,20 @@ class SnapshotDataset:
 
 
 #: the shortest substep the integrator takes; a stability bound below it
-#: would need more than 1e15 substeps per time unit
+#: would need more than 1e15 substeps per time unit, and a horizon, sampling
+#: time or burn-in at or below it would take no step at all
 MIN_SUBSTEP = 1e-15
 
 
 #: a substep is cut into at most 2**MAX_REFINE pieces for a large state
 MAX_REFINE = 10
+
+
+def _check_time(name: str, value: float) -> None:
+    """Refuse a time to integrate over that is not finite or is at or below
+    MIN_SUBSTEP, and so would take no step, with InvalidInputError."""
+    if not MIN_SUBSTEP < value < np.inf:
+        raise InvalidInputError(f"{name} must be finite and above {MIN_SUBSTEP:g}, got {value}")
 
 
 def _term_bounds(dictionary: Dictionary, h: float, max_order: int = 3) -> list:
@@ -352,20 +360,25 @@ def _advance(
     """Advance batched states (last axis = space) by ``horizon`` at substep ``dt``.
 
     Calls that pass one ``stepper`` share its linear split, exact flows and
-    right-hand-side plan.  A substep ``dt`` at or below ``MIN_SUBSTEP``
-    raises PreconditionError.  A state with a non-finite entry raises
-    BlowUpError, naming its row of an ``(m, N)`` batch (the trajectory) and
-    the time ``t0`` plus the time advanced.
+    right-hand-side plan.  A substep ``dt`` at or below ``MIN_SUBSTEP``, or
+    on a Dirichlet model a state that does not vanish at both boundaries,
+    raises PreconditionError before the first step.  A state with a
+    non-finite entry raises BlowUpError, naming its row of an ``(m, N)``
+    batch (the trajectory) and the time ``t0`` plus the time advanced.
     """
     if dt <= MIN_SUBSTEP:
         raise PreconditionError(
             f"stable substep {dt:.4g} of model '{model.name}' is at or below "
             f"{MIN_SUBSTEP:g}; coarsen the grid or reduce the derivative coefficients"
         )
-    if stepper is None:
-        stepper = _LawsonRK4(model)
     shape = np.shape(states)
     u = np.array(states, dtype=float, copy=True).reshape(-1, shape[-1])
+    if model.dirichlet and (np.any(u[:, 0] != 0.0) or np.any(u[:, -1] != 0.0)):
+        raise PreconditionError(
+            f"Dirichlet model '{model.name}' requires initial conditions vanishing at the boundaries"
+        )
+    if stepper is None:
+        stepper = _LawsonRK4(model)
     n_full = int(horizon / dt)
     rem = horizon - n_full * dt
     t = 0.0
@@ -391,12 +404,11 @@ def _advance(
 
 def integrate(model: Model, values, horizon: float) -> np.ndarray:
     """Flow one state (N node values) or an ``(m, N)`` batch of states
-    forward by ``horizon``; the result has the shape of ``values``."""
-    if not 0 < horizon < np.inf:
-        raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
+    forward by ``horizon``; the result has the shape of ``values``.  A
+    horizon that is not finite or is at or below MIN_SUBSTEP raises
+    InvalidInputError."""
+    _check_time("horizon", horizon)
     v = grid_values(model.grid, values, False, (1, 2))
-    if model.dirichlet and (np.any(v[..., 0] != 0.0) or np.any(v[..., -1] != 0.0)):
-        raise PreconditionError("Dirichlet model requires an initial condition vanishing at the boundaries")
     stepper = _LawsonRK4(model)
     return _advance(model, v, horizon, stepper.dt, stepper=stepper)
 
@@ -417,7 +429,11 @@ def generate_pairs(
     snapshot is recorded, which keeps the fitted one-step operator away from
     the logarithm branch cut for stiff models.  Pair quotas are distributed
     round-robin when ``total_pairs`` is not divisible by
-    ``num_trajectories``; the dataset order is trajectory-major.
+    ``num_trajectories``; the dataset order is trajectory-major.  A sampling
+    time or a nonzero burn-in that is not finite or is at or below
+    MIN_SUBSTEP raises InvalidInputError, and on a Dirichlet model starts
+    that do not vanish at the boundaries raise PreconditionError, both
+    before any integration.
     """
     return next(_pair_datasets(
         model, family, num_trajectories, total_pairs, (t_s,), seed, burn_in
@@ -441,10 +457,9 @@ def _pair_datasets(
     if num_trajectories < 1 or total_pairs < 1:
         raise InvalidInputError("need at least one trajectory and one pair")
     for t_s in ts_list:
-        if not 0 < t_s < np.inf:
-            raise InvalidInputError(f"sampling time must be positive and finite, got {t_s}")
-    if not 0 <= burn_in < np.inf:
-        raise InvalidInputError(f"burn-in must be nonnegative and finite, got {burn_in}")
+        _check_time("sampling time", t_s)
+    if burn_in != 0:
+        _check_time("burn-in", burn_in)
 
     base, rem = divmod(total_pairs, num_trajectories)
     quotas = [base + (1 if i < rem else 0) for i in range(num_trajectories)]

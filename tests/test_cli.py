@@ -106,6 +106,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value", [
         ("--ts", "inf"), ("--ts", "nan"), ("--burn-in", "inf"),
+        # below the shortest substep, so it would integrate nothing
+        ("--ts", "1e-16"), ("--burn-in", "1e-16"),
     ])
     def test_non_finite_time_is_usage_error(self, tmp_path, capsys, flag, value):
         argv = [
@@ -171,6 +173,21 @@ class TestSimulate:
         })
         assert code == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("burn_in", ["0", "0.1"])
+    def test_dirichlet_start_off_the_boundary_is_precondition_error(self, tmp_path, capsys,
+                                                                    burn_in):
+        # graphon starts 0.1 a cos(b pi (x + 1)) do not vanish at x = 0 and x = 1
+        code = self.simulate_custom(tmp_path, {
+            "grid": {"x_min": 0.0, "x_max": 1.0, "num_points": 16},
+            "dictionary": [{"kind": "monomial", "j": 0, "k": 2}],
+            "coefficients": [0.1],
+            "family": "graphon",
+            "boundary": "dirichlet",
+        }, "--burn-in", burn_in)
+        assert code == EXIT_PRECONDITION
+        assert "vanishing at the boundaries" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_substep_at_floor_is_precondition_error(self, tmp_path, capsys):
         # u u_xxx on a grid 1e-3 long: the stable substep is 9.998e-16
@@ -325,6 +342,33 @@ class TestIdentify:
         code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
         assert code == EXIT_USAGE
         assert "rectangular array of numbers" in capsys.readouterr().err
+
+    def test_overflowing_data_is_usage_error_without_numpy_warnings(self, tmp_path, graphon_data,
+                                                                     capsys):
+        # finite snapshots of size 1e150 overflow the cubic functionals
+        doc = json.loads(graphon_data.read_text())
+        for pair in doc["pairs"]:
+            pair["u"] = [1e150 * v for v in pair["u"]]
+            pair["u_next"] = [1e150 * v for v in pair["u_next"]]
+        graphon_data.write_text(json.dumps(doc))
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([
+            {"kind": "lifted", "term": t, "weight": {"kind": "power", "p": 2}}
+            for t in GRAPHON_DICT[:4]
+        ]))
+        (tmp_path / "dict.json").write_text(json.dumps(GRAPHON_DICT))
+        for argv in (
+            ["identify", "--data", str(graphon_data), "--dict", str(tmp_path / "dict.json"),
+             "--weight", "power:2", "--method", "lifting", "--out", str(tmp_path / "id.csv")],
+            ["spectrum", "--data", str(graphon_data), "--basis", f"file:{basis_path}",
+             "--out", str(tmp_path / "s.csv")],
+        ):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_USAGE
+            assert "functional 3 is not finite" in err
+            assert "RuntimeWarning" not in err
+        assert not (tmp_path / "id.csv").exists() and not (tmp_path / "s.csv").exists()
 
     def test_branch_cut_exit_code_with_hint(self, tmp_path, capsys):
         # pde1 sampled without burn-in at ts = 0.3 hits the logarithm branch cut

@@ -80,11 +80,13 @@ class TestLiftingIdentify:
         from koopid.identify import _lifted_fit_inputs
         from koopid.koopman import edmd_fit
         from koopid.linalg import logm
+        from koopid.observables import identity_index
 
         _, ds = heat_modes_dataset()
-        xi1, xi2, _ = _lifted_fit_inputs(ds, HEAT_CANDIDATES, ConstantWeight())
-        base = logm(edmd_fit(xi1, xi2, ds.sampling_time).U)[:, 0]
-        scaled = logm(edmd_fit(5.0 * xi1, 5.0 * xi2, ds.sampling_time).U)[:, 0]
+        xi1, xi2 = _lifted_fit_inputs(ds, HEAT_CANDIDATES, ConstantWeight())
+        k = identity_index(HEAT_CANDIDATES)
+        base = logm(edmd_fit(xi1, xi2, ds.sampling_time).U)[:, k]
+        scaled = logm(edmd_fit(5.0 * xi1, 5.0 * xi2, ds.sampling_time).U)[:, k]
         assert np.allclose(base, scaled, atol=1e-10)
 
     def test_identity_term_required(self):
@@ -98,6 +100,17 @@ class TestLiftingIdentify:
         with pytest.raises(RankDeficiencyError) as exc:
             lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
         assert exc.value.columns
+
+    @pytest.mark.parametrize("method", [lifting_identify, direct_identify])
+    def test_dependent_columns_in_dictionary_order(self, method):
+        # <u_x, 1> = u(1) - u(-1) vanishes under Dirichlet conditions, so the
+        # lift of u_x, term 0 of the dictionary, is the dependent column
+        ds = generate_pairs(heat_model(num_points=64), ICFamily.BURGERS, 5, 10, 0.05, seed=1)
+        dic = Dictionary((MonomialDerivative(0, 1), MonomialDerivative(1, 0)))
+        with pytest.raises(RankDeficiencyError) as exc:
+            method(ds, dic, ConstantWeight())
+        assert exc.value.columns == (0,)
+        assert "(dictionary order): [0]" in str(exc.value)
 
     def test_branch_cut_reported_with_context(self):
         # sampling the stiff third-order benchmark from t = 0 leaves a fast

@@ -20,7 +20,7 @@ from koopid import (
 )
 from koopid.errors import InvalidInputError, PreconditionError
 from koopid.fields import trapezoid_weights
-from koopid.observables import lifting_order, weight_values
+from koopid.observables import identity_index, weight_values
 
 
 class TestWeights:
@@ -142,13 +142,13 @@ class TestBurgersBasis:
 
 
 class TestLiftingBasis:
-    def test_identity_moved_to_front(self):
+    def test_basis_follows_dictionary_order(self):
         dic = Dictionary(
             (koopid.Constant(), MonomialDerivative(1, 0), MonomialDerivative(0, 2))
         )
         basis = build_lifting_basis(dic, ConstantWeight())
-        assert basis[0].term == MonomialDerivative(1, 0)
-        assert lifting_order(dic) == (1, 0, 2)
+        assert [spec.term for spec in basis] == list(dic.terms)
+        assert identity_index(dic) == 1
 
     def test_identity_required(self):
         dic = Dictionary((koopid.Constant(), MonomialDerivative(0, 2)))

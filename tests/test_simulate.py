@@ -286,7 +286,7 @@ class TestIntegrate:
         fine = _advance(m, u0, ts, dt / 4)
         assert np.max(np.abs(coarse - fine)) <= 1e-7 * np.max(np.abs(fine))
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan, 1e-16])
     def test_rejects_nonpositive_or_non_finite_horizon(self, horizon):
         m = koopid.graphon_model(16)
         with pytest.raises(InvalidInputError):
