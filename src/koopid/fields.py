@@ -3,18 +3,25 @@ finite-difference derivatives.
 
 A state is an array of node values whose last axis samples a grid; leading
 axes index a batch of states.  Derivatives are second-order accurate central
-differences.  For homogeneous-Dirichlet values the stencils reach across the
-boundary through odd-reflection ghost nodes (``u(x_min - d) = -u(x_min +
-d)``), which keeps the boundary-adjacent truncation error at O(h^2); other
-values use one-sided second-order stencils at the ends.
+differences, written down once as coefficients in ``_STENCILS`` and built
+into one cached ``scipy.sparse`` CSR matrix per grid size, spacing, order and
+boundary rule (:func:`diff_matrix`); :func:`diff_values`, the right-hand-side
+plan of :mod:`koopid.operators` and the exact linear flow of
+:mod:`koopid.simulate` all multiply by it.  For homogeneous-Dirichlet values
+the stencils reach across the boundary through odd-reflection ghost nodes
+(``u(x_min - d) = -u(x_min + d)``), which keeps the boundary-adjacent
+truncation error at O(h^2); other values use one-sided second-order stencils
+at the ends.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+import scipy.sparse
 
 from .errors import InvalidInputError, PreconditionError, ShapeError
 
@@ -75,58 +82,61 @@ def trapezoid_weights(grid: Grid1D) -> np.ndarray:
     return q
 
 
-def diff_values(values: np.ndarray, h: float, order: int, dirichlet: bool) -> np.ndarray:
-    """Finite-difference derivative along the last axis of ``values``.
+#: second-order stencils by derivative order k: the centred numerators at
+#: offsets -r..r, and the one-sided rows of the first r nodes of a
+#: non-Dirichlet grid (row i reads nodes 0, 1, ...), all over the order's
+#: denominator 2h, h^2 or 2h^3
+_STENCILS = {
+    1: ((-1.0, 0.0, 1.0), ((-3.0, 4.0, -1.0),)),
+    2: ((1.0, -2.0, 1.0), ((2.0, -5.0, 4.0, -1.0),)),
+    3: ((-1.0, 2.0, 0.0, -2.0, 1.0), ((-5.0, 18.0, -24.0, 14.0, -3.0), (-3.0, 10.0, -12.0, 6.0, -1.0))),
+}
 
-    Second-order central stencils at interior nodes; boundary closure by odd
-    reflection (``dirichlet=True``) or one-sided second-order stencils.
+
+@functools.lru_cache(maxsize=32)
+def diff_matrix(n: int, h: float, order: int, dirichlet: bool) -> scipy.sparse.csr_array:
+    """The ``(n, n)`` CSR matrix ``D_k`` of the order-k derivative on n nodes of
+    spacing h, built from ``_STENCILS``.
+
+    Centred rows at interior nodes.  Under ``dirichlet`` every row is centred
+    and a ghost node beyond a boundary folds onto its mirror node with a minus
+    sign (odd reflection); otherwise the first r rows are one-sided and the
+    last r mirror them with sign ``(-1)^k``.  The matrices are cached and
+    shared, so their arrays are read-only.
     """
-    if order not in (1, 2, 3):
+    if order not in _STENCILS:
         raise InvalidInputError(f"derivative order must be in {{1, 2, 3}}, got {order}")
-    v = np.asarray(values, dtype=float)
-    n = v.shape[-1]
     if n < 2 * order + 2:
         raise PreconditionError(f"need at least {2 * order + 2} nodes for order {order}, got {n}")
-
+    centred, one_sided = _STENCILS[order]
+    r = len(one_sided)
+    first, last = (0, n) if dirichlet else (r, n - r)
+    rows = np.repeat(np.arange(first, last), 2 * r + 1)
+    cols = rows + np.tile(np.arange(-r, r + 1), last - first)
+    nums = np.tile(centred, last - first)
     if dirichlet:
-        p = np.concatenate([-v[..., 2:0:-1], v, -v[..., -2:-4:-1]], axis=-1)
-        if order == 1:
-            return (p[..., 3 : n + 3] - p[..., 1 : n + 1]) / (2.0 * h)
-        if order == 2:
-            return (p[..., 3 : n + 3] - 2.0 * v + p[..., 1 : n + 1]) / (h * h)
-        return (
-            p[..., 4 : n + 4]
-            - 2.0 * p[..., 3 : n + 3]
-            + 2.0 * p[..., 1 : n + 1]
-            - p[..., 0:n]
-        ) / (2.0 * h**3)
-
-    out = np.empty_like(v)
-    if order == 1:
-        out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-        out[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
-        out[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
-    elif order == 2:
-        out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (h * h)
-        out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / (h * h)
-        out[..., -1] = (
-            2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]
-        ) / (h * h)
+        # odd reflection: the ghost u(x_min - d) is -u(x_min + d), likewise at x_max
+        ghost = (cols < 0) | (cols >= n)
+        nums[ghost] *= -1.0
+        cols = np.where(cols < 0, -cols, np.where(cols >= n, 2 * (n - 1) - cols, cols))
     else:
-        h3 = h**3
-        out[..., 2:-2] = (
-            v[..., 4:] - 2.0 * v[..., 3:-1] + 2.0 * v[..., 1:-3] - v[..., :-4]
-        ) / (2.0 * h3)
-        out[..., 0] = (
-            -2.5 * v[..., 0] + 9.0 * v[..., 1] - 12.0 * v[..., 2] + 7.0 * v[..., 3] - 1.5 * v[..., 4]
-        ) / h3
-        out[..., 1] = (
-            -1.5 * v[..., 0] + 5.0 * v[..., 1] - 6.0 * v[..., 2] + 3.0 * v[..., 3] - 0.5 * v[..., 4]
-        ) / h3
-        out[..., -1] = (
-            2.5 * v[..., -1] - 9.0 * v[..., -2] + 12.0 * v[..., -3] - 7.0 * v[..., -4] + 1.5 * v[..., -5]
-        ) / h3
-        out[..., -2] = (
-            1.5 * v[..., -1] - 5.0 * v[..., -2] + 6.0 * v[..., -3] - 3.0 * v[..., -4] + 0.5 * v[..., -5]
-        ) / h3
-    return out
+        for i, row in enumerate(one_sided):
+            span = np.arange(len(row))
+            rows = np.concatenate([rows, np.full(len(row), i), np.full(len(row), n - 1 - i)])
+            cols = np.concatenate([cols, span, n - 1 - span])
+            nums = np.concatenate([nums, row, (-1.0) ** order * np.array(row)])
+    # numerators of duplicate entries (folded ghosts) sum exactly before the division
+    d = scipy.sparse.csr_array((nums, (rows, cols)), shape=(n, n))
+    d.data /= (2.0 * h, h * h, 2.0 * h**3)[order - 1]
+    d.eliminate_zeros()
+    for a in (d.data, d.indices, d.indptr):
+        a.setflags(write=False)
+    return d
+
+
+def diff_values(values: np.ndarray, h: float, order: int, dirichlet: bool) -> np.ndarray:
+    """Finite-difference derivative along the last axis of ``values``: the
+    product with :func:`diff_matrix`."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[-1]
+    return (diff_matrix(n, h, order, dirichlet) @ v.reshape(-1, n).T).T.reshape(v.shape)

@@ -20,18 +20,15 @@ A right-hand side ``sum_i c_i W_i(u)`` is compiled once into an
 * the derivative-free terms ``c u^j`` and ``c`` form one polynomial in u,
   evaluated by Horner's rule;
 * the derivative terms ``c u^j d^k u`` that share a power j are summed into
-  one matrix ``A_j = sum_k c_jk D_k``.  Its entries are read off
-  :func:`~koopid.fields.diff_values` applied to comb vectors (sums of identity
-  rows whose stencils do not overlap), so the odd-reflection and one-sided
-  closures are exactly those of ``diff_values``.  All ``A_j`` are stacked into
-  one ``scipy.sparse`` CSR matrix with at most 9 entries per row, so one
-  sparse product per call yields every ``A_j u``;
+  one matrix ``A_j = sum_k c_jk D_k`` of the :func:`~koopid.fields.diff_matrix`
+  matrices that :func:`~koopid.fields.diff_values` (and so
+  :func:`term_values`) multiplies by.  All ``A_j`` are stacked into one
+  ``scipy.sparse`` CSR matrix, so one sparse product per call yields every
+  ``A_j u``;
 * graphon terms are linear in their kernel, so they fold into one kernel
   ``sum_i c_i (c0, cx, cy)_i``; its rank-2 part costs two small matrix
   products per call, and its diagonal part joins the polynomial's linear
   coefficient as a node array.
-
-Importing this module imports ``scipy.sparse`` (about 15 ms).
 
 Integer powers of states are taken by repeated multiplication
 (``_int_power``), never through ``**``: numpy hands a float exponent of 3
@@ -50,7 +47,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DomainError, InvalidInputError, ShapeError
-from .fields import Grid1D, diff_values, trapezoid_weights
+from .fields import Grid1D, diff_matrix, diff_values, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,8 @@ class GraphonKernel:
 
 TermSpec = Union[Constant, MonomialDerivative, GraphonKernel]
 
-#: the identity operator W(u) = u, required first in every lifting basis
+#: the identity operator W(u) = u, which every lifting basis must contain,
+#: at any position
 IDENTITY_TERM = MonomialDerivative(j=1, k=0)
 
 
@@ -214,36 +212,13 @@ def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: boo
     raise InvalidInputError(f"unknown term type: {term!r}")
 
 
-#: the farthest node any ``diff_values`` stencil reads, counted from the node
-#: it differentiates (the one-sided third-order rows at both ends)
-_STENCIL_REACH = 4
-
-
 def _stencil_matrix(groups: dict, grid: Grid1D, dirichlet: bool) -> scipy.sparse.csr_array:
     """``A_j = sum_k c_jk D_k`` for each power j of ``groups`` (j -> {k: c_jk}),
-    stacked in ``groups`` order into one ``(len(groups) * N, N)`` CSR matrix.
-
-    Comb vector r holds ones at the nodes congruent to r modulo
-    ``2 * _STENCIL_REACH + 1``, so every stencil reads at most one of its ones
-    and row i of ``diff_values`` applied to it is the entry of ``D_k`` in the
-    column congruent to r within reach of i -- the same arithmetic, hence the
-    same number, as ``diff_values`` applied to that identity row.
-    """
-    n = grid.num_points
-    period = 2 * _STENCIL_REACH + 1
-    combs = (np.arange(n) % period == np.arange(period)[:, None]).astype(float)
-    cols = np.arange(n)[:, None] + np.arange(-_STENCIL_REACH, _STENCIL_REACH + 1)
-    inside = (cols >= 0) & (cols < n)
-    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)[inside]
-    cols = cols[inside]
-    blocks = []
-    for b, orders in enumerate(groups.values()):
-        probed = sum(c * diff_values(combs, grid.spacing, k, dirichlet) for k, c in orders.items())
-        entries = probed[cols % period, rows]
-        keep = entries != 0.0
-        blocks.append((entries[keep], rows[keep] + b * n, cols[keep]))
-    data, r, c = (np.concatenate(parts) for parts in zip(*blocks))
-    return scipy.sparse.csr_array((data, (r, c)), shape=(len(groups) * n, n))
+    stacked in ``groups`` order into one ``(len(groups) * N, N)`` CSR matrix."""
+    n, h = grid.num_points, grid.spacing
+    blocks = [sum(c * diff_matrix(n, h, k, dirichlet) for k, c in orders.items())
+              for orders in groups.values()]
+    return scipy.sparse.vstack(blocks, format="csr")
 
 
 class RhsPlan:

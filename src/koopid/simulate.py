@@ -110,11 +110,11 @@ def sample_initial_condition(family: ICFamily, grid: Grid1D, a: float, b: float)
 class SnapshotDataset:
     """m snapshot pairs as two read-only ``(m, N)`` arrays on one grid.
 
-    Row k of ``u_next`` is row k of ``u`` advanced by the sampling time.  Both
-    arrays are copied and must have the same shape, at least one row, a last
-    axis of the grid's N nodes and finite values, zero at both boundaries
-    when ``dirichlet`` is set; anything else raises ShapeError or
-    InvalidInputError.
+    Row k of ``u_next`` is row k of ``u`` advanced by the sampling time, which
+    must be finite and above ``MIN_SUBSTEP``.  Both arrays are copied and must
+    have the same shape, at least one row, a last axis of the grid's N nodes
+    and finite values, zero at both boundaries when ``dirichlet`` is set;
+    anything else raises ShapeError or InvalidInputError.
     """
 
     grid: Grid1D
@@ -125,10 +125,7 @@ class SnapshotDataset:
     provenance: Optional[dict] = field(default=None)
 
     def __post_init__(self):
-        if not 0 < self.sampling_time < np.inf:
-            raise InvalidInputError(
-                f"sampling time must be positive and finite, got {self.sampling_time}"
-            )
+        _check_time("sampling time", self.sampling_time)
         u = grid_values(self.grid, self.u, self.dirichlet, (2,))
         u_next = grid_values(self.grid, self.u_next, self.dirichlet, (2,))
         if u.shape != u_next.shape:

@@ -370,6 +370,17 @@ class TestIdentify:
             assert "RuntimeWarning" not in err
         assert not (tmp_path / "id.csv").exists() and not (tmp_path / "s.csv").exists()
 
+    def test_tiny_sampling_time_is_usage_error(self, tmp_path, graphon_data, capsys):
+        # finite but tiny: logm(U) / ts would give inf and nan estimates
+        doc = json.loads(graphon_data.read_text())
+        doc["sampling_time"] = 1e-310
+        graphon_data.write_text(json.dumps(doc))
+        code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "sampling time" in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "id.csv").exists()
+
     def test_branch_cut_exit_code_with_hint(self, tmp_path, capsys):
         # pde1 sampled without burn-in at ts = 0.3 hits the logarithm branch cut
         data = tmp_path / "p.json"

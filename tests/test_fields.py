@@ -1,11 +1,13 @@
 """Grids, quadrature and finite-difference derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
 from koopid import Grid1D
 from koopid.errors import InvalidInputError, PreconditionError
-from koopid.fields import diff_values, trapezoid_weights
+from koopid.fields import diff_matrix, diff_values, trapezoid_weights
 
 
 class TestGrid:
@@ -75,12 +77,20 @@ class TestDerivatives:
         e1, e2 = err(101), err(201)
         assert e1 / e2 > 3.0
 
-    def test_exact_on_low_degree_polynomials(self):
-        g = Grid1D(0.0, 2.0, 33)
+    @pytest.mark.parametrize("order, p", [(k, p) for k in (1, 2, 3) for p in range(k + 2)])
+    def test_exact_on_low_degree_polynomials(self, order, p):
+        # every row, the one-sided end rows included, is exact up to degree k + 1
+        g = Grid1D(-0.7, 2.0, 33)
         x = g.nodes()
-        u = x**2
-        assert np.allclose(diff_values(u, g.spacing, 1, dirichlet=False), 2 * x, atol=1e-10)
-        assert np.allclose(diff_values(u, g.spacing, 2, dirichlet=False), 2.0, atol=1e-9)
+        exact = math.perm(p, order) * x ** max(p - order, 0)
+        d = diff_values(x**p, g.spacing, order, dirichlet=False)
+        assert np.allclose(d, exact, rtol=1e-9, atol=1e-9)
+
+    def test_matrix_is_cached_and_read_only(self):
+        d = diff_matrix(16, 0.1, 2, dirichlet=True)
+        assert diff_matrix(16, 0.1, 2, dirichlet=True) is d
+        with pytest.raises(ValueError):
+            d.data[0] = 1.0
 
     def test_invalid_order(self, grid):
         with pytest.raises(InvalidInputError):

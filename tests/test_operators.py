@@ -297,7 +297,7 @@ class TestRhsPlan:
         assert np.array_equal(out, -u)
 
     def test_too_few_nodes_for_an_order(self):
-        # Grid1D admits no grid this short; the plan's diff_values check still guards it
+        # Grid1D admits no grid this short; the diff_matrix check still guards the plan
         from types import SimpleNamespace
 
         dic = Dictionary((MonomialDerivative(0, 3),), coefficients=(1.0,))

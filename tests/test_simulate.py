@@ -476,3 +476,10 @@ class TestSnapshotDataset:
             u_next[2, -1] = 1e-3
         with pytest.raises(KoopidError):
             SnapshotDataset(self.GRID, 0.1, u, u_next, dirichlet=True)
+
+    @pytest.mark.parametrize("ts", [1e-16, 1e-15])
+    def test_rejects_sampling_time_at_or_below_min_substep(self, ts):
+        # the time rule of simulate: logm(U) / ts would overflow to inf and nan
+        u = self.rows()
+        with pytest.raises(InvalidInputError, match="sampling time"):
+            SnapshotDataset(self.GRID, ts, u, 0.5 * u, dirichlet=True)

@@ -20,6 +20,7 @@ import koopid.linalg
 import koopid.observables
 import koopid.operators
 import koopid.simulate
+from helpers import sine_mode
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 MODULES = (
@@ -51,3 +52,21 @@ def test_instrument_resolves_every_name_and_undo_restores(tracing):
     for module, names in zip(MODULES, before):
         for name, value in names.items():
             assert getattr(module, name) is value, f"{module.__name__}.{name} not restored"
+
+
+def test_lifted_derivatives_record_diff_spans(tracing):
+    # term_values calls diff_values under that name, which the table wraps
+    model = koopid.pde1_model()
+    u = np.outer([1.0, -0.5, 2.0], sine_mode(model.grid, 1))
+    dataset = koopid.SnapshotDataset(model.grid, 0.3, u, 0.5 * u, dirichlet=True)
+    basis = koopid.build_lifting_basis(model.dictionary, koopid.Bump(5.0, recentered=True))
+    tracer = tracing.Tracer()
+    undo = tracing.instrument(tracer)
+    try:
+        koopid.koopman.build_data_matrices(dataset, basis)
+    finally:
+        undo()
+    derivative_terms = sum(getattr(t, "k", 0) > 0 for t in model.dictionary.terms)
+    assert derivative_terms == 9
+    # one call on the initial and one on the advanced snapshots per term
+    assert tracer.span_times()["fields.diff"][0] == 2 * derivative_terms
