@@ -7,11 +7,12 @@ differences, written down once as coefficients in ``_STENCILS`` and built
 into one cached ``scipy.sparse`` CSR matrix per grid size, spacing, order and
 boundary rule (:func:`diff_matrix`); :func:`diff_values`, the right-hand-side
 plan of :mod:`koopid.operators` and the exact linear flow of
-:mod:`koopid.simulate` all multiply by it.  For homogeneous-Dirichlet values
-the stencils reach across the boundary through odd-reflection ghost nodes
-(``u(x_min - d) = -u(x_min + d)``), which keeps the boundary-adjacent
-truncation error at O(h^2); other values use one-sided second-order stencils
-at the ends.
+:mod:`koopid.simulate` all multiply by it.  ``scipy.sparse`` is loaded on
+first use, when the first such matrix is built, so work without derivatives
+never imports it.  For homogeneous-Dirichlet values the stencils reach across
+the boundary through odd-reflection ghost nodes (``u(x_min - d) =
+-u(x_min + d)``), which keeps the boundary-adjacent truncation error at
+O(h^2); other values use one-sided second-order stencils at the ends.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InvalidInputError, PreconditionError, ShapeError
 
@@ -108,6 +108,8 @@ def diff_matrix(n: int, h: float, order: int, dirichlet: bool) -> scipy.sparse.c
         raise InvalidInputError(f"derivative order must be in {{1, 2, 3}}, got {order}")
     if n < 2 * order + 2:
         raise PreconditionError(f"need at least {2 * order + 2} nodes for order {order}, got {n}")
+    import scipy.sparse
+
     centred, one_sided = _STENCILS[order]
     r = len(one_sided)
     first, last = (0, n) if dirichlet else (r, n - r)

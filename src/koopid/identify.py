@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, InsufficientDataError, PreconditionError, RankDeficiencyError
 from .koopman import build_data_matrices, edmd_fit
@@ -58,6 +57,8 @@ def _lifted_fit_inputs(dataset: SnapshotDataset, dictionary: Dictionary, weight:
     rank = matrix_rank(xi1)
     if rank < n:
         # name the dependent columns via column-pivoted QR
+        import scipy.linalg
+
         _, _, piv = scipy.linalg.qr(xi1, mode="economic", pivoting=True)
         dependent = sorted(int(p) for p in piv[rank:])
         raise RankDeficiencyError(

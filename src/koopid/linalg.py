@@ -8,6 +8,9 @@ eigendecomposition, ``V log(diag(w)) V^{-1}``, which is adequate for the
 near-identity matrices produced by short-sampling-time fits; an
 ill-conditioned eigenvector matrix triggers a warning rather than a failure,
 and the logarithm then falls back to ``scipy.linalg.logm``.
+
+Only :func:`expm` and that fallback need scipy.  They import ``scipy.linalg``
+when called, so importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BranchCutError,
@@ -132,6 +134,8 @@ def eig(a: np.ndarray) -> EigenDecomposition:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade approximation)."""
     a = _check_square(a)
+    import scipy.linalg
+
     return scipy.linalg.expm(a)
 
 
@@ -175,6 +179,8 @@ def logm(a: np.ndarray) -> np.ndarray:
             f"real axis or numerically zero: {bad}"
         )
     if dec.condition > CONDITION_WARN_THRESHOLD:
+        import scipy.linalg
+
         b = scipy.linalg.logm(a)
     else:
         v = dec.right_eigenvectors

@@ -141,8 +141,10 @@ def build_burgers_basis(seed: int) -> List[FunctionalSpec]:
 
     One ``(a_j, b_j)`` pair is drawn per ``j`` (uniform on [0, 1]) and reused
     across the nine ``(k, l)`` combinations of that group; the list is
-    deterministic per seed.
+    deterministic per seed.  A negative seed raises InvalidInputError.
     """
+    if seed < 0:
+        raise InvalidInputError(f"basis seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     specs: List[FunctionalSpec] = []
     for _ in range(3):

@@ -24,7 +24,8 @@ A right-hand side ``sum_i c_i W_i(u)`` is compiled once into an
   matrices that :func:`~koopid.fields.diff_values` (and so
   :func:`term_values`) multiplies by.  All ``A_j`` are stacked into one
   ``scipy.sparse`` CSR matrix, so one sparse product per call yields every
-  ``A_j u``;
+  ``A_j u``.  ``scipy.sparse`` is loaded on first use, when a plan with
+  derivative terms is built;
 * graphon terms are linear in their kernel, so they fold into one kernel
   ``sum_i c_i (c0, cx, cy)_i``; its rank-2 part costs two small matrix
   products per call, and its diagonal part joins the polynomial's linear
@@ -44,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DomainError, InvalidInputError, ShapeError
 from .fields import Grid1D, diff_matrix, diff_values, trapezoid_weights
@@ -215,6 +215,8 @@ def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: boo
 def _stencil_matrix(groups: dict, grid: Grid1D, dirichlet: bool) -> scipy.sparse.csr_array:
     """``A_j = sum_k c_jk D_k`` for each power j of ``groups`` (j -> {k: c_jk}),
     stacked in ``groups`` order into one ``(len(groups) * N, N)`` CSR matrix."""
+    import scipy.sparse
+
     n, h = grid.num_points, grid.spacing
     blocks = [sum(c * diff_matrix(n, h, k, dirichlet) for k, c in orders.items())
               for orders in groups.values()]

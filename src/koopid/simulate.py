@@ -426,11 +426,11 @@ def generate_pairs(
     snapshot is recorded, which keeps the fitted one-step operator away from
     the logarithm branch cut for stiff models.  Pair quotas are distributed
     round-robin when ``total_pairs`` is not divisible by
-    ``num_trajectories``; the dataset order is trajectory-major.  A sampling
-    time or a nonzero burn-in that is not finite or is at or below
-    MIN_SUBSTEP raises InvalidInputError, and on a Dirichlet model starts
-    that do not vanish at the boundaries raise PreconditionError, both
-    before any integration.
+    ``num_trajectories``; the dataset order is trajectory-major.  A negative
+    seed, or a sampling time or nonzero burn-in that is not finite or is at
+    or below MIN_SUBSTEP, raises InvalidInputError, and on a Dirichlet
+    model starts that do not vanish at the boundaries raise
+    PreconditionError, both before any integration.
     """
     return next(_pair_datasets(
         model, family, num_trajectories, total_pairs, (t_s,), seed, burn_in
@@ -453,10 +453,12 @@ def _pair_datasets(
     """
     if num_trajectories < 1 or total_pairs < 1:
         raise InvalidInputError("need at least one trajectory and one pair")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
     for t_s in ts_list:
         _check_time("sampling time", t_s)
     if burn_in != 0:
-        _check_time("burn-in", burn_in)
+        _check_time("burn-in (0 for none)", burn_in)
 
     base, rem = divmod(total_pairs, num_trajectories)
     quotas = [base + (1 if i < rem else 0) for i in range(num_trajectories)]

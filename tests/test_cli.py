@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -119,6 +123,22 @@ class TestSimulate:
         code = main(argv)
         assert code == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+        ("--burn-in", "-1", "burn-in (0 for none) must be finite and above 1e-15, got -1.0"),
+    ])
+    def test_bad_seed_or_burn_in_is_named(self, tmp_path, capsys, flag, value, message):
+        argv = [
+            "simulate", "--model", "graphon", "--pairs", "2", "--trajectories", "1",
+            "--ts", "0.5", "--burn-in", "0", "--seed", "1", "--grid", "16",
+            "--out", str(tmp_path / "x.json"),
+        ]
+        argv[argv.index(flag) + 1] = value
+        code = main(argv)
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def simulate_custom(self, tmp_path, doc, *flags):
         model_path = tmp_path / "m.json"
@@ -253,6 +273,12 @@ class TestSpectrum:
         code = main(["spectrum", "--data", str(graphon_data), "--basis", "what",
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_USAGE
+
+    def test_negative_basis_seed_is_named(self, tmp_path, graphon_data, capsys):
+        code = main(["spectrum", "--data", str(graphon_data), "--basis", "burgers:-1",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert "basis seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 class TestIdentify:
@@ -430,6 +456,15 @@ class TestSweep:
         ])
         assert code == EXIT_USAGE
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        code = main([
+            "sweep-ts", "--model", "graphon", "--weight", "power:2",
+            "--ts-list", "0.5,0.25,0.1", "--seed", "-1", "--pairs", "2", "--trajectories", "1",
+            "--grid", "16", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--pairs", "--trajectories"])
     def test_zero_count_is_usage_error(self, tmp_path, capsys, flag):
         # an explicit 0 is rejected, not replaced by the model's default
@@ -448,3 +483,60 @@ class TestSweep:
             "--ts-list", "0.5,0.25", "--seed", "1", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_USAGE
+
+
+# Runs each argv list of the JSON in sys.argv[1] through koopid.cli.main and
+# exits with a message at the first step that fails or leaves a scipy module
+# loaded.
+_NO_SCIPY_CHILD = """
+import json, sys
+
+def check(step):
+    found = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    if found:
+        sys.exit(f"{step} loaded {', '.join(found[:5])}")
+
+import koopid
+check("import koopid")
+import koopid.cli
+check("import koopid.cli")
+for argv in json.loads(sys.argv[1]):
+    code = koopid.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{' '.join(argv)} exited {code}")
+    check(" ".join(argv))
+"""
+
+
+class TestStartup:
+    """Importing koopid, and the commands that need only numpy, load no scipy
+    module: importing scipy.sparse and scipy.linalg costs more than a whole
+    graphon identification.  This process has scipy loaded already, so each
+    check runs in a fresh interpreter."""
+
+    def run_fresh(self, steps, cwd):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(steps)], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        self.run_fresh([], tmp_path)
+
+    def test_graphon_commands_and_burgers_spectrum_load_no_scipy(self, tmp_path):
+        data, dict_path = str(tmp_path / "g.json"), tmp_path / "dict.json"
+        dict_path.write_text(json.dumps(GRAPHON_DICT))
+        self.run_fresh([
+            # 30 pairs, enough for the 27 functionals of burgers:1
+            ["simulate", "--model", "graphon", "--pairs", "30", "--trajectories", "3",
+             "--ts", "0.5", "--seed", "1", "--grid", "16", "--out", data],
+            *(["identify", "--data", data, "--dict", str(dict_path), "--weight", "power:2",
+               "--method", method, "--out", str(tmp_path / f"{method}.csv")]
+              for method in ("lifting", "direct")),
+            ["spectrum", "--data", data, "--basis", "burgers:1",
+             "--out", str(tmp_path / "s.csv")],
+        ], tmp_path)

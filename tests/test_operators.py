@@ -16,7 +16,7 @@ from koopid import (
     rhs_values,
 )
 from koopid.errors import DomainError, InvalidInputError, PreconditionError, ShapeError
-from koopid.fields import diff_values, trapezoid_weights
+from koopid.fields import trapezoid_weights
 from koopid.operators import _int_power, _stencil_matrix, describe_term, term_values
 
 
@@ -226,9 +226,33 @@ class TestRhsPlan:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [8, 9, 10, 23])
     def test_stencils_equal_diff_values_on_identity_rows(self, dirichlet, k, n):
+        # the stencils are written out here, independently of koopid.fields, and
+        # applied to every identity row the boundary rule admits: under
+        # Dirichlet, the rows that vanish at both ends
         grid = Grid1D(0.0, 1.3, n)
-        matrix = _stencil_matrix({0: {k: 1.0}}, grid, dirichlet).toarray()
-        assert np.array_equal(matrix, diff_values(np.eye(n), grid.spacing, k, dirichlet).T)
+        h = grid.spacing
+        u = np.eye(n)[1:-1] if dirichlet else np.eye(n)
+        # odd-reflection ghosts u(x_min - d) = -u(x_min + d), u(x_max + d) = -u(x_max - d)
+        e = np.concatenate([-u[:, [2, 1]], u, -u[:, [n - 2, n - 3]]], axis=1)
+        m2, m1, c, p1, p2 = (e[:, s:s + n] for s in range(5))
+        expected = {
+            1: (p1 - m1) / (2.0 * h),
+            2: (p1 - 2.0 * c + m1) / (h * h),
+            3: (p2 - 2.0 * p1 + 2.0 * m1 - m2) / (2.0 * h**3),
+        }[k]
+        if not dirichlet:
+            # one-sided rows at the left end; the right end mirrors them with sign (-1)^k
+            rows, den = {
+                1: ([(-3.0, 4.0, -1.0)], 2.0 * h),
+                2: ([(2.0, -5.0, 4.0, -1.0)], h * h),
+                3: ([(-5.0, 18.0, -24.0, 14.0, -3.0), (-3.0, 10.0, -12.0, 6.0, -1.0)],
+                    2.0 * h**3),
+            }[k]
+            for i, row in enumerate(rows):
+                expected[:, i] = u[:, :len(row)] @ row / den
+                expected[:, n - 1 - i] = (-1.0) ** k * (u[:, ::-1][:, :len(row)] @ row) / den
+        got = (_stencil_matrix({0: {k: 1.0}}, grid, dirichlet) @ u.T).T
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("make_model", [
         koopid.burgers_model, koopid.heat_model, koopid.pde1_model, koopid.graphon_model,
