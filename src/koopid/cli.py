@@ -80,7 +80,12 @@ def _cmd_simulate(args) -> int:
 
 def _resolve_basis(spec: str):
     if spec.startswith("burgers:"):
-        return build_burgers_basis(int(spec.split(":", 1)[1]))
+        try:
+            seed = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise _UsageError(f"--basis {spec!r} is not of the form burgers:SEED "
+                              "with an integer SEED") from None
+        return build_burgers_basis(seed)
     if spec.startswith("file:"):
         return fileio.read_basis(spec.split(":", 1)[1])
     raise _UsageError(f"cannot parse basis spec {spec!r}; expected burgers:SEED or file:<path>")
@@ -125,7 +130,11 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_sweep_ts(args) -> int:
-    ts_list = [float(t) for t in args.ts_list.split(",") if t.strip()]
+    try:
+        ts_list = [float(t) for t in args.ts_list.split(",") if t.strip()]
+    except ValueError:
+        raise _UsageError(f"--ts-list {args.ts_list!r} is not a comma-separated "
+                          "list of numbers") from None
     if len(ts_list) < 3:
         raise _UsageError("--ts-list needs at least 3 comma-separated values")
     model, (pairs, trajectories, _, family, burn_in) = _resolve_model(args.model, args.grid)

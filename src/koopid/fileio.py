@@ -96,6 +96,22 @@ def _get(rec, key: str, what: str, convert=None, default=_REQUIRED):
     return _convert(rec[key], convert, f"{what} field {key!r}")
 
 
+def _parse_json(text: str | bytes, kind: str):
+    """The JSON document in ``text``; text that is not JSON, or bytes that do
+    not decode, raise InvalidInputError naming ``kind``."""
+    try:
+        return json.loads(text)
+    # JSONDecodeError, UnicodeDecodeError, or an integer too long to read
+    except ValueError as exc:
+        raise InvalidInputError(f"{kind} is not valid JSON: {exc}") from None
+
+
+def _read_json(path: str, kind: str):
+    """The JSON document in the file at ``path`` (see :func:`_parse_json`)."""
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), kind)
+
+
 def _records(value, what: str) -> list:
     """``value`` if it is a JSON list, else InvalidInputError naming ``what``."""
     if not isinstance(value, (list, tuple)):
@@ -230,10 +246,10 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
 
 
 def dataset_from_json(text: str) -> SnapshotDataset:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
-        raise InvalidInputError(f"dataset is not valid JSON: {exc}") from None
+    return _dataset_from_doc(_parse_json(text, "dataset"))
+
+
+def _dataset_from_doc(doc) -> SnapshotDataset:
     g = _get(doc, "grid", "dataset")
     grid = Grid1D(
         _get(g, "x_min", "dataset grid", float),
@@ -258,8 +274,7 @@ def write_dataset(path: str, dataset: SnapshotDataset):
 
 
 def read_dataset(path: str) -> SnapshotDataset:
-    with open(path) as fh:
-        return dataset_from_json(fh.read())
+    return _dataset_from_doc(_read_json(path, "dataset"))
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +304,23 @@ def model_from_record(doc: dict, num_points: int | None = None) -> Model:
 
 def read_model(path: str, num_points: int | None = None):
     """Read a custom model file; returns (model, ic_family)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "model")
     model = model_from_record(doc, num_points)
     family = _get(doc, "family", "model", ICFamily, ICFamily.BURGERS)
     return model, family
 
 
 def read_dictionary(path: str) -> Dictionary:
-    with open(path) as fh:
-        return dictionary_from_records(json.load(fh))
+    return dictionary_from_records(_read_json(path, "dictionary"))
 
 
 def read_basis(path: str) -> List[FunctionalSpec]:
-    with open(path) as fh:
-        return [functional_from_record(r) for r in _records(json.load(fh), "basis")]
+    return [functional_from_record(r) for r in _records(_read_json(path, "basis"), "basis")]
 
 
 def read_truth(path: str, num_terms: int) -> np.ndarray:
     """Read the true coefficients: one number per dictionary term."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "truth")
     if not isinstance(doc, list) or len(doc) != num_terms:
         raise InvalidInputError(
             f"truth must be a list of {num_terms} numbers, one per dictionary term"

@@ -1,13 +1,15 @@
 """Coefficient identification of dictionary dynamics from snapshot pairs.
 
-Two routes are provided over the same lifted functional basis
-``xi_i(u) = <W_i(u), w>``:
+Both routes read one least-squares fit ``U`` of the sampled-flow matrix over
+the same lifted functional basis ``xi_i(u) = <W_i(u), w>``, and take the
+estimates from the column of the linear functional ``<u, w>`` of a generator
+estimate ``l_tilde``:
 
-* the lifting method: fit the sampled-flow matrix by least squares, take the
-  principal matrix logarithm scaled by the sampling time, and read the
-  estimates from the column of the linear functional ``<u, w>``;
-* a direct baseline: forward-difference the linear functional ``<u, w>`` in
-  time and regress it on the lifted functional values (no smoothing).
+* the lifting method: the principal matrix logarithm scaled by the sampling
+  time, ``logm(U) / t_s``;
+* a direct baseline: its first-order form ``(U - I) / t_s``, which is the
+  least-squares regression of the forward difference of ``<u, w>`` on the
+  lifted functional values (no smoothing).
 
 A sampling-time sweep rerunning the lifting pipeline on freshly generated
 data reports how the coefficient error shrinks as the sampling time
@@ -17,13 +19,13 @@ decreases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BranchCutError, InsufficientDataError, PreconditionError, RankDeficiencyError
 from .koopman import build_data_matrices, edmd_fit
-from .linalg import logm, lstsq_fit, matrix_rank
+from .linalg import logm, matrix_rank
 from .observables import WeightSpec, build_lifting_basis, identity_index
 from .operators import Dictionary
 from .simulate import ICFamily, Model, SnapshotDataset, _pair_datasets
@@ -36,14 +38,15 @@ class IdentificationResult:
     """Coefficient estimates for a candidate dictionary.
 
     ``estimates[i]`` corresponds to ``dictionary.terms[i]``.  ``l_tilde`` is
-    the scaled-logarithm generator estimate, rows and columns in dictionary
-    order, and is None for the direct method.
+    the generator estimate of either method, rows and columns in dictionary
+    order.  ``rank_used`` and ``residual`` come from the fit of ``U``: its
+    retained rank and ``||Xi1 U - Xi2|| / ||Xi2||``.
     """
 
     dictionary: Dictionary
     estimates: np.ndarray
     t_s: float
-    l_tilde: Optional[np.ndarray]
+    l_tilde: np.ndarray
     rank_used: int
     residual: float
 
@@ -69,24 +72,17 @@ def _lifted_fit_inputs(dataset: SnapshotDataset, dictionary: Dictionary, weight:
     return xi1, xi2
 
 
-def lifting_identify(
-    dataset: SnapshotDataset, dictionary: Dictionary, weight: WeightSpec
+def _identify(
+    dataset: SnapshotDataset,
+    dictionary: Dictionary,
+    weight: WeightSpec,
+    generator: Callable[[np.ndarray], np.ndarray],
 ) -> IdentificationResult:
-    """Estimate dictionary coefficients via the matrix-logarithm lifting.
-
-    The dictionary must contain the identity term W(u) = u.  Raises a
-    BranchCutError (annotated with a remediation hint) when the fitted matrix
-    has an eigenvalue on the closed negative real axis, which signals a
-    sampling time too large or degenerate data.  The IllConditionedWarning
-    that ``logm`` issues for an ill-conditioned eigenbasis or a discarded
-    imaginary part reaches the caller.
-    """
+    """Fit ``U`` on the lifted basis and read the estimates from the identity
+    column of ``l_tilde = generator(U) / t_s``."""
     xi1, xi2 = _lifted_fit_inputs(dataset, dictionary, weight)
     fit = edmd_fit(xi1, xi2, dataset.sampling_time)
-    try:
-        l_tilde = logm(fit.U) / dataset.sampling_time
-    except BranchCutError as exc:
-        raise BranchCutError(f"sampling time too large or data degenerate: {exc}") from exc
+    l_tilde = generator(fit.U) / dataset.sampling_time
     return IdentificationResult(
         dictionary=dictionary,
         estimates=l_tilde[:, identity_index(dictionary)],
@@ -97,24 +93,40 @@ def lifting_identify(
     )
 
 
+def _principal_log(u: np.ndarray) -> np.ndarray:
+    try:
+        return logm(u)
+    except BranchCutError as exc:
+        raise BranchCutError(f"sampling time too large or data degenerate: {exc}") from exc
+
+
+def lifting_identify(
+    dataset: SnapshotDataset, dictionary: Dictionary, weight: WeightSpec
+) -> IdentificationResult:
+    """Estimate dictionary coefficients via the matrix-logarithm lifting,
+    ``l_tilde = logm(U) / t_s``.
+
+    The dictionary must contain the identity term W(u) = u.  Raises a
+    BranchCutError (annotated with a remediation hint) when the fitted matrix
+    has an eigenvalue on the closed negative real axis, which signals a
+    sampling time too large or degenerate data.  The IllConditionedWarning
+    that ``logm`` issues for an ill-conditioned eigenbasis or a discarded
+    imaginary part reaches the caller.
+    """
+    return _identify(dataset, dictionary, weight, _principal_log)
+
+
 def direct_identify(
     dataset: SnapshotDataset, dictionary: Dictionary, weight: WeightSpec
 ) -> IdentificationResult:
-    """Forward-difference baseline: regress the time increment of ``<u, w>``
-    on the lifted functional values, by least squares."""
-    xi1, xi2 = _lifted_fit_inputs(dataset, dictionary, weight)
-    k = identity_index(dictionary)
-    rate = (xi2[:, k] - xi1[:, k]) / dataset.sampling_time
-    coeffs = lstsq_fit(xi1, rate[:, None])[:, 0]
-    residual = float(np.linalg.norm(xi1 @ coeffs - rate))
-    return IdentificationResult(
-        dictionary=dictionary,
-        estimates=coeffs,
-        t_s=dataset.sampling_time,
-        l_tilde=None,
-        rank_used=xi1.shape[1],  # _lifted_fit_inputs has checked full column rank
-        residual=residual,
-    )
+    """Forward-difference baseline, ``l_tilde = (U - I) / t_s``: the first-order
+    form of the lifting's ``logm(U) / t_s`` on the same fit.
+
+    Its identity column is the least-squares regression of the time increment
+    of ``<u, w>`` on the lifted functional values, since the lifted data
+    matrix has full column rank.
+    """
+    return _identify(dataset, dictionary, weight, lambda u: u - np.eye(len(u)))
 
 
 def true_coefficients(model: Model, dictionary: Dictionary) -> np.ndarray:

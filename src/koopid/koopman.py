@@ -37,29 +37,29 @@ def build_data_matrices(
 
     Returns (Xi1, Xi2), both m x n: rows follow the dataset order, columns the
     basis order; Xi1 holds values on the initial snapshots, Xi2 on the
-    advanced ones.  Each column is one functional evaluated on all snapshots
-    at once.  Finite data on which a functional overflows raises
-    InvalidInputError naming the first such functional.
+    advanced ones.  Each functional is evaluated once, on the batch of all 2m
+    snapshots (the initial ones, then the advanced ones), and its column is
+    split into the two matrices.  Finite data on which a functional overflows
+    raises InvalidInputError naming the first such functional.
     """
     if len(basis) == 0:
         raise KoopidError("basis must be nonempty")
-    m, n = len(dataset), len(basis)
-    xi1 = np.empty((m, n))
-    xi2 = np.empty((m, n))
+    m = len(dataset)
+    snapshots = np.concatenate((dataset.u, dataset.u_next))
+    xi = np.empty((2 * m, len(basis)))
     grid, dirichlet = dataset.grid, dataset.dirichlet
     # an overflowing functional is reported below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for i, spec in enumerate(basis):
             try:
-                xi1[:, i] = functional_values(spec, dataset.u, grid, dirichlet)
-                xi2[:, i] = functional_values(spec, dataset.u_next, grid, dirichlet)
+                xi[:, i] = functional_values(spec, snapshots, grid, dirichlet)
             except KoopidError as exc:
                 raise type(exc)(f"functional {i} failed: {exc}") from exc
-    finite = np.isfinite(xi1).all(axis=0) & np.isfinite(xi2).all(axis=0)
+    finite = np.isfinite(xi).all(axis=0)
     if not finite.all():
         i = int(np.argmin(finite))
         raise InvalidInputError(f"functional {i} is not finite on the data (overflow)")
-    return xi1, xi2
+    return xi[:m], xi[m:]
 
 
 @dataclass(frozen=True, eq=False)

@@ -280,6 +280,14 @@ class TestSpectrum:
         assert code == EXIT_USAGE
         assert "basis seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["burgers:1.5", "burgers:"])
+    def test_non_integer_basis_seed_names_the_flag(self, tmp_path, graphon_data, capsys, spec):
+        code = main(["spectrum", "--data", str(graphon_data), "--basis", spec,
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--basis {spec!r} is not of the form burgers:SEED" in err
+
 
 class TestIdentify:
     def test_lifting_with_truth(self, tmp_path, graphon_data, capsys):
@@ -456,6 +464,16 @@ class TestSweep:
         ])
         assert code == EXIT_USAGE
 
+    def test_non_numeric_sampling_time_names_the_flag(self, tmp_path, capsys):
+        code = main([
+            "sweep-ts", "--model", "graphon", "--weight", "power:2",
+            "--ts-list", "0.3,abc,0.1", "--seed", "1", "--pairs", "2", "--trajectories", "1",
+            "--grid", "16", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--ts-list '0.3,abc,0.1' is not a comma-separated list of numbers" in err
+
     def test_negative_seed_is_named(self, tmp_path, capsys):
         code = main([
             "sweep-ts", "--model", "graphon", "--weight", "power:2",
@@ -483,6 +501,31 @@ class TestSweep:
             "--ts-list", "0.5,0.25", "--seed", "1", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("dataset", b"{bad"), ("dictionary", b"{bad"), ("truth", b"{bad"), ("basis", b"{bad"),
+    ("model", b"{bad"), ("dataset", b'{"grid": \xff}'),
+], ids=["dataset", "dictionary", "truth", "basis", "model", "dataset-undecodable"])
+def test_malformed_json_file_is_named(tmp_path, graphon_data, capsys, kind, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    good_dict = tmp_path / "dict.json"
+    good_dict.write_text(json.dumps(GRAPHON_DICT))
+    out = str(tmp_path / "out.csv")
+    identify = ["identify", "--data", str(graphon_data), "--dict", str(good_dict),
+                "--weight", "power:2", "--method", "lifting", "--out", out]
+    argv = {
+        "dataset": identify[:2] + [str(bad)] + identify[3:],
+        "dictionary": identify[:4] + [str(bad)] + identify[5:],
+        "truth": identify + ["--truth", str(bad)],
+        "basis": ["spectrum", "--data", str(graphon_data), "--basis", f"file:{bad}",
+                  "--out", out],
+        "model": ["simulate", "--model", f"custom:{bad}", "--pairs", "2",
+                  "--trajectories", "1", "--ts", "0.1", "--seed", "1", "--out", out],
+    }[kind]
+    assert main(argv) == EXIT_USAGE
+    assert f"error: {kind} is not valid JSON: " in capsys.readouterr().err
 
 
 # Runs each argv list of the JSON in sys.argv[1] through koopid.cli.main and

@@ -151,10 +151,31 @@ class TestDirectIdentify:
         result = direct_identify(ds, Dictionary((MonomialDerivative(1, 0),)), ConstantWeight())
         assert result.estimates[0] == pytest.approx(-2.0, abs=1e-2)
 
-    def test_no_l_tilde(self):
-        _, ds = heat_modes_dataset()
-        result = direct_identify(ds, HEAT_CANDIDATES, ConstantWeight())
-        assert result.l_tilde is None
+    @pytest.mark.parametrize("name, weight", [
+        ("pde1", koopid.Bump(5.0, recentered=True)),
+        ("graphon", koopid.PowerLaw(2)),
+    ], ids=["pde1", "graphon"])
+    def test_reads_the_forward_difference_from_the_fit(self, name, weight):
+        # (U - I)/ts of the lifting's own fit: its identity column is the
+        # regression of the forward difference of <u, w> on Xi1
+        from koopid.identify import _lifted_fit_inputs
+        from koopid.koopman import edmd_fit
+        from koopid.observables import identity_index
+
+        model = koopid.BUILTIN_MODELS[name]()
+        pairs, trajectories, ts, family, burn_in = koopid.EXPERIMENT_DEFAULTS[name]
+        ds = generate_pairs(model, family, trajectories, pairs, ts, seed=1, burn_in=burn_in)
+        dic = Dictionary(model.dictionary.terms)
+        result = direct_identify(ds, dic, weight)
+
+        xi1, xi2 = _lifted_fit_inputs(ds, dic, weight)
+        k = identity_index(dic)
+        regression = np.linalg.lstsq(xi1, (xi2[:, k] - xi1[:, k]) / ts, rcond=None)[0]
+        assert np.linalg.norm(result.estimates - regression) <= 1e-9 * np.linalg.norm(regression)
+        fit = edmd_fit(xi1, xi2, ts)
+        assert np.array_equal(result.l_tilde, (fit.U - np.eye(len(dic))) / ts)
+        assert result.residual == fit.residual
+        assert result.rank_used == fit.rank_used == len(dic)
 
 
 class TestTrueCoefficients:

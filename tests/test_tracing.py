@@ -66,5 +66,24 @@ def test_lifted_derivatives_record_diff_spans(tracing):
         koopid.koopman.build_data_matrices(dataset, basis)
     finally:
         undo()
-    # pde1's 9 derivative terms, each on the initial and on the advanced snapshots
-    assert tracer.span_times()["fields.diff"][0] == 18
+    # pde1's 9 derivative terms, each once on the batch of initial and
+    # advanced snapshots
+    assert tracer.span_times()["fields.diff"][0] == 9
+
+
+def test_direct_identify_records_one_fit_span(tracing):
+    # the direct method reads its estimates from the same EDMD fit as lifting
+    model = koopid.graphon_model(16)
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal((10, 16))
+    dataset = koopid.SnapshotDataset(model.grid, 0.5, u, 0.9 * u + 0.1 * u**2)
+    dictionary = koopid.Dictionary(model.dictionary.terms)
+    tracer = tracing.Tracer()
+    undo = tracing.instrument(tracer)
+    try:
+        koopid.direct_identify(dataset, dictionary, koopid.PowerLaw(2))
+    finally:
+        undo()
+    spans = tracer.span_times()
+    assert spans["koopman.fit"][0] == 1
+    assert spans["linalg.logm"][0] == 0
