@@ -5,15 +5,17 @@ form.  A model's linear part ``L u = sum_k c_k d^k u / dx^k`` (its ``u^0``
 derivative terms, k = 1..3) is split off and integrated exactly when a k = 2
 or k = 3 bound sets the unsplit substep, the split lengthens it and the
 ``u_xx`` coefficient is not negative (backward heat stays explicit).  The
-exact half-step flow ``P = exp((h/2) L)`` takes one of two forms:
+exact half-step flow ``P = exp((h/2) L)`` is a dense matrix, built once per
+substep length and applied to the batch as one matrix product.  It is built
+one of two ways:
 
 * ``L = c u_xx`` alone on a homogeneous-Dirichlet model (Burgers, heat): the
-  odd-reflection stencil is diagonal in the sine basis, with eigenvalues
-  ``-(4 / h^2) sin^2(k pi / (2 (N - 1)))``, and P is applied through an FFT
-  of the odd extension in O(N log N);
-* any other L (pde1's ``-0.5 u_x + u_xx + 0.1 u_xxx``): P is a dense
-  ``expm`` of the stencil matrix of L, computed once per substep length and
-  applied as a matrix product.  Under Dirichlet conditions the boundary rows
+  odd-reflection stencil is diagonal in the orthonormal sine basis S of the
+  interior nodes, with eigenvalues ``-(4 / h^2) sin^2(k pi / (2 (N - 1)))``,
+  so P is ``S diag(exp((h/2) c lam)) S`` in closed form, one O(N^3) matrix
+  product without scipy; its boundary rows and columns are 0;
+* any other L (pde1's ``-0.5 u_x + u_xx + 0.1 u_xxx``): P is the ``expm``
+  of the stencil matrix of L.  Under Dirichlet conditions the boundary rows
   of L are zero, as the right-hand side's boundary entries are.
 
 RK4 integrates the remaining terms at the fixed substep
@@ -34,7 +36,9 @@ magnitude s is read, and a state for which s^j breaks the bound of an
 explicit ``u^j`` term takes the substep in 2^r equal pieces (at most
 2^10).  Without this, pde1's ``-0.2 u u_xx``, which anti-diffuses where
 u > 5, would be stepped past its growth, and the exact flow of L would damp
-the growing mesh modes instead of reporting the blow-up.
+the growing mesh modes instead of reporting the blow-up.  An integration
+that needs more than ``MAX_SUBSTEPS`` (1e6) substeps before refinement is
+refused before its first step.
 
 Each integration -- one ``integrate`` or ``generate_pairs`` call, or one
 sweep over sampling times -- builds one stepper, which compiles the explicitly
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,11 +153,30 @@ MIN_SUBSTEP = 1e-15
 MAX_REFINE = 10
 
 
+#: the most substeps (before refinement) one integration may take; a run that
+#: needs more is refused before its first step (the built-in defaults take
+#: at most a few hundred)
+MAX_SUBSTEPS = 10**6
+
+
 def _check_time(name: str, value: float) -> None:
     """Refuse a time to integrate over that is not finite or is at or below
     MIN_SUBSTEP, and so would take no step, with InvalidInputError."""
     if not MIN_SUBSTEP < value < np.inf:
         raise InvalidInputError(f"{name} must be finite and above {MIN_SUBSTEP:g}, got {value}")
+
+
+def _check_substeps(model: Model, dt: float, total_time: float) -> None:
+    """Refuse, with InvalidInputError, an integration over ``total_time``
+    that needs more than MAX_SUBSTEPS substeps of ``dt`` before refinement.
+    A substep at or below MIN_SUBSTEP is left to ``_advance``, which
+    refuses it."""
+    count = np.ceil(total_time / dt)
+    if dt > MIN_SUBSTEP and count > MAX_SUBSTEPS:
+        raise InvalidInputError(
+            f"model '{model.name}' would take {count:.0f} substeps of {dt:.4g}, more than "
+            f"{MAX_SUBSTEPS}; shorten the sampling time, the burn-in or the pairs per trajectory"
+        )
 
 
 def _term_bounds(dictionary: Dictionary, h: float, max_order: int = 3) -> list:
@@ -184,12 +207,14 @@ def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
     nothing is split off).
 
     The split applies only where a k = 2 or k = 3 bound sets the unsplit
-    substep and the split lengthens it: an exact flow costs transforms or an
-    O(N^3) ``expm``, which does not pay for an O(h) advection bound or the
-    cap.  A negative ``u_xx`` coefficient (backward heat) is never split.
-    On a Dirichlet model only ``c u_xx`` is split off when that alone gives
-    the same substep, so it keeps the O(N log N) sine flow.  The split-off
-    terms keep their place with coefficient 0.
+    substep and the split lengthens it: an exact flow costs a dense N x N
+    product per application and an O(N^3) build per substep length, which
+    does not pay for an O(h) advection bound or the cap.  A negative
+    ``u_xx`` coefficient (backward heat) is never split.  On a Dirichlet
+    model only ``c u_xx`` is split off when that alone gives the same
+    substep: its flow is built in closed form from the sine eigenbasis by
+    one matrix product, where any other split needs an ``expm``.  The
+    split-off terms keep their place with coefficient 0.
     """
     dic = model.dictionary
     h = model.grid.spacing
@@ -218,50 +243,20 @@ def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
     return explicit, linear
 
 
-def stable_substep(model: Model) -> float:
-    """Fixed RK4 substep from the advection/diffusion/dispersion stability
-    heuristic, applied to the explicitly integrated terms.
-
-    The bounds hold where |u| <= 1.  A state whose largest magnitude s
-    exceeds 1 divides the bound of each ``u^j`` term by s^j, and the
-    integrator cuts the substep for that state into 2^r equal pieces (see
-    ``_LawsonRK4.advance``).
-    """
-    explicit, _ = _split_linear(model)
-    return _heuristic_substep(explicit, model.grid.spacing)
-
-
-def _dst1(values: np.ndarray) -> np.ndarray:
-    """DST-I of Dirichlet node values along the last axis, scaled by -2.
-
-    Taken as the FFT of the odd extension ``[v_0, ..., v_{N-1}, -v_{N-2},
-    ..., -v_1]``; applied twice it returns the values times 2 (N - 1).
-    """
-    odd = np.concatenate([values, -values[..., -2:0:-1]], axis=-1)
-    return np.fft.rfft(odd).imag
-
-
-def _sine_flow(values: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Scale the sine coefficients of Dirichlet node values by ``factor``.
-    The boundary values of the result are set to exactly zero.
-    """
-    out = _dst1(_dst1(values) * factor) / (2.0 * (values.shape[-1] - 1))
-    out[..., 0] = 0.0
-    out[..., -1] = 0.0
-    return out
-
-
 class _LawsonRK4:
     """Fixed-step RK4 for one model in integrating-factor (Lawson) form.
 
     With a linear part L split off, its half-step flow P = exp((h/2) L) is
-    applied exactly -- in the sine basis when L is Dirichlet ``c u_xx``,
-    otherwise as a dense matrix from ``expm`` -- and RK4 integrates the
+    applied exactly as ``v @ p_t`` with ``p_t`` = P^T, built once per
+    substep length: in closed form from the sine eigenbasis when L is
+    Dirichlet ``c u_xx``, otherwise by ``expm``.  RK4 integrates the
     remaining terms f, compiled once into ``plan``; without a split P is the
-    identity and the step is classical RK4.  P is computed once per substep
-    length.  ``dt`` is the substep of ``stable_substep``; ``advance`` cuts a
-    substep into 2^r pieces for a state whose magnitude breaks its bounds,
-    which hold where |u| <= 1.
+    identity and the step is classical RK4.
+
+    ``dt`` is the stability bound of the explicitly integrated terms, which
+    holds where |u| <= 1.  A state whose largest magnitude s exceeds 1
+    divides the bound of each ``u^j`` term by s^j, and ``advance`` cuts the
+    substep for that state into 2^r equal pieces.
     """
 
     def __init__(self, model: Model):
@@ -273,14 +268,17 @@ class _LawsonRK4:
         bounds = [(b, j) for b, j in _term_bounds(explicit, model.grid.spacing) if j >= 1]
         self._limits = np.array([b for b, _ in bounds])
         self._powers = np.array([j for _, j in bounds])
-        self._rates = None      # eigenvalues of L on the sine modes, or
+        self._modes = None      # (S, rates): L's orthonormal sine modes and eigenvalues, or
         self._generator = None  # L as a dense matrix
         if model.dirichlet and linear.keys() == {2}:
             n = model.grid.num_points
-            # eigenvalues of the odd-reflection D2 stencil on the sine modes
-            k = np.arange(n)
+            # the odd-reflection D2 stencil on the interior nodes is S diag(lam) S
+            # with S_jk = sqrt(2 / (N - 1)) sin(j k pi / (N - 1)), j, k = 1..N-2;
+            # j k is reduced mod 2 (N - 1) so that sin sees an argument below 2 pi
+            k = np.arange(1, n - 1)
+            phase = np.outer(k, k) % (2 * (n - 1)) * (np.pi / (n - 1))
             lam = -(4.0 / model.grid.spacing**2) * np.sin(k * np.pi / (2 * (n - 1))) ** 2
-            self._rates = linear[2] * lam
+            self._modes = (np.sqrt(2.0 / (n - 1)) * np.sin(phase), linear[2] * lam)
         elif linear:
             # the same entries as diff_values, so L u is the split-off terms
             gen = _stencil_matrix({0: linear}, model.grid, model.dirichlet).toarray()
@@ -289,21 +287,27 @@ class _LawsonRK4:
             self._generator = gen
         self._flows: dict = {}
 
-    def _half_flow(self, h: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Values -> P values for the substep ``h``."""
+    def _half_flow(self, h: float) -> Optional[np.ndarray]:
+        """``p_t`` = P^T for the substep ``h``, or None without a split."""
         if h not in self._flows:
-            if self._rates is not None:
-                factor = np.exp((0.5 * h) * self._rates)
-                self._flows[h] = lambda v: _sine_flow(v, factor)
+            p_t = None
+            if self._modes is not None:
+                sines, rates = self._modes
+                n = self.model.grid.num_points
+                # P is symmetric; its boundary rows and columns stay exactly 0
+                p_t = np.zeros((n, n))
+                p_t[1:-1, 1:-1] = (sines * np.exp((0.5 * h) * rates)) @ sines
             elif self._generator is not None:
                 p_t = np.ascontiguousarray(expm((0.5 * h) * self._generator).T)
-                self._flows[h] = lambda v: v @ p_t
-            else:
-                self._flows[h] = lambda v: v
+            self._flows[h] = p_t
         return self._flows[h]
 
     def step(self, u: np.ndarray, h: float) -> np.ndarray:
-        flow = self._half_flow(h)
+        p_t = self._half_flow(h)
+
+        def flow(v):
+            return v if p_t is None else v @ p_t
+
         w = flow(u)
         k1 = rhs_values(self.plan, u)
         pk1 = flow(k1)
@@ -402,11 +406,12 @@ def _advance(
 def integrate(model: Model, values, horizon: float) -> np.ndarray:
     """Flow one state (N node values) or an ``(m, N)`` batch of states
     forward by ``horizon``; the result has the shape of ``values``.  A
-    horizon that is not finite or is at or below MIN_SUBSTEP raises
-    InvalidInputError."""
+    horizon that is not finite or is at or below MIN_SUBSTEP, or that needs
+    more than MAX_SUBSTEPS substeps, raises InvalidInputError."""
     _check_time("horizon", horizon)
     v = grid_values(model.grid, values, False, (1, 2))
     stepper = _LawsonRK4(model)
+    _check_substeps(model, stepper.dt, horizon)
     return _advance(model, v, horizon, stepper.dt, stepper=stepper)
 
 
@@ -427,9 +432,10 @@ def generate_pairs(
     the logarithm branch cut for stiff models.  Pair quotas are distributed
     round-robin when ``total_pairs`` is not divisible by
     ``num_trajectories``; the dataset order is trajectory-major.  A negative
-    seed, or a sampling time or nonzero burn-in that is not finite or is at
-    or below MIN_SUBSTEP, raises InvalidInputError, and on a Dirichlet
-    model starts that do not vanish at the boundaries raise
+    seed, a sampling time or nonzero burn-in that is not finite or is at
+    or below MIN_SUBSTEP, or a burn-in plus pairs per trajectory that need
+    more than MAX_SUBSTEPS substeps raise InvalidInputError, and on a
+    Dirichlet model starts that do not vanish at the boundaries raise
     PreconditionError, both before any integration.
     """
     return next(_pair_datasets(
@@ -474,6 +480,7 @@ def _pair_datasets(
         [sample_initial_condition(family, model.grid, a, b) for a, b in params]
     )
     stepper = _LawsonRK4(model)
+    _check_substeps(model, stepper.dt, burn_in + max_quota * sum(ts_list))
     if burn_in > 0:
         start = _advance(model, start, burn_in, stepper.dt, stepper=stepper)
 

@@ -28,7 +28,7 @@ from koopid import (
     ts_convergence_study,
 )
 from koopid.cli import EXIT_OK, main
-from koopid.simulate import EXPERIMENT_DEFAULTS, _advance, stable_substep
+from koopid.simulate import EXPERIMENT_DEFAULTS, _LawsonRK4, _advance
 from helpers import sine_mode
 
 
@@ -128,7 +128,7 @@ def test_criterion_5_sampling_time_convergence(pde1_setup, capfd):
 
 
 def _heat_pairs(model, states, ts):
-    dt = stable_substep(model)
+    dt = _LawsonRK4(model).dt
     states = np.array(states)
     states[:, 0] = 0.0
     states[:, -1] = 0.0

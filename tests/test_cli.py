@@ -221,6 +221,26 @@ class TestSimulate:
         assert "1e-15" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("times, count", [
+        (["--ts", "1e6"], 100000000), (["--ts", "0.5", "--burn-in", "1e6"], 100000050),
+    ], ids=["ts", "burn-in"])
+    def test_too_many_substeps_is_usage_error(self, tmp_path, capsys, monkeypatch, times, count):
+        # 1e6 time units at the 1e-2 cap need 1e8 substeps: the run is
+        # refused, naming the count, before its first step
+        def no_step(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(koopid.simulate._LawsonRK4, "step", no_step)
+        code = main([
+            "simulate", "--model", "graphon", "--pairs", "1", "--trajectories", "1",
+            *times, "--seed", "1", "--grid", "8", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"would take {count} substeps" in err
+        assert f"more than {koopid.simulate.MAX_SUBSTEPS}" in err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestSpectrum:
     def test_pipeline_and_determinism(self, tmp_path, graphon_data, capsys):
@@ -534,8 +554,10 @@ def test_malformed_json_file_is_named(tmp_path, graphon_data, capsys, kind, cont
 _NO_SCIPY_CHILD = """
 import json, sys
 
+steps, banned = json.loads(sys.argv[1]), sys.argv[2]
+
 def check(step):
-    found = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    found = sorted(m for m in sys.modules if m == banned or m.startswith(banned + "."))
     if found:
         sys.exit(f"{step} loaded {', '.join(found[:5])}")
 
@@ -543,7 +565,7 @@ import koopid
 check("import koopid")
 import koopid.cli
 check("import koopid.cli")
-for argv in json.loads(sys.argv[1]):
+for argv in steps:
     code = koopid.cli.main(argv)
     if code != 0:
         sys.exit(f"{' '.join(argv)} exited {code}")
@@ -553,16 +575,17 @@ for argv in json.loads(sys.argv[1]):
 
 class TestStartup:
     """Importing koopid, and the commands that need only numpy, load no scipy
-    module: importing scipy.sparse and scipy.linalg costs more than a whole
-    graphon identification.  This process has scipy loaded already, so each
-    check runs in a fresh interpreter."""
+    module, and a Burgers simulation loads no scipy.linalg: importing
+    scipy.sparse and scipy.linalg costs more than a whole graphon
+    identification.  This process has scipy loaded already, so each check
+    runs in a fresh interpreter."""
 
-    def run_fresh(self, steps, cwd):
+    def run_fresh(self, steps, cwd, banned="scipy"):
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(steps)], cwd=cwd, env=env,
+            [sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(steps), banned], cwd=cwd, env=env,
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
@@ -583,3 +606,11 @@ class TestStartup:
             ["spectrum", "--data", data, "--basis", "burgers:1",
              "--out", str(tmp_path / "s.csv")],
         ], tmp_path)
+
+    def test_burgers_simulate_loads_no_scipy_linalg(self, tmp_path):
+        # the Burgers diffusion flow is built in closed form, not by expm;
+        # the right-hand-side plan still loads scipy.sparse
+        self.run_fresh([
+            ["simulate", "--model", "burgers", "--pairs", "4", "--trajectories", "2",
+             "--ts", "0.2", "--seed", "1", "--grid", "64", "--out", str(tmp_path / "b.json")],
+        ], tmp_path, banned="scipy.linalg")

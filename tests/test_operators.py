@@ -296,12 +296,12 @@ class TestRhsPlan:
             steps.append(len(u))
             return step(self, u, h)
 
+        model = koopid.pde1_model()
+        substeps = int(np.ceil(0.01 / koopid.simulate._LawsonRK4(model).dt))
         monkeypatch.setattr(koopid.simulate, "RhsPlan", CountedPlan)
         monkeypatch.setattr(koopid.simulate, "rhs_values", counted_rhs)
         monkeypatch.setattr(koopid.simulate._LawsonRK4, "step", counted_step)
-        model = koopid.pde1_model()
         koopid.generate_pairs(model, koopid.ICFamily.PDE1, 2, 4, 0.01, seed=1)
-        substeps = int(np.ceil(0.01 / koopid.simulate.stable_substep(model)))
         assert len(plans) == 1
         # 2 segments of at least `substeps` substeps each (more where a start
         # larger than 1 refines them), 4 evaluations per substep

@@ -30,7 +30,6 @@ from koopid.simulate import (
     _heuristic_substep,
     _split_linear,
     sample_initial_condition,
-    stable_substep,
 )
 from helpers import sine_mode
 
@@ -42,7 +41,7 @@ class TestStableSubstep:
         g = Grid1D(-1.0, 1.0, 101)  # h = 0.02
         dic = Dictionary((MonomialDerivative(0, 2),), coefficients=(1.0,))
         assert _heuristic_substep(dic, g.spacing) == pytest.approx(0.25 * 0.02**2)
-        assert stable_substep(Model("heat", dic, g)) == DT_MAX
+        assert _LawsonRK4(Model("heat", dic, g)).dt == DT_MAX
 
     def test_dirichlet_diffusion_split_off(self):
         # Burgers and heat integrate u_xx exactly; Burgers then steps at its
@@ -54,8 +53,8 @@ class TestStableSubstep:
             # the split-off term stays in place with coefficient 0
             assert explicit.terms == m.dictionary.terms
             assert explicit.coefficients[-1] == 0.0
-        assert stable_substep(burgers) == burgers.grid.spacing
-        assert stable_substep(heat) == DT_MAX
+        assert _LawsonRK4(burgers).dt == burgers.grid.spacing
+        assert _LawsonRK4(heat).dt == DT_MAX
 
     @pytest.mark.parametrize("model", [
         koopid.graphon_model(),     # no derivative terms
@@ -77,7 +76,7 @@ class TestStableSubstep:
         explicit, linear = _split_linear(m)
         assert linear == {1: -0.5, 2: 1.0, 3: 0.1}
         assert _heuristic_substep(m.dictionary, h) == pytest.approx(0.25 * h**3 / 0.1)
-        assert stable_substep(m) == pytest.approx(0.25 * h**2 / 0.2)
+        assert _LawsonRK4(m).dt == pytest.approx(0.25 * h**2 / 0.2)
         assert dict(zip(explicit.terms, explicit.coefficients)) == {
             **dict(zip(m.dictionary.terms, m.dictionary.coefficients)),
             MonomialDerivative(0, 1): 0.0, MonomialDerivative(0, 2): 0.0,
@@ -90,8 +89,8 @@ class TestStableSubstep:
         pde1 = koopid.pde1_model()
         h = pde1.grid.spacing
         assert _heuristic_substep(pde1.dictionary, h) == pytest.approx(0.25 * h**3 / 0.1)
-        assert stable_substep(pde1) == pytest.approx(0.25 * h**2 / 0.2)
-        assert stable_substep(koopid.graphon_model()) == DT_MAX
+        assert _LawsonRK4(pde1).dt == pytest.approx(0.25 * h**2 / 0.2)
+        assert _LawsonRK4(koopid.graphon_model()).dt == DT_MAX
 
     @pytest.mark.parametrize("advection, route", [(0.5, "sine"), (5.0, "dense")])
     def test_dirichlet_diffusion_keeps_sine_flow_where_it_suffices(self, advection, route):
@@ -103,10 +102,10 @@ class TestStableSubstep:
             Grid1D(0.0, 1.0, 64), dirichlet=True)
         explicit, linear = _split_linear(m)
         stepper = _LawsonRK4(m)
-        assert stable_substep(m) == DT_MAX
+        assert stepper.dt == DT_MAX
         if route == "sine":
             assert linear == {2: 1.0} and explicit.coefficients == (advection, 0.0)
-            assert stepper._rates is not None
+            assert stepper._modes is not None
         else:
             assert linear == {1: advection, 2: 1.0} and explicit.coefficients == (0.0, 0.0)
             assert stepper._generator is not None
@@ -117,7 +116,7 @@ class TestStableSubstep:
         # pieces are capped at 2^MAX_REFINE
         m = koopid.pde1_model()
         stepper = _LawsonRK4(m)
-        dt = stable_substep(m)
+        dt = stepper.dt
         states = np.stack([np.full(64, v) for v in (0.5, 1.0, 1.5, 6.0, 1e300)])
         assert list(stepper._refinements(states, dt)) == [0, 0, 1, 3, MAX_REFINE]
         assert list(stepper._refinements(states, dt / 8)) == [0, 0, 0, 0, MAX_REFINE]
@@ -132,7 +131,7 @@ class TestStableSubstep:
         rng = np.random.default_rng(1)
         u0 = np.stack([sample_initial_condition(ICFamily.PDE1, m.grid, *rng.random(2))
                        for _ in range(3)])
-        dt = stable_substep(m)
+        dt = _LawsonRK4(m).dt
         coarse = _advance(m, u0, 0.1, dt)
         fine = _advance(m, u0, 0.1, dt / 4)
         assert np.max(np.abs(coarse - fine)) <= 1e-5 * np.max(np.abs(fine))
@@ -142,7 +141,7 @@ class TestStableSubstep:
     ])
     def test_builtin_flow_routes(self, name, route):
         stepper = _LawsonRK4(BUILTIN_MODELS[name]())
-        taken = ("sine" if stepper._rates is not None
+        taken = ("sine" if stepper._modes is not None
                  else "dense" if stepper._generator is not None else "none")
         assert taken == route
 
@@ -150,18 +149,18 @@ class TestStableSubstep:
         # reaction-only model has no derivative terms: dt = DT_MAX
         g = Grid1D(0.0, 1.0, 64)
         dic = Dictionary((MonomialDerivative(1, 0),), coefficients=(-1.0,))
-        assert stable_substep(Model("decay", dic, g)) == DT_MAX
+        assert _LawsonRK4(Model("decay", dic, g)).dt == DT_MAX
 
     @pytest.mark.parametrize("num_points", [256, 1024])
     def test_advection_limit_sets_burgers_step(self, num_points):
         # u u_x with c = -1: dt = h / |c|, below DT_MAX on both grids
         m = koopid.burgers_model(num_points)
-        assert stable_substep(m) == m.grid.spacing < DT_MAX
+        assert _LawsonRK4(m).dt == m.grid.spacing < DT_MAX
 
     def test_advection_limit(self):
         g = Grid1D(0.0, 1.0, 201)  # h = 0.005
         dic = Dictionary((MonomialDerivative(0, 1),), coefficients=(-2.0,))
-        assert stable_substep(Model("transport", dic, g)) == pytest.approx(0.005 / 2.0)
+        assert _LawsonRK4(Model("transport", dic, g)).dt == pytest.approx(0.005 / 2.0)
 
     def test_dispersion_limit(self):
         # Airy: u_xxx sets the unsplit step and is split off
@@ -169,7 +168,7 @@ class TestStableSubstep:
         dic = Dictionary((MonomialDerivative(0, 3),), coefficients=(0.1,))
         h = g.spacing
         assert _heuristic_substep(dic, h) == pytest.approx(0.25 * h**3 / 0.1)
-        assert stable_substep(Model("airy", dic, g)) == DT_MAX
+        assert _LawsonRK4(Model("airy", dic, g)).dt == DT_MAX
 
     def test_substep_at_floor_is_refused(self):
         # u u_xxx on a grid 1e-3 long: 0.25 h^3 = 9.998e-16 would skip every
@@ -178,7 +177,7 @@ class TestStableSubstep:
         dic = Dictionary((MonomialDerivative(1, 3), MonomialDerivative(1, 0)),
                          coefficients=(1.0, -1.0))
         m = Model("tiny", dic, g)
-        assert stable_substep(m) <= MIN_SUBSTEP
+        assert _LawsonRK4(m).dt <= MIN_SUBSTEP
         with pytest.raises(PreconditionError, match="1e-15"):
             integrate(m, np.cos(g.nodes()), 0.5)
 
@@ -205,6 +204,23 @@ class TestIntegrate:
         out = integrate(m, u0, t)
         assert np.max(np.abs(out - np.exp(lam * t) * u0)) <= 1e-12
 
+    @pytest.mark.parametrize("num_points", [64, 256])
+    def test_dirichlet_diffusion_flow_matches_expm(self, num_points):
+        # the closed-form half-step flow of Burgers' u_xx is expm((h/2) L) of
+        # the Dirichlet stencil on the interior nodes, at the default substep
+        # and at the remainder of a horizon off the dt grid; its boundary rows
+        # and columns are exactly 0
+        m = koopid.burgers_model(num_points)
+        stepper = _LawsonRK4(m)
+        gen = diff_values(np.eye(num_points), m.grid.spacing, 2, True).T
+        gen[[0, -1]] = 0.0
+        t = 0.1234
+        for h in (stepper.dt, t - int(t / stepper.dt) * stepper.dt):
+            p_t = stepper._half_flow(h)
+            ref = koopid.expm(0.5 * h * gen).T[1:-1, 1:-1]
+            assert np.max(np.abs(p_t[1:-1, 1:-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert not p_t[[0, -1]].any() and not p_t[:, [0, -1]].any()
+
     @pytest.mark.parametrize("model", [
         Model("pde1-linear", Dictionary(
             (MonomialDerivative(0, 1), MonomialDerivative(0, 2), MonomialDerivative(0, 3)),
@@ -230,10 +246,20 @@ class TestIntegrate:
         if model.dirichlet:
             gen[[0, -1]] = 0.0
         t = 0.1234
-        assert t / stable_substep(model) % 1.0 > 0.1
+        assert t / _LawsonRK4(model).dt % 1.0 > 0.1
         ref = koopid.expm(t * gen) @ u0
         out = integrate(model, u0, t)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_too_many_substeps_refused_before_the_first_step(self, monkeypatch):
+        # 1e5 time units at the 1e-2 cap need 1e7 substeps
+        def no_step(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(_LawsonRK4, "step", no_step)
+        m = koopid.graphon_model(16)
+        with pytest.raises(InvalidInputError, match="10000000 substeps"):
+            integrate(m, np.zeros(16), 1e5)
 
     def test_reaction_only_exponential_decay(self):
         g = Grid1D(0.0, 1.0, 32)
@@ -251,7 +277,7 @@ class TestIntegrate:
         # halving the substep must not change the result materially
         m = koopid.burgers_model(64)
         u0 = sine_mode(m.grid, 1)
-        dt = stable_substep(m)
+        dt = _LawsonRK4(m).dt
         a = _advance(m, u0, 0.2, dt)
         b = _advance(m, u0, 0.2, dt / 2)
         assert np.max(np.abs(a - b)) <= 1e-4 * max(1.0, np.max(np.abs(a)))
@@ -279,7 +305,7 @@ class TestIntegrate:
         rng = np.random.default_rng(1)
         u0 = np.stack([sample_initial_condition(family, m.grid, *rng.random(2))
                        for _ in range(3)])
-        dt = stable_substep(m)
+        dt = _LawsonRK4(m).dt
         if burn_in:
             u0 = _advance(m, u0, burn_in, dt)
         coarse = _advance(m, u0, ts, dt)
@@ -389,7 +415,7 @@ class TestGeneratePairs:
             sample_initial_condition(ICFamily.GRAPHON, m.grid, *rng.random(2)) for _ in range(3)
         ])]
         for _ in range(2):
-            snapshots.append(_advance(m, snapshots[-1], 0.5, stable_substep(m)))
+            snapshots.append(_advance(m, snapshots[-1], 0.5, _LawsonRK4(m).dt))
         for k, (traj, seg) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]):
             assert np.allclose(ds.u[k], snapshots[seg][traj], rtol=0.0, atol=1e-12)
             assert np.allclose(ds.u_next[k], snapshots[seg + 1][traj], rtol=0.0, atol=1e-12)
