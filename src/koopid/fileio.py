@@ -228,7 +228,13 @@ def functional_from_record(rec: dict) -> FunctionalSpec:
 # dataset JSON
 
 def dataset_to_json(dataset: SnapshotDataset) -> str:
-    doc = {
+    """The dataset as one JSON document, the text ``json.dumps`` gives.
+
+    Pair k's ``u_next`` is usually pair k+1's ``u``, so each distinct row
+    (by its bytes, which tells -0.0 from 0.0) is formatted once and its text
+    spliced into the ``pairs`` list, the document's last key.
+    """
+    head = json.dumps({
         "grid": {
             "x_min": dataset.grid.x_min,
             "x_max": dataset.grid.x_max,
@@ -237,12 +243,20 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
         "sampling_time": dataset.sampling_time,
         "dirichlet": bool(dataset.dirichlet),
         "provenance": dataset.provenance or {},
-        "pairs": [
-            {"u": u, "u_next": un}
-            for u, un in zip(dataset.u.tolist(), dataset.u_next.tolist())
-        ],
-    }
-    return json.dumps(doc)
+    })
+    texts: dict = {}
+
+    def row_text(row: np.ndarray) -> str:
+        key = row.tobytes()
+        if key not in texts:
+            texts[key] = json.dumps(row.tolist())
+        return texts[key]
+
+    pairs = ", ".join(
+        f'{{"u": {row_text(u)}, "u_next": {row_text(un)}}}'
+        for u, un in zip(dataset.u, dataset.u_next)
+    )
+    return f'{head[:-1]}, "pairs": [{pairs}]}}'
 
 
 def dataset_from_json(text: str) -> SnapshotDataset:

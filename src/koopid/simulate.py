@@ -5,18 +5,22 @@ form.  A model's linear part ``L u = sum_k c_k d^k u / dx^k`` (its ``u^0``
 derivative terms, k = 1..3) is split off and integrated exactly when a k = 2
 or k = 3 bound sets the unsplit substep, the split lengthens it and the
 ``u_xx`` coefficient is not negative (backward heat stays explicit).  The
-exact half-step flow ``P = exp((h/2) L)`` is a dense matrix, built once per
-substep length and applied to the batch as one matrix product.  It is built
-one of two ways:
+exact half-step flow ``P = exp((h/2) L)`` is built once per substep length
+and applied to the whole batch.  It takes one of two forms:
 
 * ``L = c u_xx`` alone on a homogeneous-Dirichlet model (Burgers, heat): the
   odd-reflection stencil is diagonal in the orthonormal sine basis S of the
   interior nodes, with eigenvalues ``-(4 / h^2) sin^2(k pi / (2 (N - 1)))``,
-  so P is ``S diag(exp((h/2) c lam)) S`` in closed form, one O(N^3) matrix
-  product without scipy; its boundary rows and columns are 0;
-* any other L (pde1's ``-0.5 u_x + u_xx + 0.1 u_xxx``): P is the ``expm``
-  of the stencil matrix of L.  Under Dirichlet conditions the boundary rows
-  of L are zero, as the right-hand side's boundary entries are.
+  so P is ``S diag(exp((h/2) c lam)) S``.  The factors fall with k, and only
+  the r leading modes whose factor is at least ``SINE_FLOOR`` (1e-20) are
+  kept: P is applied as ``(v A_r) (diag(e_r) A_r^T)`` with the zero-padded
+  ``(N, r)`` block ``A_r`` of sine columns, 2 N r operations per state
+  instead of N^2, without scipy (r = 71 of 254 on 256 nodes at the Burgers
+  step).  The boundary values it returns are exactly 0;
+* any other L (pde1's ``-0.5 u_x + u_xx + 0.1 u_xxx``): P is a dense
+  matrix, the ``expm`` of the stencil matrix of L.  Under Dirichlet
+  conditions the boundary rows of L are zero, as the right-hand side's
+  boundary entries are.
 
 RK4 integrates the remaining terms at the fixed substep
 
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +79,11 @@ from .linalg import expm
 SAFETY = 0.25
 DT_MAX = 1e-2
 DEFAULT_GRID_POINTS = 256
+
+#: the smallest half-step factor exp((h/2) lam_k) of a sine mode that the
+#: Dirichlet diffusion flow keeps; the sine modes are orthonormal, so dropping
+#: the modes below it moves a flowed vector v by at most SINE_FLOOR ||v||_2
+SINE_FLOOR = 1e-20
 
 
 @dataclass(frozen=True)
@@ -207,14 +216,14 @@ def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
     nothing is split off).
 
     The split applies only where a k = 2 or k = 3 bound sets the unsplit
-    substep and the split lengthens it: an exact flow costs a dense N x N
-    product per application and an O(N^3) build per substep length, which
-    does not pay for an O(h) advection bound or the cap.  A negative
+    substep and the split lengthens it: an exact flow costs up to a dense
+    N x N product per application and an O(N^3) build per substep length,
+    which does not pay for an O(h) advection bound or the cap.  A negative
     ``u_xx`` coefficient (backward heat) is never split.  On a Dirichlet
     model only ``c u_xx`` is split off when that alone gives the same
-    substep: its flow is built in closed form from the sine eigenbasis by
-    one matrix product, where any other split needs an ``expm``.  The
-    split-off terms keep their place with coefficient 0.
+    substep: its flow is applied through the sine modes that survive a half
+    step, where any other split needs a dense ``expm``.  The split-off terms
+    keep their place with coefficient 0.
     """
     dic = model.dictionary
     h = model.grid.spacing
@@ -247,11 +256,12 @@ class _LawsonRK4:
     """Fixed-step RK4 for one model in integrating-factor (Lawson) form.
 
     With a linear part L split off, its half-step flow P = exp((h/2) L) is
-    applied exactly as ``v @ p_t`` with ``p_t`` = P^T, built once per
-    substep length: in closed form from the sine eigenbasis when L is
-    Dirichlet ``c u_xx``, otherwise by ``expm``.  RK4 integrates the
-    remaining terms f, compiled once into ``plan``; without a split P is the
-    identity and the step is classical RK4.
+    applied exactly, as one callable per substep length from
+    ``_half_flow``: through the rank-r sine factor of ``_sine_factor`` when
+    L is Dirichlet ``c u_xx``, otherwise as ``v @ p_t`` with the dense
+    ``p_t`` = P^T built by ``expm``.  RK4 integrates the remaining terms f,
+    compiled once into ``plan``; without a split P is the identity and the
+    step is classical RK4.
 
     ``dt`` is the stability bound of the explicitly integrated terms, which
     holds where |u| <= 1.  A state whose largest magnitude s exceeds 1
@@ -268,17 +278,16 @@ class _LawsonRK4:
         bounds = [(b, j) for b, j in _term_bounds(explicit, model.grid.spacing) if j >= 1]
         self._limits = np.array([b for b, _ in bounds])
         self._powers = np.array([j for _, j in bounds])
-        self._modes = None      # (S, rates): L's orthonormal sine modes and eigenvalues, or
-        self._generator = None  # L as a dense matrix
+        self._sine_rates = None  # the eigenvalues of L in its sine modes, or
+        self._generator = None   # L as a dense matrix
         if model.dirichlet and linear.keys() == {2}:
             n = model.grid.num_points
             # the odd-reflection D2 stencil on the interior nodes is S diag(lam) S
             # with S_jk = sqrt(2 / (N - 1)) sin(j k pi / (N - 1)), j, k = 1..N-2;
-            # j k is reduced mod 2 (N - 1) so that sin sees an argument below 2 pi
+            # lam falls with k, so the modes a step keeps are the leading ones
             k = np.arange(1, n - 1)
-            phase = np.outer(k, k) % (2 * (n - 1)) * (np.pi / (n - 1))
             lam = -(4.0 / model.grid.spacing**2) * np.sin(k * np.pi / (2 * (n - 1))) ** 2
-            self._modes = (np.sqrt(2.0 / (n - 1)) * np.sin(phase), linear[2] * lam)
+            self._sine_rates = linear[2] * lam
         elif linear:
             # the same entries as diff_values, so L u is the split-off terms
             gen = _stencil_matrix({0: linear}, model.grid, model.dirichlet).toarray()
@@ -287,27 +296,39 @@ class _LawsonRK4:
             self._generator = gen
         self._flows: dict = {}
 
-    def _half_flow(self, h: float) -> Optional[np.ndarray]:
-        """``p_t`` = P^T for the substep ``h``, or None without a split."""
+    def _sine_factor(self, h: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``(A_r, e_r)`` with ``P ~= A_r diag(e_r) A_r^T`` for the substep
+        ``h``: the half-step factors ``e_r = exp((h/2) lam_k)`` that are at
+        least SINE_FLOOR, those of the r leading sine modes, and the modes'
+        columns of S zero-padded to N rows, as a contiguous ``(N, r)`` array."""
+        n = self.model.grid.num_points
+        decay = np.exp((0.5 * h) * self._sine_rates)
+        r = int(np.count_nonzero(decay >= SINE_FLOOR))
+        j = np.arange(1, n - 1)
+        # j k is reduced mod 2 (N - 1) so that sin sees an argument below 2 pi
+        phase = np.outer(j, j[:r]) % (2 * (n - 1)) * (np.pi / (n - 1))
+        a = np.zeros((n, r))
+        a[1:-1] = np.sqrt(2.0 / (n - 1)) * np.sin(phase)
+        return a, decay[:r]
+
+    def _half_flow(self, h: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The half-step flow ``v -> P v`` on the rows of ``v`` for the
+        substep ``h``, built once per length; the identity without a split."""
         if h not in self._flows:
-            p_t = None
-            if self._modes is not None:
-                sines, rates = self._modes
-                n = self.model.grid.num_points
-                # P is symmetric; its boundary rows and columns stay exactly 0
-                p_t = np.zeros((n, n))
-                p_t[1:-1, 1:-1] = (sines * np.exp((0.5 * h) * rates)) @ sines
+            if self._sine_rates is not None:
+                a, e = self._sine_factor(h)
+                # diag(e_r) A_r^T as one contiguous (r, N) array
+                ea_t = np.ascontiguousarray(e[:, None] * a.T)
+                self._flows[h] = lambda v: (v @ a) @ ea_t
             elif self._generator is not None:
                 p_t = np.ascontiguousarray(expm((0.5 * h) * self._generator).T)
-            self._flows[h] = p_t
+                self._flows[h] = lambda v: v @ p_t
+            else:
+                self._flows[h] = lambda v: v
         return self._flows[h]
 
     def step(self, u: np.ndarray, h: float) -> np.ndarray:
-        p_t = self._half_flow(h)
-
-        def flow(v):
-            return v if p_t is None else v @ p_t
-
+        flow = self._half_flow(h)
         w = flow(u)
         k1 = rhs_values(self.plan, u)
         pk1 = flow(k1)

@@ -66,6 +66,37 @@ class TestDatasetRoundTrip:
         assert fileio.dataset_to_json(ds) == fileio.dataset_to_json(ds)
 
 
+def dumped(ds) -> str:
+    """``json.dumps`` of the whole dataset document, pair by pair."""
+    return json.dumps({
+        "grid": {"x_min": ds.grid.x_min, "x_max": ds.grid.x_max, "num_points": ds.grid.num_points},
+        "sampling_time": ds.sampling_time,
+        "dirichlet": bool(ds.dirichlet),
+        "provenance": ds.provenance or {},
+        "pairs": [{"u": u, "u_next": un} for u, un in zip(ds.u.tolist(), ds.u_next.tolist())],
+    })
+
+
+class TestDatasetText:
+    def test_shared_rows_written_as_json_dumps(self):
+        # within a trajectory pair k's u_next is pair k+1's u: 3 trajectories
+        # of 3 pairs hold 12 distinct rows in 18
+        m = koopid.burgers_model(64)
+        ds = koopid.generate_pairs(m, koopid.ICFamily.BURGERS, 3, 9, 0.2, seed=3)
+        rows = np.concatenate([ds.u, ds.u_next])
+        assert len({r.tobytes() for r in rows}) == 12
+        assert fileio.dataset_to_json(ds) == dumped(ds)
+
+    def test_signed_zeros_keep_their_sign(self):
+        # rows equal in value but not in bytes are formatted apart
+        g = koopid.Grid1D(0.0, 1.0, 8)
+        u = np.array([[0.0, 1.0, 0.0, 2.0] * 2, [-0.0, 1.0, -0.0, 2.0] * 2])
+        ds = koopid.SnapshotDataset(g, 0.5, u, u[::-1], provenance={"seed": 1})
+        text = fileio.dataset_to_json(ds)
+        assert text == dumped(ds)
+        assert '"u": [-0.0, 1.0, -0.0, 2.0, -0.0, 1.0, -0.0, 2.0]' in text
+
+
 class TestRecordRoundTrips:
     @pytest.mark.parametrize(
         "term",

@@ -17,6 +17,8 @@ from koopid import (
     spectrum,
 )
 from koopid.errors import KoopidError, RankDeficiencyWarning, ShapeError
+from koopid.observables import build_burgers_basis
+from koopid.simulate import EXPERIMENT_DEFAULTS
 from helpers import heat_pairs, sine_mode
 
 
@@ -168,6 +170,47 @@ class TestSpectrum:
         result = spectrum(edmd_fit(xi1, xi2, ds.sampling_time))
         scores = [m.residual_score for m in result.modes]
         assert scores == sorted(scores)
+
+    def test_small_eigenvalues_rank_last_by_magnitude(self):
+        # noise on one column of Xi2 gives the |lambda_u| = 0.9 mode a
+        # residual score of about 1e-3; the others fit to rounding.  Still
+        # 0.02 and the conjugate pair at 0.01, below TAIL_FRACTION * 0.9,
+        # follow it, by magnitude and Im > 0 first
+        pair = np.array([[0.006, 0.008], [-0.008, 0.006]])
+        real = np.block([[np.diag([0.9, 0.02, 0.5]), np.zeros((3, 2))],
+                         [np.zeros((2, 3)), pair]])
+        rng = np.random.default_rng(0)
+        x1 = rng.standard_normal((40, 5))
+        x2 = x1 @ real
+        x2[:, 0] += 1e-3 * rng.standard_normal(40)
+        order = [m.lambda_u for m in spectrum(edmd_fit(x1, x2, 0.1)).modes]
+        assert np.abs(order) == pytest.approx([0.5, 0.9, 0.02, 0.01, 0.01], abs=1e-3)
+        assert order[3].imag > 0 > order[4].imag
+
+
+def burgers_matrices(seed):
+    """Xi1, Xi2 and ts of the default Burgers dataset under basis burgers:seed."""
+    pairs, trajectories, ts, family, _ = EXPERIMENT_DEFAULTS["burgers"]
+    ds = koopid.generate_pairs(koopid.burgers_model(), family, trajectories, pairs, ts, seed)
+    return (*build_data_matrices(ds, build_burgers_basis(seed)), ts)
+
+
+class TestSpectrumOrder:
+    @pytest.mark.parametrize("seed", [3, 6])
+    def test_order_survives_one_ulp(self, seed):
+        # the Burgers lift is ill-conditioned (cond(Xi1) 1e8-1e9): scaling
+        # each entry of Xi1 and Xi2 by 1 + {-1, 0, 1} * 2.2e-16 moves the
+        # residual scores of modes with small |lambda_u|, which a score-only
+        # order ranked among the first 10 at these seeds
+        xi1, xi2, ts = burgers_matrices(seed)
+        base = np.array([m.lambda_u for m in spectrum(edmd_fit(xi1, xi2, ts)).modes])
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            jitter = [1.0 + rng.integers(-1, 2, xi1.shape) * 2.2e-16 for _ in range(2)]
+            modes = spectrum(edmd_fit(xi1 * jitter[0], xi2 * jitter[1], ts)).modes
+            # each perturbed mode, matched to the nearest unperturbed eigenvalue
+            matched = [int(np.argmin(np.abs(base - m.lambda_u))) for m in modes]
+            assert matched == list(range(len(base)))
 
 
 class TestEigenfunctional:

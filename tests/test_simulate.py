@@ -23,6 +23,7 @@ from koopid.simulate import (
     EXPERIMENT_DEFAULTS,
     MAX_REFINE,
     MIN_SUBSTEP,
+    SINE_FLOOR,
     Model,
     SnapshotDataset,
     _LawsonRK4,
@@ -105,7 +106,7 @@ class TestStableSubstep:
         assert stepper.dt == DT_MAX
         if route == "sine":
             assert linear == {2: 1.0} and explicit.coefficients == (advection, 0.0)
-            assert stepper._modes is not None
+            assert stepper._sine_rates is not None
         else:
             assert linear == {1: advection, 2: 1.0} and explicit.coefficients == (0.0, 0.0)
             assert stepper._generator is not None
@@ -141,7 +142,7 @@ class TestStableSubstep:
     ])
     def test_builtin_flow_routes(self, name, route):
         stepper = _LawsonRK4(BUILTIN_MODELS[name]())
-        taken = ("sine" if stepper._modes is not None
+        taken = ("sine" if stepper._sine_rates is not None
                  else "dense" if stepper._generator is not None else "none")
         assert taken == route
 
@@ -206,20 +207,47 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("num_points", [64, 256])
     def test_dirichlet_diffusion_flow_matches_expm(self, num_points):
-        # the closed-form half-step flow of Burgers' u_xx is expm((h/2) L) of
-        # the Dirichlet stencil on the interior nodes, at the default substep
-        # and at the remainder of a horizon off the dt grid; its boundary rows
-        # and columns are exactly 0
+        # the factored half-step flow of Burgers' u_xx is expm((h/2) L) of the
+        # Dirichlet stencil on the interior nodes, at the default substep, at
+        # the remainder of a horizon off the dt grid and at a substep short
+        # enough to keep every sine mode; its boundary rows and columns are
+        # exactly 0
         m = koopid.burgers_model(num_points)
         stepper = _LawsonRK4(m)
         gen = diff_values(np.eye(num_points), m.grid.spacing, 2, True).T
         gen[[0, -1]] = 0.0
         t = 0.1234
-        for h in (stepper.dt, t - int(t / stepper.dt) * stepper.dt):
-            p_t = stepper._half_flow(h)
+        for h in (stepper.dt, t - int(t / stepper.dt) * stepper.dt, 1e-3):
+            p_t = stepper._half_flow(h)(np.eye(num_points))
             ref = koopid.expm(0.5 * h * gen).T[1:-1, 1:-1]
             assert np.max(np.abs(p_t[1:-1, 1:-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert not p_t[[0, -1]].any() and not p_t[:, [0, -1]].any()
+
+    def test_sine_flow_keeps_the_modes_above_the_floor(self):
+        # the modes whose half-step factor exp((h/2) lam_k) is at least
+        # SINE_FLOOR: on 256 nodes 71 of 254 at the default substep, 104 at
+        # the remainder of a 0.2 horizon and all of them at h = 1e-3.  Fewer
+        # than N - 2 at the defaults: the flow is not the dense one
+        m = koopid.burgers_model()
+        n, dx = m.grid.num_points, m.grid.spacing
+        lam = -(4.0 / dx**2) * np.sin(np.arange(1, n - 1) * np.pi / (2 * (n - 1))) ** 2
+        stepper = _LawsonRK4(m)
+        lengths = (stepper.dt, 0.2 - int(0.2 / stepper.dt) * stepper.dt, 1e-3)
+        kept = [stepper._sine_factor(h)[1].size for h in lengths]
+        assert kept == [71, 104, n - 2]
+        for h, r in zip(lengths, kept):
+            assert r == np.count_nonzero(np.exp(0.5 * h * lam) >= SINE_FLOOR)
+
+    def test_strong_diffusion_keeps_no_sine_mode(self):
+        # at c = 1e4 even the slowest sine mode decays below SINE_FLOOR in
+        # half a step of DT_MAX: the interior comes out exactly 0, without error
+        m = Model("strong-heat", Dictionary((MonomialDerivative(0, 2),), coefficients=(1e4,)),
+                  Grid1D(-1.0, 1.0, 64), dirichlet=True)
+        stepper = _LawsonRK4(m)
+        assert stepper.dt == DT_MAX
+        assert stepper._sine_factor(stepper.dt)[1].size == 0
+        assert not stepper._half_flow(stepper.dt)(np.eye(64)).any()
+        assert not integrate(m, sine_mode(m.grid, 1), 0.05).any()
 
     @pytest.mark.parametrize("model", [
         Model("pde1-linear", Dictionary(
