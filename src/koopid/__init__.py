@@ -72,7 +72,6 @@ from .simulate import (
     burgers_model,
     generate_pairs,
     graphon_model,
-    heat_model,
     integrate,
     pde1_model,
 )

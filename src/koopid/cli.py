@@ -5,8 +5,8 @@ eigenvalues), ``identify`` (lifting / direct coefficient estimation) and
 ``sweep-ts`` (sampling-time convergence study).
 
 Exit codes: 0 success, 2 integration blow-up, 3 insufficient data (m < n),
-4 matrix-logarithm branch failure, 64 usage error or malformed input file,
-65 precondition violation.
+4 matrix-logarithm branch failure, 64 usage error, malformed input file or
+input too large for memory, 65 precondition violation.
 """
 
 from __future__ import annotations
@@ -224,6 +224,11 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except (KoopidError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy raises it at once for an array larger than the machine can
+        # hold, such as the nodes of a 10^12-node grid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

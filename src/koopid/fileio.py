@@ -157,19 +157,6 @@ def dictionary_from_records(records: Sequence[dict]) -> Dictionary:
     return Dictionary(tuple(term_from_record(r) for r in _records(records, "dictionary")))
 
 
-def weight_to_record(weight: WeightSpec) -> dict:
-    if isinstance(weight, Bump):
-        rec = {"kind": "bump", "L": weight.L}
-        if weight.recentered:
-            rec["recentered"] = True
-        return rec
-    if isinstance(weight, PowerLaw):
-        return {"kind": "power", "p": weight.p}
-    if isinstance(weight, ConstantWeight):
-        return {"kind": "constant"}
-    raise InvalidInputError(f"unknown weight spec: {weight!r}")
-
-
 def weight_from_record(rec: dict) -> WeightSpec:
     kind = _get(rec, "kind", "weight record")
     if kind == "bump":
@@ -195,16 +182,6 @@ def parse_weight_spec(text: str) -> WeightSpec:
     except ValueError:
         pass
     raise InvalidInputError(f"cannot parse weight spec {text!r}")
-
-
-def functional_to_record(spec: FunctionalSpec) -> dict:
-    if isinstance(spec, InnerProductPower):
-        return {"kind": "cosine", "a": spec.a, "b": spec.b, "k": spec.state_power, "l": spec.outer_power}
-    if isinstance(spec, PointEvaluation):
-        return {"kind": "point", "x": spec.x_j}
-    if isinstance(spec, LiftedTerm):
-        return {"kind": "lifted", "term": term_to_record(spec.term), "weight": weight_to_record(spec.weight)}
-    raise InvalidInputError(f"unknown functional spec: {spec!r}")
 
 
 def functional_from_record(rec: dict) -> FunctionalSpec:

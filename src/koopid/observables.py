@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
 from .fields import Grid1D, trapezoid_weights
-from .operators import IDENTITY_TERM, Dictionary, TermSpec, _int_power, term_values
+from .operators import IDENTITY_TERM, MAX_POWER, Dictionary, TermSpec, _int_power, term_values
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def weight_values(weight: WeightSpec, grid: Grid1D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InnerProductPower:
-    """xi(u) = <cos(a*(pi*x/2) + b*pi/2), u^k>^l."""
+    """xi(u) = <cos(a*(pi*x/2) + b*pi/2), u^k>^l, with k and l in 1..MAX_POWER."""
 
     a: float
     b: float
@@ -88,8 +88,11 @@ class InnerProductPower:
     outer_power: int = 1
 
     def __post_init__(self):
-        if self.state_power < 1 or self.outer_power < 1:
-            raise InvalidInputError("state_power and outer_power must be >= 1")
+        if not (1 <= self.state_power <= MAX_POWER and 1 <= self.outer_power <= MAX_POWER):
+            raise InvalidInputError(
+                f"state_power and outer_power must be in 1..{MAX_POWER}, "
+                f"got {self.state_power} and {self.outer_power}"
+            )
 
 
 @dataclass(frozen=True)

@@ -80,16 +80,22 @@ class Constant:
     """W(u) = 1."""
 
 
+#: the largest integer power of the state that a term or functional takes;
+#: each power costs one multiplication per element, and the built-in
+#: dictionaries and bases use at most 3
+MAX_POWER = 64
+
+
 @dataclass(frozen=True)
 class MonomialDerivative:
-    """W(u) = u^j * d^k u / dx^k, with j >= 0 and k in 0..3."""
+    """W(u) = u^j * d^k u / dx^k, with j in 0..MAX_POWER and k in 0..3."""
 
     j: int
     k: int
 
     def __post_init__(self):
-        if self.j < 0:
-            raise InvalidInputError(f"monomial power j must be >= 0, got {self.j}")
+        if not 0 <= self.j <= MAX_POWER:
+            raise InvalidInputError(f"monomial power j must be in 0..{MAX_POWER}, got {self.j}")
         if self.k not in (0, 1, 2, 3):
             raise InvalidInputError(f"derivative order k must be in 0..3, got {self.k}")
         if self.j == 0 and self.k == 0:

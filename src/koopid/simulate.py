@@ -45,10 +45,16 @@ that needs more than ``MAX_SUBSTEPS`` (1e6) substeps before refinement is
 refused before its first step.
 
 Each integration -- one ``integrate`` or ``generate_pairs`` call, or one
-sweep over sampling times -- builds one stepper, which compiles the explicitly
+sweep over sampling times -- builds one stepper, :class:`_LawsonRK4`, and
+every horizon of it (burn-in, segment) is one call of its ``advance``.  The
+stepper reads a table of one ``(bound, j, k)`` per derivative term once,
+for the split, dt and the refinement limits, and compiles the explicitly
 integrated terms once into an :class:`~koopid.operators.RhsPlan` (stacked
 sparse derivative matrices, a polynomial and a folded graphon kernel); every
 RK4 stage then evaluates ``rhs_values(plan, values)`` on the whole batch.
+``advance`` alone refuses a substep at or below ``MIN_SUBSTEP`` and a
+Dirichlet start that does not vanish at the boundaries, and reports a
+blow-up.
 Trajectories of a dataset are advanced together as one batched array; random
 initial-condition parameters are drawn up front from a single seeded
 generator, so datasets are bit-reproducible per seed.
@@ -175,45 +181,27 @@ def _check_time(name: str, value: float) -> None:
         raise InvalidInputError(f"{name} must be finite and above {MIN_SUBSTEP:g}, got {value}")
 
 
-def _check_substeps(model: Model, dt: float, total_time: float) -> None:
-    """Refuse, with InvalidInputError, an integration over ``total_time``
-    that needs more than MAX_SUBSTEPS substeps of ``dt`` before refinement.
-    A substep at or below MIN_SUBSTEP is left to ``_advance``, which
-    refuses it."""
-    count = np.ceil(total_time / dt)
-    if dt > MIN_SUBSTEP and count > MAX_SUBSTEPS:
-        raise InvalidInputError(
-            f"model '{model.name}' would take {count:.0f} substeps of {dt:.4g}, more than "
-            f"{MAX_SUBSTEPS}; shorten the sampling time, the burn-in or the pairs per trajectory"
-        )
-
-
-def _term_bounds(dictionary: Dictionary, h: float, max_order: int = 3) -> list:
-    """``(bound, j)`` for each derivative term ``c u^j d^k u / dx^k`` with
-    c != 0 and 1 <= k <= ``max_order``: its substep bound where |u| <= 1,
-    which a larger |u| divides by |u|^j."""
+def _term_bounds(dictionary: Dictionary, h: float) -> list:
+    """``(bound, j, k)`` for each derivative term ``c u^j d^k u / dx^k`` with
+    c != 0: its substep bound where |u| <= 1, which a larger |u| divides by
+    |u|^j."""
     bounds = []
     for term, c in zip(dictionary.terms, dictionary.coefficients):
-        if isinstance(term, MonomialDerivative) and c != 0.0 and 1 <= term.k <= max_order:
+        if isinstance(term, MonomialDerivative) and c != 0.0 and term.k >= 1:
             if term.k == 1:
                 # 35% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
                 # centred stencil, the margin SAFETY keeps on the real axis
-                bounds.append((h / abs(c), term.j))
+                bounds.append((h / abs(c), term.j, 1))
             else:
-                bounds.append((SAFETY * h**term.k / abs(c), term.j))
+                bounds.append((SAFETY * h**term.k / abs(c), term.j, term.k))
     return bounds
 
 
-def _heuristic_substep(dictionary: Dictionary, h: float, max_order: int = 3) -> float:
-    """The stability bound of the dictionary's derivative terms of order at
-    most ``max_order`` where |u| <= 1, capped at ``DT_MAX``."""
-    return min([DT_MAX] + [b for b, _ in _term_bounds(dictionary, h, max_order)])
-
-
-def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
-    """The explicitly integrated terms, and the linear part ``{k: c}`` of the
+def _split_linear(model: Model, bounds: list) -> Tuple[Dictionary, dict, float]:
+    """The explicitly integrated terms, the linear part ``{k: c}`` of the
     terms ``c d^k u / dx^k`` split off for exact integration (empty when
-    nothing is split off).
+    nothing is split off) and the substep, read from the model's
+    ``_term_bounds`` table ``bounds``.
 
     The split applies only where a k = 2 or k = 3 bound sets the unsplit
     substep and the split lengthens it: an exact flow costs up to a dense
@@ -226,58 +214,59 @@ def _split_linear(model: Model) -> Tuple[Dictionary, dict]:
     keep their place with coefficient 0.
     """
     dic = model.dictionary
-    h = model.grid.spacing
     linear = {
         term.k: c for term, c in zip(dic.terms, dic.coefficients)
         if isinstance(term, MonomialDerivative) and term.j == 0 and c != 0.0
     }
-    unsplit = _heuristic_substep(dic, h)
-    if linear.get(2, 0.0) < 0.0 or unsplit >= _heuristic_substep(dic, h, max_order=1):
-        return dic, {}
 
-    def without(split):
-        return Dictionary(dic.terms, tuple(
-            0.0 if isinstance(term, MonomialDerivative) and term.j == 0 and term.k in split
-            else c for term, c in zip(dic.terms, dic.coefficients)
-        ))
+    def substep(split):
+        """The bound of the terms left explicit with the orders ``split`` of
+        the linear part split off, capped at DT_MAX."""
+        return min([DT_MAX] + [b for b, j, k in bounds if j or k not in split])
 
-    explicit = without(linear)
-    dt = _heuristic_substep(explicit, h)
-    if dt <= unsplit:
-        return dic, {}
-    if model.dirichlet and 2 in linear and len(linear) > 1:
-        diffusion_only = without({2})
-        if _heuristic_substep(diffusion_only, h) >= dt:
-            return diffusion_only, {2: linear[2]}
-    return explicit, linear
+    unsplit = substep({})
+    advection = min([DT_MAX] + [b for b, _, k in bounds if k == 1])
+    if linear.get(2, 0.0) < 0.0 or unsplit >= advection or substep(linear) <= unsplit:
+        return dic, {}, unsplit
+    if model.dirichlet and 2 in linear and len(linear) > 1 and substep({2}) >= substep(linear):
+        linear = {2: linear[2]}
+    explicit = Dictionary(dic.terms, tuple(
+        0.0 if isinstance(term, MonomialDerivative) and term.j == 0 and term.k in linear
+        else c for term, c in zip(dic.terms, dic.coefficients)
+    ))
+    return explicit, linear, substep(linear)
 
 
 class _LawsonRK4:
-    """Fixed-step RK4 for one model in integrating-factor (Lawson) form.
+    """Fixed-step RK4 for one model in integrating-factor (Lawson) form, and
+    the integrator of every horizon of that model.
 
-    With a linear part L split off, its half-step flow P = exp((h/2) L) is
-    applied exactly, as one callable per substep length from
-    ``_half_flow``: through the rank-r sine factor of ``_sine_factor`` when
-    L is Dirichlet ``c u_xx``, otherwise as ``v @ p_t`` with the dense
-    ``p_t`` = P^T built by ``expm``.  RK4 integrates the remaining terms f,
-    compiled once into ``plan``; without a split P is the identity and the
-    step is classical RK4.
+    The constructor reads the model's ``_term_bounds`` table once: the split
+    and ``dt`` through ``_split_linear``, and the refinement limits from the
+    ``u^j`` terms with j >= 1, which are never split off.  With a linear part
+    L split off, its half-step flow P = exp((h/2) L) is applied exactly, as
+    one callable per substep length from ``_half_flow``: through the rank-r
+    sine factor of ``_sine_factor`` when L is Dirichlet ``c u_xx``, otherwise
+    as ``v @ p_t`` with the dense ``p_t`` = P^T built by ``expm``.  RK4
+    integrates the remaining terms f, compiled once into ``plan``; without a
+    split P is the identity and the step is classical RK4.
 
     ``dt`` is the stability bound of the explicitly integrated terms, which
     holds where |u| <= 1.  A state whose largest magnitude s exceeds 1
-    divides the bound of each ``u^j`` term by s^j, and ``advance`` cuts the
-    substep for that state into 2^r equal pieces.
+    divides the bound of each ``u^j`` term by s^j, and ``_substep`` cuts the
+    substep for that state into 2^r equal pieces.  ``advance`` integrates a
+    batch over a horizon and ``check_substeps`` refuses a horizon too long
+    for ``dt``.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        explicit, linear = _split_linear(model)
-        self.dt = _heuristic_substep(explicit, model.grid.spacing)
+        bounds = _term_bounds(model.dictionary, model.grid.spacing)
+        explicit, linear, self.dt = _split_linear(model, bounds)
         self.plan = RhsPlan(explicit, model.grid, model.dirichlet)
         # the bounds that a state with |u| > 1 shortens: those of u^j terms, j >= 1
-        bounds = [(b, j) for b, j in _term_bounds(explicit, model.grid.spacing) if j >= 1]
-        self._limits = np.array([b for b, _ in bounds])
-        self._powers = np.array([j for _, j in bounds])
+        self._limits = np.array([b for b, j, _ in bounds if j >= 1])
+        self._powers = np.array([j for _, j, _ in bounds if j >= 1])
         self._sine_rates = None  # the eigenvalues of L in its sine modes, or
         self._generator = None   # L as a dense matrix
         if model.dirichlet and linear.keys() == {2}:
@@ -354,7 +343,7 @@ class _LawsonRK4:
             return None
         return np.clip(np.ceil(np.log2(ratio)), 0, MAX_REFINE).astype(int)
 
-    def advance(self, u: np.ndarray, h: float) -> np.ndarray:
+    def _substep(self, u: np.ndarray, h: float) -> np.ndarray:
         """Advance ``(m, N)`` states by ``h``, each in 2^r substeps of length
         ``h / 2^r`` with r from ``_refinements``.  States with the same r are
         stepped together, so each row's result does not depend on the others."""
@@ -370,58 +359,66 @@ class _LawsonRK4:
             out[rows] = v
         return out
 
+    def check_substeps(self, total_time: float) -> None:
+        """Refuse, with InvalidInputError, an integration over ``total_time``
+        that needs more than MAX_SUBSTEPS substeps of ``dt`` before
+        refinement.  A substep at or below MIN_SUBSTEP is left to
+        ``advance``, which refuses it."""
+        count = np.ceil(total_time / self.dt)
+        if self.dt > MIN_SUBSTEP and count > MAX_SUBSTEPS:
+            raise InvalidInputError(
+                f"model '{self.model.name}' would take {count:.0f} substeps of {self.dt:.4g}, "
+                f"more than {MAX_SUBSTEPS}; shorten the sampling time, the burn-in or the pairs "
+                "per trajectory"
+            )
 
-def _advance(
-    model: Model,
-    states: np.ndarray,
-    horizon: float,
-    dt: float,
-    t0: float = 0.0,
-    stepper: Optional[_LawsonRK4] = None,
-) -> np.ndarray:
-    """Advance batched states (last axis = space) by ``horizon`` at substep ``dt``.
+    def advance(
+        self, states: np.ndarray, horizon: float, t0: float = 0.0, dt: Optional[float] = None
+    ) -> np.ndarray:
+        """Advance batched states (last axis = space) by ``horizon`` in
+        substeps of ``dt`` (the stepper's own by default) and one shorter last
+        substep for the remainder.
 
-    Calls that pass one ``stepper`` share its linear split, exact flows and
-    right-hand-side plan.  A substep ``dt`` at or below ``MIN_SUBSTEP``, or
-    on a Dirichlet model a state that does not vanish at both boundaries,
-    raises PreconditionError before the first step.  A state with a
-    non-finite entry raises BlowUpError, naming its row of an ``(m, N)``
-    batch (the trajectory) and the time ``t0`` plus the time advanced.
-    """
-    if dt <= MIN_SUBSTEP:
-        raise PreconditionError(
-            f"stable substep {dt:.4g} of model '{model.name}' is at or below "
-            f"{MIN_SUBSTEP:g}; coarsen the grid or reduce the derivative coefficients"
-        )
-    shape = np.shape(states)
-    u = np.array(states, dtype=float, copy=True).reshape(-1, shape[-1])
-    if model.dirichlet and (np.any(u[:, 0] != 0.0) or np.any(u[:, -1] != 0.0)):
-        raise PreconditionError(
-            f"Dirichlet model '{model.name}' requires initial conditions vanishing at the boundaries"
-        )
-    if stepper is None:
-        stepper = _LawsonRK4(model)
-    n_full = int(horizon / dt)
-    rem = horizon - n_full * dt
-    t = 0.0
-    # a state that overflows is reported by the BlowUpError below, not by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_full + 1):
-            step = dt if i < n_full else rem
-            if step <= MIN_SUBSTEP:
-                break
-            u = stepper.advance(u, step)
-            t += step
-            if not np.isfinite(u).all():
-                row = int(np.argmin(np.isfinite(u).all(axis=-1)))
-                trajectory = row if len(shape) > 1 else None
-                which = "" if trajectory is None else f"trajectory {trajectory} of "
-                raise BlowUpError(
-                    f"{which}model '{model.name}' blew up at t = {t0 + t:.6g}",
-                    time=t0 + t,
-                    trajectory=trajectory,
-                )
-    return u.reshape(shape)
+        A substep at or below ``MIN_SUBSTEP``, or on a Dirichlet model a
+        state that does not vanish at both boundaries, raises
+        PreconditionError before the first step.  A state with a non-finite
+        entry raises BlowUpError, naming its row of an ``(m, N)`` batch (the
+        trajectory) and the time ``t0`` plus the time advanced.
+        """
+        model = self.model
+        dt = self.dt if dt is None else dt
+        if dt <= MIN_SUBSTEP:
+            raise PreconditionError(
+                f"stable substep {dt:.4g} of model '{model.name}' is at or below "
+                f"{MIN_SUBSTEP:g}; coarsen the grid or reduce the derivative coefficients"
+            )
+        shape = np.shape(states)
+        u = np.array(states, dtype=float, copy=True).reshape(-1, shape[-1])
+        if model.dirichlet and (np.any(u[:, 0] != 0.0) or np.any(u[:, -1] != 0.0)):
+            raise PreconditionError(
+                f"Dirichlet model '{model.name}' requires initial conditions vanishing at the boundaries"
+            )
+        n_full = int(horizon / dt)
+        rem = horizon - n_full * dt
+        t = 0.0
+        # a state that overflows is reported by the BlowUpError below, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n_full + 1):
+                step = dt if i < n_full else rem
+                if step <= MIN_SUBSTEP:
+                    break
+                u = self._substep(u, step)
+                t += step
+                if not np.isfinite(u).all():
+                    row = int(np.argmin(np.isfinite(u).all(axis=-1)))
+                    trajectory = row if len(shape) > 1 else None
+                    which = "" if trajectory is None else f"trajectory {trajectory} of "
+                    raise BlowUpError(
+                        f"{which}model '{model.name}' blew up at t = {t0 + t:.6g}",
+                        time=t0 + t,
+                        trajectory=trajectory,
+                    )
+        return u.reshape(shape)
 
 
 def integrate(model: Model, values, horizon: float) -> np.ndarray:
@@ -432,8 +429,8 @@ def integrate(model: Model, values, horizon: float) -> np.ndarray:
     _check_time("horizon", horizon)
     v = grid_values(model.grid, values, False, (1, 2))
     stepper = _LawsonRK4(model)
-    _check_substeps(model, stepper.dt, horizon)
-    return _advance(model, v, horizon, stepper.dt, stepper=stepper)
+    stepper.check_substeps(horizon)
+    return stepper.advance(v, horizon)
 
 
 def generate_pairs(
@@ -501,9 +498,9 @@ def _pair_datasets(
         [sample_initial_condition(family, model.grid, a, b) for a, b in params]
     )
     stepper = _LawsonRK4(model)
-    _check_substeps(model, stepper.dt, burn_in + max_quota * sum(ts_list))
+    stepper.check_substeps(burn_in + max_quota * sum(ts_list))
     if burn_in > 0:
-        start = _advance(model, start, burn_in, stepper.dt, stepper=stepper)
+        start = stepper.advance(start, burn_in)
 
     quotas_arr = np.asarray(quotas)
     # pair k spans segment pair_seg[k] of trajectory pair_traj[k], trajectory-major
@@ -515,9 +512,7 @@ def _pair_datasets(
         for seg in range(max_quota):
             # trajectories whose quota is filled no longer need stepping
             states = np.where(quotas_arr[:, None] > seg, states, 0.0)
-            states = _advance(
-                model, states, t_s, stepper.dt, t0=burn_in + seg * t_s, stepper=stepper
-            )
+            states = stepper.advance(states, t_s, t0=burn_in + seg * t_s)
             snapshots.append(states)
         snapshots = np.stack(snapshots)
 
@@ -547,13 +542,6 @@ def burgers_model(num_points: int = DEFAULT_GRID_POINTS) -> Model:
         coefficients=(-1.0, 1.0),
     )
     return Model("burgers", dic, grid, dirichlet=True)
-
-
-def heat_model(x_min: float = -1.0, x_max: float = 1.0, num_points: int = DEFAULT_GRID_POINTS) -> Model:
-    """Linear diffusion with homogeneous Dirichlet conditions."""
-    grid = Grid1D(x_min, x_max, num_points)
-    dic = Dictionary(terms=(MonomialDerivative(0, 2),), coefficients=(1.0,))
-    return Model("heat", dic, grid, dirichlet=True)
 
 
 def pde1_model(num_points: int = 64) -> Model:

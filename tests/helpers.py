@@ -5,6 +5,13 @@ import numpy as np
 import koopid
 
 
+def heat_model(num_points: int = 256) -> koopid.Model:
+    """Linear diffusion ``u_t = u_xx`` on [-1, 1] with homogeneous Dirichlet
+    conditions."""
+    dic = koopid.Dictionary((koopid.MonomialDerivative(0, 2),), coefficients=(1.0,))
+    return koopid.Model("heat", dic, koopid.Grid1D(-1.0, 1.0, num_points), dirichlet=True)
+
+
 def sine_mode(grid: koopid.Grid1D, k: int) -> np.ndarray:
     """The k-th Dirichlet sine mode on the grid, endpoints exactly zero."""
     x = grid.nodes()

@@ -21,15 +21,14 @@ from koopid import (
     direct_identify,
     edmd_fit,
     generate_pairs,
-    heat_model,
     lifting_identify,
     spectrum,
     true_coefficients,
     ts_convergence_study,
 )
 from koopid.cli import EXIT_OK, main
-from koopid.simulate import EXPERIMENT_DEFAULTS, _LawsonRK4, _advance
-from helpers import sine_mode
+from koopid.simulate import EXPERIMENT_DEFAULTS, _LawsonRK4
+from helpers import heat_model, sine_mode
 
 
 def verdict(capfd, num, name, ok, detail):
@@ -128,12 +127,12 @@ def test_criterion_5_sampling_time_convergence(pde1_setup, capfd):
 
 
 def _heat_pairs(model, states, ts):
-    dt = _LawsonRK4(model).dt
+    stepper = _LawsonRK4(model)
     states = np.array(states)
     states[:, 0] = 0.0
     states[:, -1] = 0.0
-    s1 = _advance(model, states, ts, dt)
-    s2 = _advance(model, s1, ts, dt)
+    s1 = stepper.advance(states, ts)
+    s2 = stepper.advance(s1, ts)
     # pairs (states_i, s1_i) and (s1_i, s2_i), state by state
     u = np.stack([states, s1], axis=1).reshape(-1, states.shape[1])
     u_next = np.stack([s1, s2], axis=1).reshape(-1, states.shape[1])

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -546,6 +547,50 @@ def test_malformed_json_file_is_named(tmp_path, graphon_data, capsys, kind, cont
     }[kind]
     assert main(argv) == EXIT_USAGE
     assert f"error: {kind} is not valid JSON: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["dictionary", "basis", "model"])
+def test_huge_power_is_usage_error(tmp_path, graphon_data, capsys, kind):
+    # a power of 10^8 would take 10^8 multiplications per element (and a
+    # right-hand-side polynomial of 10^8 + 1 coefficients) before failing
+    huge = {"kind": "monomial", "j": 100000000, "k": 0}
+    path, out = tmp_path / f"{kind}.json", str(tmp_path / "out")
+    argv = {
+        "dictionary": ["identify", "--data", str(graphon_data), "--dict", str(path),
+                       "--weight", "power:2", "--method", "lifting", "--out", out],
+        "basis": ["spectrum", "--data", str(graphon_data), "--basis", f"file:{path}",
+                  "--out", out],
+        "model": ["simulate", "--model", f"custom:{path}", "--pairs", "2", "--trajectories",
+                  "1", "--ts", "0.1", "--seed", "1", "--out", out],
+    }[kind]
+    path.write_text(json.dumps({
+        "dictionary": [{"kind": "monomial", "j": 1, "k": 0}, huge],
+        "basis": [{"kind": "cosine", "a": 1, "b": 0, "k": 100000000, "l": 1}],
+        "model": {"grid": {"x_min": 0.0, "x_max": 1.0, "num_points": 32},
+                  "dictionary": [huge], "coefficients": [-1.0]},
+    }[kind]))
+    start = time.perf_counter()
+    assert main(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "must be in " in capsys.readouterr().err
+
+
+def test_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
+    # a grid of 10^12 nodes makes np.linspace raise MemoryError; the grid
+    # here is small and its nodes raise instead, so nothing large is allocated
+    def no_memory(self):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    monkeypatch.setattr(koopid.Grid1D, "nodes", no_memory)
+    code = main([
+        "simulate", "--model", "graphon", "--pairs", "2", "--trajectories", "1",
+        "--ts", "0.5", "--seed", "1", "--grid", "16", "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array with shape " \
+                  "(1000000000000,) and data type float64\n"
 
 
 # Runs each argv list of the JSON in sys.argv[1] through koopid.cli.main and

@@ -110,27 +110,32 @@ class TestRecordRoundTrips:
         assert fileio.term_from_record(fileio.term_to_record(term)) == term
 
     @pytest.mark.parametrize(
-        "weight",
+        "weight",  # (record, weight it describes)
         [
-            koopid.Bump(5.0),
-            koopid.Bump(5.0, recentered=True),
-            koopid.PowerLaw(2),
-            koopid.ConstantWeight(),
+            ({"kind": "bump", "L": 5.0}, koopid.Bump(5.0)),
+            ({"kind": "bump", "L": 5.0, "recentered": True}, koopid.Bump(5.0, recentered=True)),
+            ({"kind": "power", "p": 2}, koopid.PowerLaw(2)),
+            ({"kind": "constant"}, koopid.ConstantWeight()),
         ],
     )
     def test_weight(self, weight):
-        assert fileio.weight_from_record(fileio.weight_to_record(weight)) == weight
+        record, expected = weight
+        assert fileio.weight_from_record(record) == expected
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec",  # (record, functional it describes)
         [
-            koopid.InnerProductPower(0.3, 0.7, 2, 3),
-            koopid.PointEvaluation(0.25),
-            koopid.LiftedTerm(koopid.MonomialDerivative(1, 0), koopid.PowerLaw(2)),
+            ({"kind": "cosine", "a": 0.3, "b": 0.7, "k": 2, "l": 3},
+             koopid.InnerProductPower(0.3, 0.7, 2, 3)),
+            ({"kind": "point", "x": 0.25}, koopid.PointEvaluation(0.25)),
+            ({"kind": "lifted", "term": {"kind": "monomial", "j": 1, "k": 0},
+              "weight": {"kind": "power", "p": 2}},
+             koopid.LiftedTerm(koopid.MonomialDerivative(1, 0), koopid.PowerLaw(2))),
         ],
     )
     def test_functional(self, spec):
-        assert fileio.functional_from_record(fileio.functional_to_record(spec)) == spec
+        record, expected = spec
+        assert fileio.functional_from_record(record) == expected
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):

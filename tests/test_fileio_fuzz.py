@@ -46,18 +46,44 @@ TERMS = st.one_of(
     .filter(lambda jk: jk != (0, 0)).map(lambda jk: koopid.MonomialDerivative(*jk)),
     st.builds(koopid.KernelSpec, FINITE, FINITE, FINITE).map(koopid.GraphonKernel),
 )
-WEIGHTS = st.one_of(
-    st.builds(koopid.Bump, st.floats(1e-3, 1e3), st.booleans()),
-    st.builds(koopid.PowerLaw, st.integers(0, 6)),
-    st.just(koopid.ConstantWeight()),
-)
-FUNCTIONALS = st.one_of(
-    st.builds(koopid.InnerProductPower, FINITE, FINITE, st.integers(1, 4), st.integers(1, 4)),
-    st.builds(koopid.PointEvaluation, FINITE),
-    st.builds(koopid.LiftedTerm, TERMS, WEIGHTS),
-)
+
+
 TERM_LISTS = st.lists(TERMS, min_size=1, max_size=5, unique=True)
 DICTIONARY_RECORDS = TERM_LISTS.map(lambda terms: [fileio.term_to_record(t) for t in terms])
+
+
+@st.composite
+def weights(draw):
+    """A weight record and the weight it describes.  A bump's record leaves
+    out ``recentered`` when it is false."""
+    kind = draw(st.sampled_from(["bump", "power", "constant"]))
+    if kind == "bump":
+        radius, recentered = draw(st.floats(1e-3, 1e3)), draw(st.booleans())
+        record = {"kind": "bump", "L": radius}
+        if recentered:
+            record["recentered"] = True
+        return record, koopid.Bump(radius, recentered)
+    if kind == "power":
+        p = draw(st.integers(0, 6))
+        return {"kind": "power", "p": p}, koopid.PowerLaw(p)
+    return {"kind": "constant"}, koopid.ConstantWeight()
+
+
+@st.composite
+def functionals(draw):
+    """A basis functional record and the functional it describes."""
+    kind = draw(st.sampled_from(["cosine", "point", "lifted"]))
+    if kind == "cosine":
+        a, b = draw(FINITE), draw(FINITE)
+        k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        return {"kind": "cosine", "a": a, "b": b, "k": k, "l": l}, koopid.InnerProductPower(a, b, k, l)
+    if kind == "point":
+        x = draw(FINITE)
+        return {"kind": "point", "x": x}, koopid.PointEvaluation(x)
+    term = draw(TERMS)
+    record, weight = draw(weights())
+    return ({"kind": "lifted", "term": fileio.term_to_record(term), "weight": record},
+            koopid.LiftedTerm(term, weight))
 
 
 @st.composite
@@ -125,8 +151,8 @@ def returns_or_raises_koopid_error(reader, arg):
 
 READERS = [
     (fileio.term_from_record, TERMS.map(fileio.term_to_record)),
-    (fileio.weight_from_record, WEIGHTS.map(fileio.weight_to_record)),
-    (fileio.functional_from_record, FUNCTIONALS.map(fileio.functional_to_record)),
+    (fileio.weight_from_record, weights().map(lambda pair: pair[0])),
+    (fileio.functional_from_record, functionals().map(lambda pair: pair[0])),
     (fileio.dictionary_from_records, DICTIONARY_RECORDS),
     (fileio.model_from_record, models().map(lambda pair: pair[0])),
 ]
@@ -158,16 +184,16 @@ class TestRoundTrips:
         assert fileio.term_from_record(json.loads(json.dumps(fileio.term_to_record(term)))) == term
 
     @FUZZ
-    @given(WEIGHTS)
-    def test_weight(self, weight):
-        rec = json.loads(json.dumps(fileio.weight_to_record(weight)))
-        assert fileio.weight_from_record(rec) == weight
+    @given(weights())
+    def test_weight(self, pair):
+        record, weight = pair
+        assert fileio.weight_from_record(json.loads(json.dumps(record))) == weight
 
     @FUZZ
-    @given(FUNCTIONALS)
-    def test_functional(self, spec):
-        rec = json.loads(json.dumps(fileio.functional_to_record(spec)))
-        assert fileio.functional_from_record(rec) == spec
+    @given(functionals())
+    def test_functional(self, pair):
+        record, spec = pair
+        assert fileio.functional_from_record(json.loads(json.dumps(record))) == spec
 
     @FUZZ
     @given(TERM_LISTS)
@@ -192,8 +218,9 @@ class TestRoundTrips:
         assert np.array_equal(back.u, ds.u) and np.array_equal(back.u_next, ds.u_next)
 
     @FUZZ
-    @given(WEIGHTS)
-    def test_weight_spec(self, weight):
+    @given(weights())
+    def test_weight_spec(self, pair):
+        _, weight = pair
         if isinstance(weight, koopid.Bump):
             text = f"bump:{weight.L!r}" + (":recentered" if weight.recentered else "")
         elif isinstance(weight, koopid.PowerLaw):

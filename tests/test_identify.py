@@ -18,7 +18,6 @@ from koopid import (
     SnapshotDataset,
     direct_identify,
     generate_pairs,
-    heat_model,
     integrate,
     lifting_identify,
     rhs_values,
@@ -26,7 +25,7 @@ from koopid import (
     ts_convergence_study,
 )
 from koopid.errors import PreconditionError
-from helpers import heat_pairs, sine_mode
+from helpers import heat_model, heat_pairs, sine_mode
 
 
 def heat_modes_dataset(modes=(1, 3), ts=0.1, seed=1, num_states=5, grid_points=256):

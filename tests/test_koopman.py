@@ -13,13 +13,12 @@ from koopid import (
     build_data_matrices,
     edmd_fit,
     functional_values,
-    heat_model,
     spectrum,
 )
 from koopid.errors import KoopidError, RankDeficiencyWarning, ShapeError
 from koopid.observables import build_burgers_basis
 from koopid.simulate import EXPERIMENT_DEFAULTS
-from helpers import heat_pairs, sine_mode
+from helpers import heat_model, heat_pairs, sine_mode
 
 
 def heat_sine_dataset(num_modes=4, ts=0.05, num_states=6, seed=0, grid_points=256):

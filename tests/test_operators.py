@@ -18,6 +18,7 @@ from koopid import (
 from koopid.errors import DomainError, InvalidInputError, PreconditionError, ShapeError
 from koopid.fields import trapezoid_weights
 from koopid.operators import _int_power, _stencil_matrix, describe_term, term_values
+from helpers import heat_model
 
 
 @pytest.fixture
@@ -255,7 +256,7 @@ class TestRhsPlan:
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("make_model", [
-        koopid.burgers_model, koopid.heat_model, koopid.pde1_model, koopid.graphon_model,
+        koopid.burgers_model, heat_model, koopid.pde1_model, koopid.graphon_model,
         _mixed_order_model, _graphon_only_model,
     ], ids=["burgers", "heat", "pde1", "graphon", "mixed-orders", "graphon-only"])
     def test_matches_per_term_sum(self, make_model):

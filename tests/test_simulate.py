@@ -11,7 +11,6 @@ from koopid import (
     ICFamily,
     MonomialDerivative,
     generate_pairs,
-    heat_model,
     integrate,
 )
 from koopid.errors import InvalidInputError, KoopidError, PreconditionError, ShapeError
@@ -27,12 +26,17 @@ from koopid.simulate import (
     Model,
     SnapshotDataset,
     _LawsonRK4,
-    _advance,
-    _heuristic_substep,
     _split_linear,
+    _term_bounds,
     sample_initial_condition,
 )
-from helpers import sine_mode
+from helpers import heat_model, sine_mode
+
+
+def split(model):
+    """The explicit terms and the split-off linear part that a stepper of
+    ``model`` takes."""
+    return _split_linear(model, _term_bounds(model.dictionary, model.grid.spacing))[:2]
 
 
 class TestStableSubstep:
@@ -41,7 +45,7 @@ class TestStableSubstep:
         # off into the dense exact flow, and nothing else limits the step
         g = Grid1D(-1.0, 1.0, 101)  # h = 0.02
         dic = Dictionary((MonomialDerivative(0, 2),), coefficients=(1.0,))
-        assert _heuristic_substep(dic, g.spacing) == pytest.approx(0.25 * 0.02**2)
+        assert min(b for b, _, _ in _term_bounds(dic, g.spacing)) == pytest.approx(0.25 * 0.02**2)
         assert _LawsonRK4(Model("heat", dic, g)).dt == DT_MAX
 
     def test_dirichlet_diffusion_split_off(self):
@@ -49,7 +53,7 @@ class TestStableSubstep:
         # advection bound h / |c| = h, heat at DT_MAX
         burgers, heat = koopid.burgers_model(), heat_model(num_points=101)
         for m in (burgers, heat):
-            explicit, linear = _split_linear(m)
+            explicit, linear = split(m)
             assert linear == {2: 1.0}
             # the split-off term stays in place with coefficient 0
             assert explicit.terms == m.dictionary.terms
@@ -66,7 +70,7 @@ class TestStableSubstep:
                                       coefficients=(-2.0, 1e-3)), Grid1D(0.0, 1.0, 201)),
     ], ids=["graphon", "backward-heat", "transport"])
     def test_no_split_where_diffusion_does_not_set_the_step(self, model):
-        assert _split_linear(model) == (model.dictionary, {})
+        assert split(model) == (model.dictionary, {})
 
     @pytest.mark.parametrize("num_points", [64, 256], ids=["pde1", "pde1-256"])
     def test_split_where_dispersion_sets_the_step(self, num_points):
@@ -74,9 +78,9 @@ class TestStableSubstep:
         # RK4 steps -0.5 u u_x - 0.2 u u_xx, where the u u_xx bound binds
         m = koopid.pde1_model(num_points)
         h = m.grid.spacing
-        explicit, linear = _split_linear(m)
+        explicit, linear = split(m)
         assert linear == {1: -0.5, 2: 1.0, 3: 0.1}
-        assert _heuristic_substep(m.dictionary, h) == pytest.approx(0.25 * h**3 / 0.1)
+        assert min(b for b, _, _ in _term_bounds(m.dictionary, h)) == pytest.approx(0.25 * h**3 / 0.1)
         assert _LawsonRK4(m).dt == pytest.approx(0.25 * h**2 / 0.2)
         assert dict(zip(explicit.terms, explicit.coefficients)) == {
             **dict(zip(m.dictionary.terms, m.dictionary.coefficients)),
@@ -89,7 +93,7 @@ class TestStableSubstep:
         # has no derivative terms
         pde1 = koopid.pde1_model()
         h = pde1.grid.spacing
-        assert _heuristic_substep(pde1.dictionary, h) == pytest.approx(0.25 * h**3 / 0.1)
+        assert min(b for b, _, _ in _term_bounds(pde1.dictionary, h)) == pytest.approx(0.25 * h**3 / 0.1)
         assert _LawsonRK4(pde1).dt == pytest.approx(0.25 * h**2 / 0.2)
         assert _LawsonRK4(koopid.graphon_model()).dt == DT_MAX
 
@@ -101,7 +105,7 @@ class TestStableSubstep:
         m = Model("advection-diffusion", Dictionary(
             (MonomialDerivative(0, 1), MonomialDerivative(0, 2)), coefficients=(advection, 1.0)),
             Grid1D(0.0, 1.0, 64), dirichlet=True)
-        explicit, linear = _split_linear(m)
+        explicit, linear = split(m)
         stepper = _LawsonRK4(m)
         assert stepper.dt == DT_MAX
         if route == "sine":
@@ -132,9 +136,9 @@ class TestStableSubstep:
         rng = np.random.default_rng(1)
         u0 = np.stack([sample_initial_condition(ICFamily.PDE1, m.grid, *rng.random(2))
                        for _ in range(3)])
-        dt = _LawsonRK4(m).dt
-        coarse = _advance(m, u0, 0.1, dt)
-        fine = _advance(m, u0, 0.1, dt / 4)
+        stepper = _LawsonRK4(m)
+        coarse = stepper.advance(u0, 0.1)
+        fine = stepper.advance(u0, 0.1, dt=stepper.dt / 4)
         assert np.max(np.abs(coarse - fine)) <= 1e-5 * np.max(np.abs(fine))
 
     @pytest.mark.parametrize("name, route", [
@@ -168,7 +172,7 @@ class TestStableSubstep:
         g = Grid1D(0.0, 5.0, 128)
         dic = Dictionary((MonomialDerivative(0, 3),), coefficients=(0.1,))
         h = g.spacing
-        assert _heuristic_substep(dic, h) == pytest.approx(0.25 * h**3 / 0.1)
+        assert min(b for b, _, _ in _term_bounds(dic, h)) == pytest.approx(0.25 * h**3 / 0.1)
         assert _LawsonRK4(Model("airy", dic, g)).dt == DT_MAX
 
     def test_substep_at_floor_is_refused(self):
@@ -305,9 +309,9 @@ class TestIntegrate:
         # halving the substep must not change the result materially
         m = koopid.burgers_model(64)
         u0 = sine_mode(m.grid, 1)
-        dt = _LawsonRK4(m).dt
-        a = _advance(m, u0, 0.2, dt)
-        b = _advance(m, u0, 0.2, dt / 2)
+        stepper = _LawsonRK4(m)
+        a = stepper.advance(u0, 0.2)
+        b = stepper.advance(u0, 0.2, dt=stepper.dt / 2)
         assert np.max(np.abs(a - b)) <= 1e-4 * max(1.0, np.max(np.abs(a)))
 
     @pytest.mark.parametrize("viscosity", [1.0, 0.0], ids=["burgers", "inviscid"])
@@ -333,11 +337,11 @@ class TestIntegrate:
         rng = np.random.default_rng(1)
         u0 = np.stack([sample_initial_condition(family, m.grid, *rng.random(2))
                        for _ in range(3)])
-        dt = _LawsonRK4(m).dt
+        stepper = _LawsonRK4(m)
         if burn_in:
-            u0 = _advance(m, u0, burn_in, dt)
-        coarse = _advance(m, u0, ts, dt)
-        fine = _advance(m, u0, ts, dt / 4)
+            u0 = stepper.advance(u0, burn_in)
+        coarse = stepper.advance(u0, ts)
+        fine = stepper.advance(u0, ts, dt=stepper.dt / 4)
         assert np.max(np.abs(coarse - fine)) <= 1e-7 * np.max(np.abs(fine))
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan, 1e-16])
@@ -443,7 +447,7 @@ class TestGeneratePairs:
             sample_initial_condition(ICFamily.GRAPHON, m.grid, *rng.random(2)) for _ in range(3)
         ])]
         for _ in range(2):
-            snapshots.append(_advance(m, snapshots[-1], 0.5, _LawsonRK4(m).dt))
+            snapshots.append(_LawsonRK4(m).advance(snapshots[-1], 0.5))
         for k, (traj, seg) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]):
             assert np.allclose(ds.u[k], snapshots[seg][traj], rtol=0.0, atol=1e-12)
             assert np.allclose(ds.u_next[k], snapshots[seg + 1][traj], rtol=0.0, atol=1e-12)

@@ -20,7 +20,7 @@ import koopid.linalg
 import koopid.observables
 import koopid.operators
 import koopid.simulate
-from helpers import sine_mode
+from helpers import heat_model, sine_mode
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 MODULES = (
@@ -44,7 +44,7 @@ def test_instrument_resolves_every_name_and_undo_restores(tracing):
     try:
         assert koopid.simulate.rhs_values is not before[-1]["rhs_values"]
         # the RK4 loop calls the wrapped module-level rhs_values
-        koopid.integrate(koopid.heat_model(num_points=16), np.zeros(16), 0.02)
+        koopid.integrate(heat_model(num_points=16), np.zeros(16), 0.02)
         assert "operators.rhs" in tracer.names
         assert tracer.counts["operators.rhs_elems"] > 0
     finally:
