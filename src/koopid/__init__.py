@@ -42,7 +42,6 @@ from .koopman import (
 from .linalg import EigenDecomposition, eig, expm, logm, lstsq_fit, pinv
 from .observables import (
     Bump,
-    ConstantWeight,
     FunctionalSpec,
     InnerProductPower,
     LiftedTerm,
@@ -54,10 +53,8 @@ from .observables import (
     functional_values,
 )
 from .operators import (
-    Constant,
     Dictionary,
     GraphonKernel,
-    KernelSpec,
     MonomialDerivative,
     RhsPlan,
     TermSpec,

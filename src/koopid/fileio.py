@@ -22,7 +22,6 @@ from .identify import ConvergenceReport, IdentificationResult
 from .koopman import SpectrumResult
 from .observables import (
     Bump,
-    ConstantWeight,
     FunctionalSpec,
     InnerProductPower,
     LiftedTerm,
@@ -31,10 +30,8 @@ from .observables import (
     WeightSpec,
 )
 from .operators import (
-    Constant,
     Dictionary,
     GraphonKernel,
-    KernelSpec,
     MonomialDerivative,
     TermSpec,
     describe_term,
@@ -123,29 +120,26 @@ def _records(value, what: str) -> list:
 # term / dictionary / weight / functional records
 
 def term_to_record(term: TermSpec) -> dict:
-    if isinstance(term, Constant):
-        return {"kind": "constant"}
     if isinstance(term, MonomialDerivative):
         return {"kind": "monomial", "j": term.j, "k": term.k}
     if isinstance(term, GraphonKernel):
-        ker = term.kernel
-        return {"kind": "graphon", "f": {"c0": ker.c0, "cx": ker.cx, "cy": ker.cy}}
+        return {"kind": "graphon", "f": {"c0": term.c0, "cx": term.cx, "cy": term.cy}}
     raise InvalidInputError(f"unknown term type: {term!r}")
 
 
 def term_from_record(rec: dict) -> TermSpec:
+    """The term a record holds; ``{"kind": "constant"}`` is read as
+    ``MonomialDerivative(0, 0)``."""
     kind = _get(rec, "kind", "term record")
     if kind == "constant":
-        return Constant()
+        return MonomialDerivative(0, 0)
     if kind == "monomial":
         return MonomialDerivative(
             _get(rec, "j", "monomial term", int), _get(rec, "k", "monomial term", int)
         )
     if kind == "graphon":
         f = _get(rec, "f", "graphon term")
-        return GraphonKernel(KernelSpec(
-            *(_get(f, c, "graphon kernel", float) for c in ("c0", "cx", "cy"))
-        ))
+        return GraphonKernel(*(_get(f, c, "graphon kernel", float) for c in ("c0", "cx", "cy")))
     raise InvalidInputError(f"unknown term kind: {kind!r}")
 
 
@@ -158,6 +152,8 @@ def dictionary_from_records(records: Sequence[dict]) -> Dictionary:
 
 
 def weight_from_record(rec: dict) -> WeightSpec:
+    """The weight a record holds; ``{"kind": "constant"}`` is read as
+    ``PowerLaw(0)``."""
     kind = _get(rec, "kind", "weight record")
     if kind == "bump":
         return Bump(_get(rec, "L", "bump weight", float),
@@ -165,16 +161,17 @@ def weight_from_record(rec: dict) -> WeightSpec:
     if kind == "power":
         return PowerLaw(_get(rec, "p", "power weight", int))
     if kind == "constant":
-        return ConstantWeight()
+        return PowerLaw(0)
     raise InvalidInputError(f"unknown weight kind: {kind!r}")
 
 
 def parse_weight_spec(text: str) -> WeightSpec:
-    """Parse the CLI shorthand: ``bump:L``, ``power:p`` or ``constant``."""
+    """Parse the CLI shorthand: ``bump:L``, ``power:p`` or ``constant`` (read
+    as ``power:0``)."""
     parts = text.split(":")
     try:
         if parts[0] == "constant" and len(parts) == 1:
-            return ConstantWeight()
+            return PowerLaw(0)
         if parts[0] == "bump" and len(parts) in (2, 3) and parts[2:] in ([], ["recentered"]):
             return Bump(float(parts[1]), recentered=len(parts) == 3)
         if parts[0] == "power" and len(parts) == 2:

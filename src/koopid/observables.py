@@ -44,7 +44,7 @@ class Bump:
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """w(x) = x^p."""
+    """w(x) = x^p; p = 0 is the constant weight w(x) = 1."""
 
     p: int
 
@@ -53,12 +53,7 @@ class PowerLaw:
             raise InvalidInputError(f"power-law exponent must be >= 0, got {self.p}")
 
 
-@dataclass(frozen=True)
-class ConstantWeight:
-    """w(x) = 1."""
-
-
-WeightSpec = Union[Bump, PowerLaw, ConstantWeight]
+WeightSpec = Union[Bump, PowerLaw]
 
 
 def weight_values(weight: WeightSpec, grid: Grid1D) -> np.ndarray:
@@ -71,8 +66,6 @@ def weight_values(weight: WeightSpec, grid: Grid1D) -> np.ndarray:
         w[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
     elif isinstance(weight, PowerLaw):
         w = x**weight.p
-    elif isinstance(weight, ConstantWeight):
-        w = np.ones_like(x)
     else:
         raise InvalidInputError(f"unknown weight spec: {weight!r}")
     return w

@@ -2,10 +2,10 @@
 
 A dictionary is an ordered list of terms from a closed family:
 
-* ``Constant`` -- the constant-1 operator,
-* ``MonomialDerivative(j, k)`` -- ``u^j * d^k u / dx^k``,
-* ``GraphonKernel(kernel)`` -- nonlocal coupling
-  ``(W u)(x) = int_0^1 f(x, y) (u(y) - u(x)) dy`` with an affine kernel
+* ``MonomialDerivative(j, k)`` -- ``u^j * d^k u / dx^k``, or ``u^j`` for
+  k = 0, so that ``MonomialDerivative(0, 0)`` is the constant-1 operator,
+* ``GraphonKernel(c0, cx, cy)`` -- nonlocal coupling
+  ``(W u)(x) = int_0^1 f(x, y) (u(y) - u(x)) dy`` with the affine kernel
   ``f(x, y) = c0 + cx*x + cy*y``.
 
 The affine kernel integral separates, so graphon terms are evaluated in
@@ -13,12 +13,15 @@ O(N) per state via the moments ``int u dy`` and ``int y u(y) dy`` (trapezoid
 weights throughout, so results are bit-reproducible): the coupling is a
 rank-2 operator minus a diagonal one.
 
+Under Dirichlet conditions the two boundary nodes never move, so
+:func:`term_values` and :func:`rhs_values` both return 0 there.
+
 A right-hand side ``sum_i c_i W_i(u)`` is compiled once into an
 :class:`RhsPlan` for one grid and boundary rule, then evaluated by
 :func:`rhs_values` as often as an integrator needs it:
 
-* the derivative-free terms ``c u^j`` and ``c`` form one polynomial in u,
-  evaluated by Horner's rule;
+* the derivative-free terms ``c u^j`` (j = 0: the constant) form one
+  polynomial in u, evaluated by Horner's rule;
 * the derivative terms ``c u^j d^k u`` that share a power j are summed into
   one matrix ``A_j = sum_k c_jk D_k`` of the :func:`~koopid.fields.diff_matrix`
   matrices that :func:`~koopid.fields.diff_values` (and so
@@ -50,36 +53,6 @@ from .errors import DomainError, InvalidInputError, ShapeError
 from .fields import Grid1D, diff_matrix, diff_values, trapezoid_weights
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Affine graphon kernel ``f(x, y) = c0 + cx*x + cy*y``."""
-
-    c0: float
-    cx: float
-    cy: float
-
-    def __post_init__(self):
-        if not all(np.isfinite([self.c0, self.cx, self.cy])):
-            raise InvalidInputError("kernel coefficients must be finite")
-
-    @classmethod
-    def one(cls) -> "KernelSpec":
-        return cls(1.0, 0.0, 0.0)
-
-    @classmethod
-    def coord_x(cls) -> "KernelSpec":
-        return cls(0.0, 1.0, 0.0)
-
-    @classmethod
-    def coord_y(cls) -> "KernelSpec":
-        return cls(0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class Constant:
-    """W(u) = 1."""
-
-
 #: the largest integer power of the state that a term or functional takes;
 #: each power costs one multiplication per element, and the built-in
 #: dictionaries and bases use at most 3
@@ -88,7 +61,8 @@ MAX_POWER = 64
 
 @dataclass(frozen=True)
 class MonomialDerivative:
-    """W(u) = u^j * d^k u / dx^k, with j in 0..MAX_POWER and k in 0..3."""
+    """W(u) = u^j * d^k u / dx^k, with j in 0..MAX_POWER and k in 0..3; for
+    k = 0 the term is u^j, and j = k = 0 is the constant W(u) = 1."""
 
     j: int
     k: int
@@ -98,18 +72,23 @@ class MonomialDerivative:
             raise InvalidInputError(f"monomial power j must be in 0..{MAX_POWER}, got {self.j}")
         if self.k not in (0, 1, 2, 3):
             raise InvalidInputError(f"derivative order k must be in 0..3, got {self.k}")
-        if self.j == 0 and self.k == 0:
-            raise InvalidInputError("u^0 with no derivative is the constant term; use Constant()")
 
 
 @dataclass(frozen=True)
 class GraphonKernel:
-    """W(u)(x) = int_0^1 f(x, y) (u(y) - u(x)) dy on the unit interval."""
+    """W(u)(x) = int_0^1 f(x, y) (u(y) - u(x)) dy on the unit interval, with
+    the affine kernel ``f(x, y) = c0 + cx*x + cy*y``."""
 
-    kernel: KernelSpec
+    c0: float
+    cx: float
+    cy: float
+
+    def __post_init__(self):
+        if not all(np.isfinite([self.c0, self.cx, self.cy])):
+            raise InvalidInputError("kernel coefficients must be finite")
 
 
-TermSpec = Union[Constant, MonomialDerivative, GraphonKernel]
+TermSpec = Union[MonomialDerivative, GraphonKernel]
 
 #: the identity operator W(u) = u, which every lifting basis must contain,
 #: at any position
@@ -161,11 +140,13 @@ def _require_unit_interval(grid: Grid1D):
 
 
 def _int_power(v, j: int):
-    """``v**j`` for an integer ``j >= 1``, by repeated multiplication.
+    """``v**j`` for an integer ``j >= 0``, by repeated multiplication.
 
     Always a new array (the input may be a read-only dataset).  Bit-identical
     to ``v**j`` for ``j <= 2``; for ``j = 3`` within 1 ulp of it.
     """
+    if j == 0:
+        return np.ones_like(v)
     out = v * v if j >= 2 else v.copy()
     for _ in range(j - 2):
         out *= v
@@ -174,7 +155,7 @@ def _int_power(v, j: int):
 
 def _graphon_kernel(c0: float, cx: float, cy: float, grid: Grid1D) -> tuple:
     """``(moments, spread, diagonal)`` of the affine kernel ``c0 + cx*x + cy*y``
-    on the unit interval, as :func:`_graphon_values` takes them.
+    on the unit interval.
 
     With trapezoid weights q, ``moments = [q, q*y]`` is ``(N, 2)``,
     ``spread = [c0 + cx*x, cy]`` is ``(2, N)`` and ``diagonal = (c0 + cx*x) *
@@ -190,32 +171,32 @@ def _graphon_kernel(c0: float, cx: float, cy: float, grid: Grid1D) -> tuple:
     return moments, spread, a * np.sum(q) + cy * np.sum(moments[:, 1])
 
 
-def _graphon_values(kernel: tuple, v: np.ndarray) -> np.ndarray:
-    """``int_0^1 (c0 + cx*x + cy*y) (u(y) - u(x)) dy`` at every node x."""
-    moments, spread, diagonal = kernel
-    out = (v @ moments) @ spread
-    out -= v * diagonal
-    return out
-
-
 def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: bool) -> np.ndarray:
-    """Evaluate a term on raw node values (last axis = space)."""
+    """Evaluate a term on raw node values (last axis = space).
+
+    Under Dirichlet conditions the boundary entries are zero, as in
+    :func:`rhs_values`: the boundary values of the state never move.
+    """
     v = np.asarray(values, dtype=float)
-    if isinstance(term, Constant):
-        return np.ones_like(v)
     if isinstance(term, MonomialDerivative):
         if term.k == 0:
-            return _int_power(v, term.j)
-        d = diff_values(v, grid.spacing, term.k, dirichlet)
-        if term.j == 0:
-            return d
-        out = _int_power(v, term.j)
-        out *= d
-        return out
-    if isinstance(term, GraphonKernel):
-        ker = term.kernel
-        return _graphon_values(_graphon_kernel(ker.c0, ker.cx, ker.cy, grid), v)
-    raise InvalidInputError(f"unknown term type: {term!r}")
+            out = _int_power(v, term.j)
+        elif term.j == 0:
+            # diff_values' array as is: its memory order fixes the bits of a lift
+            out = diff_values(v, grid.spacing, term.k, dirichlet)
+        else:
+            out = _int_power(v, term.j)
+            out *= diff_values(v, grid.spacing, term.k, dirichlet)
+    elif isinstance(term, GraphonKernel):
+        moments, spread, diagonal = _graphon_kernel(term.c0, term.cx, term.cy, grid)
+        out = (v @ moments) @ spread
+        out -= v * diagonal
+    else:
+        raise InvalidInputError(f"unknown term type: {term!r}")
+    if dirichlet:
+        out[..., 0] = 0.0
+        out[..., -1] = 0.0
+    return out
 
 
 def _stencil_matrix(groups: dict, grid: Grid1D, dirichlet: bool) -> scipy.sparse.csr_array:
@@ -251,14 +232,12 @@ class RhsPlan:
         for term, c in zip(dictionary.terms, dictionary.coefficients):
             if c == 0.0:
                 continue
-            if isinstance(term, Constant):
-                poly[0] = c
-            elif isinstance(term, MonomialDerivative) and term.k == 0:
+            if isinstance(term, MonomialDerivative) and term.k == 0:
                 poly[term.j] = c
             elif isinstance(term, MonomialDerivative):
                 groups.setdefault(term.j, {})[term.k] = c
             elif isinstance(term, GraphonKernel):
-                graphons.append((c, term.kernel))
+                graphons.append((c, term))
             else:
                 raise InvalidInputError(f"unknown term type: {term!r}")
         # Horner coefficients of the derivative-free terms, constant first;
@@ -335,17 +314,12 @@ def rhs_values(plan: RhsPlan, values: np.ndarray) -> np.ndarray:
 
 def describe_term(term: TermSpec) -> str:
     """Short human-readable label for CSV output."""
-    if isinstance(term, Constant):
-        return "1"
     if isinstance(term, MonomialDerivative):
+        upart = {0: "", 1: "u"}.get(term.j, f"u^{term.j}")
         if term.k == 0:
-            return "u" if term.j == 1 else f"u^{term.j}"
+            return upart or "1"
         dpart = "du/dx" if term.k == 1 else f"d{term.k}u/dx{term.k}"
-        if term.j == 0:
-            return dpart
-        upart = "u" if term.j == 1 else f"u^{term.j}"
-        return f"{upart}*{dpart}"
+        return f"{upart}*{dpart}" if upart else dpart
     if isinstance(term, GraphonKernel):
-        k = term.kernel
-        return f"graphon(c0={k.c0:g},cx={k.cx:g},cy={k.cy:g})"
+        return f"graphon(c0={term.c0:g},cx={term.cx:g},cy={term.cy:g})"
     raise InvalidInputError(f"unknown term type: {term!r}")

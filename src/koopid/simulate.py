@@ -69,17 +69,8 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BlowUpError, InvalidInputError, PreconditionError, ShapeError
-from .fields import Grid1D, grid_values
-from .operators import (
-    Constant,
-    Dictionary,
-    GraphonKernel,
-    KernelSpec,
-    MonomialDerivative,
-    RhsPlan,
-    _stencil_matrix,
-    rhs_values,
-)
+from .fields import Grid1D, diff_matrix, grid_values
+from .operators import Dictionary, GraphonKernel, MonomialDerivative, RhsPlan, rhs_values
 from .linalg import expm
 
 SAFETY = 0.25
@@ -199,9 +190,9 @@ def _term_bounds(dictionary: Dictionary, h: float) -> list:
 
 def _split_linear(model: Model, bounds: list) -> Tuple[Dictionary, dict, float]:
     """The explicitly integrated terms, the linear part ``{k: c}`` of the
-    terms ``c d^k u / dx^k`` split off for exact integration (empty when
-    nothing is split off) and the substep, read from the model's
-    ``_term_bounds`` table ``bounds``.
+    terms ``c d^k u / dx^k``, k >= 1, split off for exact integration (empty
+    when nothing is split off; a constant term stays explicit) and the
+    substep, read from the model's ``_term_bounds`` table ``bounds``.
 
     The split applies only where a k = 2 or k = 3 bound sets the unsplit
     substep and the split lengthens it: an exact flow costs up to a dense
@@ -216,7 +207,7 @@ def _split_linear(model: Model, bounds: list) -> Tuple[Dictionary, dict, float]:
     dic = model.dictionary
     linear = {
         term.k: c for term, c in zip(dic.terms, dic.coefficients)
-        if isinstance(term, MonomialDerivative) and term.j == 0 and c != 0.0
+        if isinstance(term, MonomialDerivative) and term.j == 0 and term.k and c != 0.0
     }
 
     def substep(split):
@@ -279,7 +270,9 @@ class _LawsonRK4:
             self._sine_rates = linear[2] * lam
         elif linear:
             # the same entries as diff_values, so L u is the split-off terms
-            gen = _stencil_matrix({0: linear}, model.grid, model.dirichlet).toarray()
+            n, h = model.grid.num_points, model.grid.spacing
+            gen = sum(c * diff_matrix(n, h, k, model.dirichlet)
+                      for k, c in linear.items()).toarray()
             if model.dirichlet:
                 gen[[0, -1]] = 0.0
             self._generator = gen
@@ -372,12 +365,9 @@ class _LawsonRK4:
                 "per trajectory"
             )
 
-    def advance(
-        self, states: np.ndarray, horizon: float, t0: float = 0.0, dt: Optional[float] = None
-    ) -> np.ndarray:
+    def advance(self, states: np.ndarray, horizon: float, t0: float = 0.0) -> np.ndarray:
         """Advance batched states (last axis = space) by ``horizon`` in
-        substeps of ``dt`` (the stepper's own by default) and one shorter last
-        substep for the remainder.
+        substeps of ``dt`` and one shorter last substep for the remainder.
 
         A substep at or below ``MIN_SUBSTEP``, or on a Dirichlet model a
         state that does not vanish at both boundaries, raises
@@ -385,8 +375,7 @@ class _LawsonRK4:
         entry raises BlowUpError, naming its row of an ``(m, N)`` batch (the
         trajectory) and the time ``t0`` plus the time advanced.
         """
-        model = self.model
-        dt = self.dt if dt is None else dt
+        model, dt = self.model, self.dt
         if dt <= MIN_SUBSTEP:
             raise PreconditionError(
                 f"stable substep {dt:.4g} of model '{model.name}' is at or below "
@@ -566,7 +555,7 @@ def pde1_model(num_points: int = 64) -> Model:
 def pde1_terms() -> Tuple:
     """The 12 candidate terms u^j d^k u/dx^k, j in 0..2, k in 0..3, grouped by
     k with the identity moved to the front of the k = 0 group."""
-    terms = [MonomialDerivative(1, 0), Constant(), MonomialDerivative(2, 0)]
+    terms = [MonomialDerivative(1, 0), MonomialDerivative(0, 0), MonomialDerivative(2, 0)]
     for k in (1, 2, 3):
         for j in (0, 1, 2):
             terms.append(MonomialDerivative(j, k))
@@ -590,13 +579,13 @@ def graphon_model(num_points: int = DEFAULT_GRID_POINTS) -> Model:
 def graphon_terms() -> Tuple:
     """Candidate terms 1, u, u^2, u^3 and graphon couplings f = 1, x, y."""
     return (
-        Constant(),
+        MonomialDerivative(0, 0),
         MonomialDerivative(1, 0),
         MonomialDerivative(2, 0),
         MonomialDerivative(3, 0),
-        GraphonKernel(KernelSpec.one()),
-        GraphonKernel(KernelSpec.coord_x()),
-        GraphonKernel(KernelSpec.coord_y()),
+        GraphonKernel(1.0, 0.0, 0.0),
+        GraphonKernel(0.0, 1.0, 0.0),
+        GraphonKernel(0.0, 0.0, 1.0),
     )
 
 

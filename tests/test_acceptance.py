@@ -12,10 +12,10 @@ import pytest
 
 import koopid
 from koopid import (
-    ConstantWeight,
     Dictionary,
     ICFamily,
     MonomialDerivative,
+    PowerLaw,
     SnapshotDataset,
     build_data_matrices,
     direct_identify,
@@ -167,7 +167,7 @@ def test_criterion_6_linear_system_oracle(capfd):
     ])
     ds = _heat_pairs(model, states, ts=0.1)
     candidates = Dictionary((MonomialDerivative(1, 0), MonomialDerivative(0, 2)))
-    estimates = lifting_identify(ds, candidates, ConstantWeight()).estimates
+    estimates = lifting_identify(ds, candidates, PowerLaw(0)).estimates
     c_err = float(np.max(np.abs(estimates - np.array([0.0, 1.0]))))
 
     ok = lam_err <= 0.01 and c_err <= 1e-3

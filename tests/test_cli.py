@@ -365,6 +365,15 @@ class TestIdentify:
         assert code == EXIT_USAGE
         assert "'dirichlet' must be a JSON boolean" in capsys.readouterr().err
 
+    def test_constant_listed_under_both_spellings_is_usage_error(self, tmp_path, graphon_data,
+                                                                 capsys):
+        # {"kind": "constant"} reads as u^0, so the dictionary repeats a term
+        dictionary = [{"kind": "constant"}, {"kind": "monomial", "j": 1, "k": 0},
+                      {"kind": "monomial", "j": 0, "k": 0}]
+        code = self._identify(tmp_path, graphon_data, dictionary)
+        assert code == EXIT_USAGE
+        assert "pairwise distinct" in capsys.readouterr().err
+
     def test_dictionary_file_holding_a_number_is_usage_error(self, tmp_path, graphon_data,
                                                              capsys):
         code = self._identify(tmp_path, graphon_data, 5)

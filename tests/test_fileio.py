@@ -101,9 +101,9 @@ class TestRecordRoundTrips:
     @pytest.mark.parametrize(
         "term",
         [
-            koopid.Constant(),
+            koopid.MonomialDerivative(0, 0),
             koopid.MonomialDerivative(2, 3),
-            koopid.GraphonKernel(koopid.KernelSpec(-1.0, 0.7, 0.3)),
+            koopid.GraphonKernel(-1.0, 0.7, 0.3),
         ],
     )
     def test_term(self, term):
@@ -115,7 +115,8 @@ class TestRecordRoundTrips:
             ({"kind": "bump", "L": 5.0}, koopid.Bump(5.0)),
             ({"kind": "bump", "L": 5.0, "recentered": True}, koopid.Bump(5.0, recentered=True)),
             ({"kind": "power", "p": 2}, koopid.PowerLaw(2)),
-            ({"kind": "constant"}, koopid.ConstantWeight()),
+            ({"kind": "power", "p": 0}, koopid.PowerLaw(0)),
+            ({"kind": "constant"}, koopid.PowerLaw(0)),
         ],
     )
     def test_weight(self, weight):
@@ -137,6 +138,11 @@ class TestRecordRoundTrips:
         record, expected = spec
         assert fileio.functional_from_record(record) == expected
 
+    def test_constant_term_record_reads_as_u_to_the_zero(self):
+        term = fileio.term_from_record({"kind": "constant"})
+        assert term == koopid.MonomialDerivative(0, 0)
+        assert fileio.term_to_record(term) == {"kind": "monomial", "j": 0, "k": 0}
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             fileio.term_from_record({"kind": "mystery"})
@@ -144,7 +150,7 @@ class TestRecordRoundTrips:
 
 class TestWeightSpecParsing:
     def test_shorthand_forms(self):
-        assert fileio.parse_weight_spec("constant") == koopid.ConstantWeight()
+        assert fileio.parse_weight_spec("constant") == koopid.PowerLaw(0)
         assert fileio.parse_weight_spec("bump:5") == koopid.Bump(5.0)
         assert fileio.parse_weight_spec("bump:5:recentered") == koopid.Bump(5.0, recentered=True)
         assert fileio.parse_weight_spec("power:2") == koopid.PowerLaw(2)

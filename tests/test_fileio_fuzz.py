@@ -41,10 +41,8 @@ JSON = st.recursive(
 FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 
 TERMS = st.one_of(
-    st.just(koopid.Constant()),
-    st.tuples(st.integers(0, 4), st.integers(0, 3))
-    .filter(lambda jk: jk != (0, 0)).map(lambda jk: koopid.MonomialDerivative(*jk)),
-    st.builds(koopid.KernelSpec, FINITE, FINITE, FINITE).map(koopid.GraphonKernel),
+    st.builds(koopid.MonomialDerivative, st.integers(0, 4), st.integers(0, 3)),
+    st.builds(koopid.GraphonKernel, FINITE, FINITE, FINITE),
 )
 
 
@@ -66,7 +64,7 @@ def weights(draw):
     if kind == "power":
         p = draw(st.integers(0, 6))
         return {"kind": "power", "p": p}, koopid.PowerLaw(p)
-    return {"kind": "constant"}, koopid.ConstantWeight()
+    return {"kind": "constant"}, koopid.PowerLaw(0)
 
 
 @st.composite

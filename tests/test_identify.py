@@ -8,11 +8,11 @@ import pytest
 import koopid
 from koopid import (
     BranchCutError,
-    ConstantWeight,
     Dictionary,
     ICFamily,
     IllConditionedWarning,
     MonomialDerivative,
+    PowerLaw,
     RankDeficiencyError,
     RhsPlan,
     SnapshotDataset,
@@ -56,13 +56,13 @@ class TestLiftingIdentify:
     def test_exact_on_invariant_lift(self):
         # linear dynamics + invariant lifted span: error bounded by solver noise
         _, ds = heat_modes_dataset()
-        result = lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
+        result = lifting_identify(ds, HEAT_CANDIDATES, PowerLaw(0))
         assert np.allclose(result.estimates, [0.0, 1.0], atol=1e-3)
 
     def test_exactness_independent_of_sampling_time(self):
         for ts in (0.05, 0.2):
             _, ds = heat_modes_dataset(ts=ts)
-            result = lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
+            result = lifting_identify(ds, HEAT_CANDIDATES, PowerLaw(0))
             assert np.allclose(result.estimates, [0.0, 1.0], atol=1e-3)
 
     def test_estimates_in_input_dictionary_order(self):
@@ -70,7 +70,7 @@ class TestLiftingIdentify:
         # line up with the input order
         _, ds = heat_modes_dataset()
         flipped = Dictionary((MonomialDerivative(0, 2), MonomialDerivative(1, 0)))
-        result = lifting_identify(ds, flipped, ConstantWeight())
+        result = lifting_identify(ds, flipped, PowerLaw(0))
         assert np.allclose(result.estimates, [1.0, 0.0], atol=1e-3)
 
     def test_weight_scaling_invariance(self):
@@ -82,7 +82,7 @@ class TestLiftingIdentify:
         from koopid.observables import identity_index
 
         _, ds = heat_modes_dataset()
-        xi1, xi2 = _lifted_fit_inputs(ds, HEAT_CANDIDATES, ConstantWeight())
+        xi1, xi2 = _lifted_fit_inputs(ds, HEAT_CANDIDATES, PowerLaw(0))
         k = identity_index(HEAT_CANDIDATES)
         base = logm(edmd_fit(xi1, xi2, ds.sampling_time).U)[:, k]
         scaled = logm(edmd_fit(5.0 * xi1, 5.0 * xi2, ds.sampling_time).U)[:, k]
@@ -91,25 +91,26 @@ class TestLiftingIdentify:
     def test_identity_term_required(self):
         _, ds = heat_modes_dataset()
         with pytest.raises(PreconditionError):
-            lifting_identify(ds, Dictionary((MonomialDerivative(0, 2),)), ConstantWeight())
+            lifting_identify(ds, Dictionary((MonomialDerivative(0, 2),)), PowerLaw(0))
 
     def test_rank_deficiency_names_columns(self):
         # duplicate information: u and u_xx act identically on a single mode
         _, ds = heat_modes_dataset(modes=(1,), num_states=6)
         with pytest.raises(RankDeficiencyError) as exc:
-            lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
+            lifting_identify(ds, HEAT_CANDIDATES, PowerLaw(0))
         assert exc.value.columns
 
     @pytest.mark.parametrize("method", [lifting_identify, direct_identify])
     def test_dependent_columns_in_dictionary_order(self, method):
-        # <u_x, 1> = u(1) - u(-1) vanishes under Dirichlet conditions, so the
-        # lift of u_x, term 0 of the dictionary, is the dependent column
-        ds = generate_pairs(heat_model(num_points=64), ICFamily.BURGERS, 5, 10, 0.05, seed=1)
-        dic = Dictionary((MonomialDerivative(0, 1), MonomialDerivative(1, 0)))
+        # on a single sine mode u_xx = lam u with |lam| ~ 2.47, so the lifts
+        # of u_xx and u are proportional and column-pivoted QR keeps the
+        # larger: the identity, term 1 of the dictionary, is the dependent one
+        _, ds = heat_modes_dataset(modes=(1,), num_states=6, grid_points=64)
+        dic = Dictionary((MonomialDerivative(0, 2), MonomialDerivative(1, 0)))
         with pytest.raises(RankDeficiencyError) as exc:
-            method(ds, dic, ConstantWeight())
-        assert exc.value.columns == (0,)
-        assert "(dictionary order): [0]" in str(exc.value)
+            method(ds, dic, PowerLaw(0))
+        assert exc.value.columns == (1,)
+        assert "(dictionary order): [1]" in str(exc.value)
 
     def test_branch_cut_reported_with_context(self):
         # sampling the stiff third-order benchmark from t = 0 leaves a fast
@@ -120,6 +121,16 @@ class TestLiftingIdentify:
         cand = Dictionary(m.dictionary.terms)
         with pytest.raises(BranchCutError, match="sampling time"):
             lifting_identify(ds, cand, koopid.Bump(5.0, recentered=True))
+
+    def test_lift_skips_pinned_dirichlet_nodes(self):
+        # x and x^2 do not vanish at x = 5, where pde1's state never moves;
+        # a lift that kept the stencil's value there erred by 0.93 at x^2
+        m = koopid.pde1_model()
+        ds = generate_pairs(m, ICFamily.PDE1, 25, 50, 0.3, seed=1, burn_in=1.5)
+        truth = np.array(m.dictionary.coefficients)
+        for weight, bound in ((PowerLaw(2), 0.1), (PowerLaw(1), 0.2), (koopid.Bump(5.0), 0.05)):
+            result = lifting_identify(ds, m.dictionary, weight)
+            assert np.max(np.abs(result.estimates - truth)) <= bound, weight
 
     def test_ill_conditioned_logm_warns_the_caller(self, monkeypatch):
         import koopid.identify
@@ -133,7 +144,7 @@ class TestLiftingIdentify:
         monkeypatch.setattr(koopid.identify, "logm", warning_logm)
         _, ds = heat_modes_dataset()
         with pytest.warns(IllConditionedWarning, match="ill-conditioned eigenbasis"):
-            result = lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
+            result = lifting_identify(ds, HEAT_CANDIDATES, PowerLaw(0))
         assert np.allclose(result.estimates, [0.0, 1.0], atol=1e-3)
 
 
@@ -147,7 +158,7 @@ class TestDirectIdentify:
         states = np.stack([np.full(32, c) for c in (0.5, 1.0, 1.5)])
         s1 = integrate(m, states, ts)
         ds = SnapshotDataset(g, ts, states, s1)
-        result = direct_identify(ds, Dictionary((MonomialDerivative(1, 0),)), ConstantWeight())
+        result = direct_identify(ds, Dictionary((MonomialDerivative(1, 0),)), PowerLaw(0))
         assert result.estimates[0] == pytest.approx(-2.0, abs=1e-2)
 
     @pytest.mark.parametrize("name, weight", [
@@ -236,7 +247,7 @@ class TestConvergenceStudy:
 class TestReconstruction:
     def test_reconstruct_matches_true_rhs_when_estimates_exact(self):
         m, ds = heat_modes_dataset()
-        result = lifting_identify(ds, HEAT_CANDIDATES, ConstantWeight())
+        result = lifting_identify(ds, HEAT_CANDIDATES, PowerLaw(0))
         estimated = Dictionary(result.dictionary.terms, tuple(result.estimates))
         est = rhs_values(RhsPlan(estimated, ds.grid, dirichlet=True), ds.u[0])
         ref = rhs_values(RhsPlan(m.dictionary, ds.grid, dirichlet=True), ds.u[0])

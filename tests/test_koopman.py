@@ -64,8 +64,7 @@ class TestDataMatrices:
             koopid.PointEvaluation(g.x_max),
             koopid.LiftedTerm(koopid.MonomialDerivative(1, 1), koopid.PowerLaw(2)),
             koopid.LiftedTerm(koopid.MonomialDerivative(0, 3), koopid.Bump(1.0)),
-            koopid.LiftedTerm(koopid.GraphonKernel(koopid.KernelSpec(1.0, -0.7, -0.3)),
-                              koopid.ConstantWeight()),
+            koopid.LiftedTerm(koopid.GraphonKernel(1.0, -0.7, -0.3), koopid.PowerLaw(0)),
         ]
         xi1, xi2 = build_data_matrices(ds, basis)
         for xi, states in ((xi1, ds.u), (xi2, ds.u_next)):

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-import koopid
 from koopid import (
     Bump,
-    ConstantWeight,
     Dictionary,
     Grid1D,
     InnerProductPower,
@@ -41,7 +39,7 @@ class TestWeights:
     def test_power_law_and_constant(self):
         g = Grid1D(0.0, 1.0, 11)
         assert np.allclose(weight_values(PowerLaw(2), g), g.nodes() ** 2)
-        assert np.allclose(weight_values(ConstantWeight(), g), 1.0)
+        assert np.allclose(weight_values(PowerLaw(0), g), 1.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidInputError):
@@ -120,7 +118,7 @@ class TestLiftedTerm:
         v = np.sin(np.pi * g.nodes())
         v[0] = v[-1] = 0.0
         tagged = functional_values(
-            LiftedTerm(MonomialDerivative(0, 2), ConstantWeight()), v, g, dirichlet=True
+            LiftedTerm(MonomialDerivative(0, 2), PowerLaw(0)), v, g, dirichlet=True
         )
         # <u_xx, 1> for u = sin(pi x) on [0,1] is -pi^2 * 2/pi = -2 pi
         assert tagged == pytest.approx(-2.0 * np.pi, rel=1e-3)
@@ -144,13 +142,13 @@ class TestBurgersBasis:
 class TestLiftingBasis:
     def test_basis_follows_dictionary_order(self):
         dic = Dictionary(
-            (koopid.Constant(), MonomialDerivative(1, 0), MonomialDerivative(0, 2))
+            (MonomialDerivative(0, 0), MonomialDerivative(1, 0), MonomialDerivative(0, 2))
         )
-        basis = build_lifting_basis(dic, ConstantWeight())
+        basis = build_lifting_basis(dic, PowerLaw(0))
         assert [spec.term for spec in basis] == list(dic.terms)
         assert identity_index(dic) == 1
 
     def test_identity_required(self):
-        dic = Dictionary((koopid.Constant(), MonomialDerivative(0, 2)))
+        dic = Dictionary((MonomialDerivative(0, 0), MonomialDerivative(0, 2)))
         with pytest.raises(PreconditionError):
-            build_lifting_basis(dic, ConstantWeight())
+            build_lifting_basis(dic, PowerLaw(0))

@@ -6,11 +6,9 @@ import pytest
 
 import koopid
 from koopid import (
-    Constant,
     Dictionary,
     Grid1D,
     GraphonKernel,
-    KernelSpec,
     MonomialDerivative,
     RhsPlan,
     rhs_values,
@@ -27,17 +25,13 @@ def unit_grid():
 
 
 class TestTermValidation:
-    def test_constant_monomial_disallowed(self):
-        with pytest.raises(InvalidInputError):
-            MonomialDerivative(0, 0)
-
     def test_derivative_order_bounded(self):
         with pytest.raises(InvalidInputError):
             MonomialDerivative(1, 4)
 
     def test_kernel_coefficients_finite(self):
         with pytest.raises(InvalidInputError):
-            KernelSpec(np.inf, 0.0, 0.0)
+            GraphonKernel(np.inf, 0.0, 0.0)
 
 
 class TestDictionaryValidation:
@@ -47,7 +41,7 @@ class TestDictionaryValidation:
 
     def test_coefficient_count_mismatch(self):
         with pytest.raises(ShapeError):
-            Dictionary((Constant(),), coefficients=(1.0, 2.0))
+            Dictionary((MonomialDerivative(0, 0),), coefficients=(1.0, 2.0))
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -62,8 +56,21 @@ class TestMonomialTerms:
         assert np.allclose(out, 2 * x**3, atol=1e-9)
 
     def test_constant_term(self, unit_grid):
-        out = term_values(Constant(), unit_grid.nodes(), unit_grid, dirichlet=False)
-        assert np.allclose(out, 1.0)
+        v = np.random.default_rng(4).standard_normal((3, unit_grid.num_points))
+        out = term_values(MonomialDerivative(0, 0), v, unit_grid, dirichlet=False)
+        assert out.shape == v.shape and np.all(out == 1.0)
+        assert describe_term(MonomialDerivative(0, 0)) == "1"
+
+    def test_dirichlet_boundary_entries_are_zero(self):
+        # the integrator never moves the two boundary nodes, so a lifted
+        # functional must not see the stencil's value there either
+        g = Grid1D(0.0, 5.0, 64)
+        v = np.sin(np.pi * g.nodes() / 5.0) ** 2
+        for term in (MonomialDerivative(0, 0), MonomialDerivative(1, 1), MonomialDerivative(0, 2)):
+            free = term_values(term, v, g, dirichlet=False)
+            pinned = term_values(term, v, g, dirichlet=True)
+            assert pinned[0] == 0.0 and pinned[-1] == 0.0
+            assert np.array_equal(pinned[1:-1], free[1:-1])
 
 
 class TestGraphonTerms:
@@ -72,8 +79,8 @@ class TestGraphonTerms:
         rng = np.random.default_rng(5)
         x = unit_grid.nodes()
         u = 0.1 * np.cos(3 * x) + 0.05 * rng.standard_normal(x.size)
-        ker = KernelSpec(-1.0, 0.7, 0.3)
-        out = term_values(GraphonKernel(ker), u, unit_grid, dirichlet=False)
+        ker = GraphonKernel(-1.0, 0.7, 0.3)
+        out = term_values(ker, u, unit_grid, dirichlet=False)
         q = trapezoid_weights(unit_grid)
         f = ker.c0 + ker.cx * x[:, None] + ker.cy * x[None, :]
         direct = (f * (u[None, :] - u[:, None])) @ q
@@ -81,28 +88,28 @@ class TestGraphonTerms:
 
     def test_constant_kernel_on_constant_field_is_zero(self, unit_grid):
         u = np.full(unit_grid.num_points, 0.7)
-        out = term_values(GraphonKernel(KernelSpec.one()), u, unit_grid, dirichlet=False)
+        out = term_values(GraphonKernel(1.0, 0.0, 0.0), u, unit_grid, dirichlet=False)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_affine_kernel_decomposes(self, unit_grid):
-        # affine kernel = c0 * one + cx * coord_x + cy * coord_y, node-wise
+        # affine kernel = c0 * 1 + cx * x + cy * y, node-wise
         u = np.sin(2 * np.pi * unit_grid.nodes()) * 0.3
 
-        def graphon(ker):
-            return term_values(GraphonKernel(ker), u, unit_grid, dirichlet=False)
+        def graphon(*kernel):
+            return term_values(GraphonKernel(*kernel), u, unit_grid, dirichlet=False)
 
-        combo = graphon(KernelSpec(-1.0, 0.7, 0.3))
+        combo = graphon(-1.0, 0.7, 0.3)
         parts = (
-            -1.0 * graphon(KernelSpec.one())
-            + 0.7 * graphon(KernelSpec.coord_x())
-            + 0.3 * graphon(KernelSpec.coord_y())
+            -1.0 * graphon(1.0, 0.0, 0.0)
+            + 0.7 * graphon(0.0, 1.0, 0.0)
+            + 0.3 * graphon(0.0, 0.0, 1.0)
         )
         assert np.allclose(combo, parts, atol=1e-12)
 
     def test_requires_unit_interval(self):
         g = Grid1D(0.0, 2.0, 32)
         with pytest.raises(DomainError):
-            term_values(GraphonKernel(KernelSpec.one()), np.zeros(32), g, dirichlet=False)
+            term_values(GraphonKernel(1.0, 0.0, 0.0), np.zeros(32), g, dirichlet=False)
 
 
 class TestIntPower:
@@ -135,7 +142,7 @@ class TestRhs:
         dic = model.dictionary
         if extra_zero_kernel:  # a zero-coefficient kernel must not change the fold
             dic = Dictionary(
-                dic.terms + (GraphonKernel(KernelSpec(2.0, 0.5, 0.0)),),
+                dic.terms + (GraphonKernel(2.0, 0.5, 0.0),),
                 coefficients=dic.coefficients + (0.0,),
             )
         out = rhs_values(RhsPlan(dic, model.grid, False), ds.u)
@@ -146,8 +153,8 @@ class TestRhs:
     def test_cancelling_graphon_terms_still_need_unit_interval(self):
         g = Grid1D(0.0, 2.0, 32)
         dic = Dictionary(
-            (MonomialDerivative(1, 0), GraphonKernel(KernelSpec.one()),
-             GraphonKernel(KernelSpec(2.0, 0.0, 0.0))),
+            (MonomialDerivative(1, 0), GraphonKernel(1.0, 0.0, 0.0),
+             GraphonKernel(2.0, 0.0, 0.0)),
             coefficients=(-1.0, 1.0, -0.5),
         )
         with pytest.raises(DomainError):
@@ -163,7 +170,7 @@ class TestRhs:
         assert np.allclose(out, 2 * x**2 - 2 * x, atol=1e-9)
 
     def test_requires_coefficients(self, unit_grid):
-        dic = Dictionary((Constant(),))
+        dic = Dictionary((MonomialDerivative(0, 0),))
         with pytest.raises(InvalidInputError):
             RhsPlan(dic, unit_grid, dirichlet=False)
 
@@ -171,7 +178,7 @@ class TestRhs:
         g = Grid1D(0.0, 1.0, 64)
         v = np.sin(np.pi * g.nodes())
         v[0] = v[-1] = 0.0
-        dic = Dictionary((Constant(),), coefficients=(1.0,))  # rhs = 1 everywhere
+        dic = Dictionary((MonomialDerivative(0, 0),), coefficients=(1.0,))  # rhs = 1 everywhere
         out = rhs_values(RhsPlan(dic, g, dirichlet=True), v)
         assert out[0] == 0.0 and out[-1] == 0.0
         assert np.allclose(out[1:-1], 1.0)
@@ -180,7 +187,7 @@ class TestRhs:
         rng = np.random.default_rng(2)
         batch = 0.1 * rng.standard_normal((3, unit_grid.num_points))
         dic = Dictionary(
-            (MonomialDerivative(1, 0), MonomialDerivative(2, 0), GraphonKernel(KernelSpec.one())),
+            (MonomialDerivative(1, 0), MonomialDerivative(2, 0), GraphonKernel(1.0, 0.0, 0.0)),
             coefficients=(-0.5, 1.5, -1.0),
         )
         plan = RhsPlan(dic, unit_grid, dirichlet=False)
@@ -194,7 +201,7 @@ def _mixed_order_model():
     """A non-Dirichlet model with k = 1, 2, 3 terms at powers 0, 1 and 2, so
     that the one-sided rows 0, 1, N-2 and N-1 of every order are used."""
     dic = Dictionary(
-        (Constant(), MonomialDerivative(1, 0), MonomialDerivative(3, 0),
+        (MonomialDerivative(0, 0), MonomialDerivative(1, 0), MonomialDerivative(3, 0),
          MonomialDerivative(0, 1), MonomialDerivative(1, 1), MonomialDerivative(0, 2),
          MonomialDerivative(2, 2), MonomialDerivative(0, 3), MonomialDerivative(1, 3)),
         coefficients=(0.3, -1.0, 0.5, 0.7, -1.2, 0.05, 0.02, 0.001, -0.002),
@@ -205,7 +212,7 @@ def _mixed_order_model():
 def _graphon_only_model():
     """Graphon terms alone: the polynomial holds only the coupling's diagonal."""
     dic = Dictionary(
-        (GraphonKernel(KernelSpec(1.0, -0.7, -0.3)), GraphonKernel(KernelSpec.coord_y())),
+        (GraphonKernel(1.0, -0.7, -0.3), GraphonKernel(0.0, 0.0, 1.0)),
         coefficients=(0.8, 0.1),
     )
     return koopid.Model("coupling", dic, Grid1D(0.0, 1.0, 50), dirichlet=False)
@@ -214,12 +221,8 @@ def _graphon_only_model():
 def _per_term_sum(model, values):
     """The right-hand side term by term, the form a plan replaces."""
     dic = model.dictionary
-    ref = sum(c * term_values(t, values, model.grid, model.dirichlet)
-              for t, c in zip(dic.terms, dic.coefficients))
-    if model.dirichlet:
-        ref[..., 0] = 0.0
-        ref[..., -1] = 0.0
-    return ref
+    return sum(c * term_values(t, values, model.grid, model.dirichlet)
+               for t, c in zip(dic.terms, dic.coefficients))
 
 
 class TestRhsPlan:
@@ -313,7 +316,7 @@ class TestRhsPlan:
     def test_skip_zero_drops_zero_terms(self):
         g = Grid1D(0.0, 2.0, 32)
         dic = Dictionary(
-            (MonomialDerivative(1, 0), MonomialDerivative(0, 2), GraphonKernel(KernelSpec.one())),
+            (MonomialDerivative(1, 0), MonomialDerivative(0, 2), GraphonKernel(1.0, 0.0, 0.0)),
             coefficients=(-1.0, 0.0, 0.0),
         )
         u = np.sin(np.arange(32.0))
@@ -337,7 +340,7 @@ class TestRhsPlan:
 
 class TestDescribe:
     def test_labels(self):
-        assert describe_term(Constant()) == "1"
         assert describe_term(MonomialDerivative(1, 0)) == "u"
+        assert describe_term(MonomialDerivative(0, 3)) == "d3u/dx3"
         assert describe_term(MonomialDerivative(2, 2)) == "u^2*d2u/dx2"
-        assert "graphon" in describe_term(GraphonKernel(KernelSpec.one()))
+        assert describe_term(GraphonKernel(1.0, -0.7, 0.0)) == "graphon(c0=1,cx=-0.7,cy=0)"
