@@ -33,16 +33,11 @@ result = koopid.spectrum(fit)
 
 print("\nten lowest-residual generator eigenvalues:")
 targets = [-alpha * (np.pi / 2) ** 2 for alpha in (1, 2, 3)]
-shown = 0
-for mode in result.modes:
-    if mode.lambda_l is None:
-        continue
-    hits = [t for t in targets if abs(mode.lambda_l.real - t) <= 0.1 * abs(t)]
+defined = ~np.isnan(result.lambda_l)
+for lam_l, score in zip(result.lambda_l[defined][:10], result.residual_scores[defined][:10]):
+    hits = [t for t in targets if abs(lam_l.real - t) <= 0.1 * abs(t)]
     note = f"   <- matches -{targets.index(hits[0]) + 1}(pi/2)^2" if hits else ""
-    print(f"  lambda_L = {mode.lambda_l.real:+9.4f} {mode.lambda_l.imag:+8.4f}i "
-          f"(residual {mode.residual_score:.2e}){note}")
-    shown += 1
-    if shown == 10:
-        break
+    print(f"  lambda_L = {lam_l.real:+9.4f} {lam_l.imag:+8.4f}i "
+          f"(residual {score:.2e}){note}")
 
 print(f"\nheat-conjugacy targets: {[round(t, 4) for t in targets]}")

@@ -24,11 +24,10 @@ report = koopid.ts_convergence_study(
 )
 
 print(f"\n{'ts':>8}{'max abs error':>16}")
-for entry in report.entries:
-    print(f"{entry.t_s:>8g}{entry.max_error:>16.5f}")
+for t_s, errors in zip(report.t_s, report.errors):
+    print(f"{t_s:>8g}{errors.max():>16.5f}")
 
 print(f"\nerror shrinks monotonically: {report.monotone}")
-worst = max(report.entries[-1].errors)
-idx = list(report.entries[-1].errors).index(worst)
+idx = int(report.errors[-1].argmax())
 print(f"at the smallest sampling time the worst term is "
-      f"{describe_term(candidates.terms[idx])} with error {worst:.5f}")
+      f"{describe_term(candidates.terms[idx])} with error {report.errors[-1, idx]:.5f}")

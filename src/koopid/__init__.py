@@ -33,7 +33,6 @@ from .identify import (
 )
 from .koopman import (
     KoopmanFit,
-    SpectrumMode,
     SpectrumResult,
     build_data_matrices,
     edmd_fit,

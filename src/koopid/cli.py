@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     RankDeficiencyError,
 )
-from .identify import direct_identify, lifting_identify, true_coefficients, ts_convergence_study
+from .identify import direct_identify, lifting_identify, ts_convergence_study
 from .koopman import build_data_matrices, edmd_fit, spectrum
 from .observables import build_burgers_basis
 from .simulate import BUILTIN_MODELS, EXPERIMENT_DEFAULTS, generate_pairs
@@ -98,19 +98,11 @@ def _cmd_spectrum(args) -> int:
     fit = edmd_fit(xi1, xi2, dataset.sampling_time)
     result = spectrum(fit)
     fileio.atomic_write_text(args.out, fileio.spectrum_to_csv(result))
-    print(f"wrote {len(result)} eigenvalues to {args.out}")
+    print(f"wrote {len(result.lambda_u)} eigenvalues to {args.out}")
     print("top 5 lowest-residual generator eigenvalues:")
-    shown = 0
-    for mode in result.modes:
-        if mode.lambda_l is None:
-            continue
-        print(
-            f"  lambda_L = {mode.lambda_l.real:+.6f} {mode.lambda_l.imag:+.6f}i "
-            f"(residual {mode.residual_score:.3e})"
-        )
-        shown += 1
-        if shown == 5:
-            break
+    defined = ~np.isnan(result.lambda_l)
+    for lam_l, score in zip(result.lambda_l[defined][:5], result.residual_scores[defined][:5]):
+        print(f"  lambda_L = {lam_l.real:+.6f} {lam_l.imag:+.6f}i (residual {score:.3e})")
     return EXIT_OK
 
 
@@ -135,8 +127,6 @@ def _cmd_sweep_ts(args) -> int:
     except ValueError:
         raise _UsageError(f"--ts-list {args.ts_list!r} is not a comma-separated "
                           "list of numbers") from None
-    if len(ts_list) < 3:
-        raise _UsageError("--ts-list needs at least 3 comma-separated values")
     model, (pairs, trajectories, _, family, burn_in) = _resolve_model(args.model, args.grid)
     dictionary = fileio.read_dictionary(args.dict) if args.dict is not None else model.dictionary
     weight = fileio.parse_weight_spec(args.weight)
@@ -148,7 +138,7 @@ def _cmd_sweep_ts(args) -> int:
         burn_in=burn_in if args.burn_in is None else args.burn_in,
     )
     fileio.atomic_write_text(args.out, fileio.sweep_to_csv(report, dictionary))
-    print(f"wrote {len(report.entries)} sweep rows to {args.out}")
+    print(f"wrote {len(report.t_s)} sweep rows to {args.out}")
     trend = "decreasing" if report.monotone else "NOT decreasing"
     print(f"max-error trend from ts={ts_list[0]:g} to ts={ts_list[-1]:g}: {trend}")
     return EXIT_OK

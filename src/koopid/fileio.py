@@ -36,20 +36,25 @@ from .operators import (
     TermSpec,
     describe_term,
 )
-from .simulate import ICFamily, Model, SnapshotDataset
+from .simulate import DEFAULT_GRID_POINTS, ICFamily, Model, SnapshotDataset
 
 
 def atomic_write_text(path: str, text: str):
+    """Write ``text`` to ``path`` through a temp file in its directory and a
+    rename.  The temp file never outlives the call, and an OSError names
+    ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 #: the JSON values each strict conversion of :func:`_get` accepts: a number
@@ -273,7 +278,7 @@ def model_from_record(doc: dict, num_points: int | None = None) -> Model:
     x_min = _get(g, "x_min", "model grid", float)
     x_max = _get(g, "x_max", "model grid", float)
     if num_points is None:
-        num_points = _get(g, "num_points", "model grid", int, 256)
+        num_points = _get(g, "num_points", "model grid", int, DEFAULT_GRID_POINTS)
     grid = Grid1D(x_min, x_max, num_points)
     terms = tuple(
         term_from_record(r) for r in _records(_get(doc, "dictionary", "model"), "model dictionary")
@@ -325,14 +330,9 @@ def _fmt(x: float) -> str:
 
 def spectrum_to_csv(result: SpectrumResult) -> str:
     rows = [["re_lambda_L", "im_lambda_L", "re_lambda_U", "im_lambda_U", "residual_score"]]
-    for mode in result.modes:
-        if mode.lambda_l is None:
-            re_l, im_l = "", ""
-        else:
-            re_l, im_l = _fmt(mode.lambda_l.real), _fmt(mode.lambda_l.imag)
-        rows.append(
-            [re_l, im_l, _fmt(mode.lambda_u.real), _fmt(mode.lambda_u.imag), _fmt(mode.residual_score)]
-        )
+    for lam_l, lam_u, score in zip(result.lambda_l, result.lambda_u, result.residual_scores):
+        generator = ["", ""] if np.isnan(lam_l) else [_fmt(lam_l.real), _fmt(lam_l.imag)]
+        rows.append(generator + [_fmt(lam_u.real), _fmt(lam_u.imag), _fmt(score)])
     return _csv_text(rows)
 
 
@@ -354,8 +354,8 @@ def sweep_to_csv(report: ConvergenceReport, dictionary: Dictionary) -> str:
         f"err_{i + 1}_{describe_term(t)}" for i, t in enumerate(dictionary.terms)
     ]
     rows = [header]
-    for entry in report.entries:
-        rows.append([_fmt(entry.t_s), _fmt(entry.max_error)] + [_fmt(e) for e in entry.errors])
+    for t_s, errors in zip(report.t_s, report.errors):
+        rows.append([_fmt(t_s), _fmt(errors.max())] + [_fmt(e) for e in errors])
     return _csv_text(rows)
 
 

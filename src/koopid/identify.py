@@ -19,11 +19,11 @@ decreases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BranchCutError, InsufficientDataError, PreconditionError, RankDeficiencyError
+from .errors import BranchCutError, InsufficientDataError, InvalidInputError, RankDeficiencyError
 from .koopman import build_data_matrices, edmd_fit
 from .linalg import logm, matrix_rank
 from .observables import WeightSpec, build_lifting_basis, identity_index
@@ -136,17 +136,16 @@ def true_coefficients(model: Model, dictionary: Dictionary) -> np.ndarray:
     return np.array([lookup.get(term, 0.0) for term in dictionary.terms])
 
 
-@dataclass(frozen=True)
-class ConvergenceEntry:
-    t_s: float
-    errors: np.ndarray  # per-term absolute error, dictionary order
-    max_error: float
-
-
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    entries: Tuple[ConvergenceEntry, ...]
-    monotone: bool  # error at the smallest sampling time < error at the largest
+    """Per-term absolute errors of a sampling-time sweep: row i of ``errors``
+    (k x n, dictionary order) belongs to sampling time ``t_s[i]``.
+    ``monotone`` says whether the largest error at the smallest sampling time
+    is below the largest error at the largest one."""
+
+    t_s: np.ndarray
+    errors: np.ndarray
+    monotone: bool
 
 
 def ts_convergence_study(
@@ -163,24 +162,24 @@ def ts_convergence_study(
     """Rerun the lifting identification on freshly generated data for each
     sampling time and compare against the model's true coefficients.
 
-    ``ts_list`` must hold at least three strictly decreasing values.  The
-    trajectories share one seed and one burn-in, run once; each sampling
-    time's dataset equals ``generate_pairs`` with the same arguments.
+    ``ts_list`` must hold at least three strictly decreasing values; anything
+    else raises InvalidInputError.  The trajectories share one seed and one
+    burn-in, run once; each sampling time's dataset equals ``generate_pairs``
+    with the same arguments.
     """
     ts_list = [float(t) for t in ts_list]
     if len(ts_list) < 3:
-        raise PreconditionError(f"need at least 3 sampling times, got {len(ts_list)}")
+        raise InvalidInputError(f"need at least 3 sampling times, got {len(ts_list)}")
     if any(b >= a for a, b in zip(ts_list, ts_list[1:])):
-        raise PreconditionError("sampling times must be strictly decreasing")
+        raise InvalidInputError("sampling times must be strictly decreasing")
     truth = true_coefficients(model, dictionary)
-    entries: List[ConvergenceEntry] = []
-    for dataset in _pair_datasets(
-        model, family, num_trajectories, total_pairs, ts_list, seed, burn_in
-    ):
-        result = lifting_identify(dataset, dictionary, weight)
-        errors = np.abs(result.estimates - truth)
-        entries.append(ConvergenceEntry(
-            t_s=dataset.sampling_time, errors=errors, max_error=float(errors.max())
-        ))
-    monotone = entries[-1].max_error < entries[0].max_error
-    return ConvergenceReport(entries=tuple(entries), monotone=monotone)
+    errors = np.array([
+        np.abs(lifting_identify(dataset, dictionary, weight).estimates - truth)
+        for dataset in _pair_datasets(
+            model, family, num_trajectories, total_pairs, ts_list, seed, burn_in
+        )
+    ])
+    peak = errors.max(axis=1)
+    return ConvergenceReport(
+        t_s=np.array(ts_list), errors=errors, monotone=bool(peak[-1] < peak[0])
+    )

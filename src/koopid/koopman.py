@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -107,33 +107,27 @@ def edmd_fit(xi1: np.ndarray, xi2: np.ndarray, t_s: float) -> KoopmanFit:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumMode:
-    """One eigenpair of the fitted operator.
+@dataclass(frozen=True, eq=False)
+class SpectrumResult:
+    """Eigenpairs of a fitted operator, all arrays in rank order.
 
-    ``lambda_l`` is the generator-scale eigenvalue ``log(lambda_u)/t_s`` via
-    the principal branch, or None when ``lambda_u`` lies on the closed
-    negative real axis by the rule of :func:`linalg.branch_cut_mask`, which
-    ``logm`` shares.  ``residual_score`` is the data-consistency residual
+    ``lambda_u`` (k,) holds the eigenvalues of ``U``.  ``lambda_l`` (k,) holds
+    the generator-scale eigenvalues ``log(lambda_u)/t_s`` via the principal
+    branch, NaN where ``lambda_u`` lies on the closed negative real axis by
+    the rule of :func:`linalg.branch_cut_mask`, which ``logm`` shares.
+    Column i of ``coefficients`` (n x k) is the eigenvector of mode i.
+    ``residual_scores`` (k,) holds the data-consistency residuals
     ``||Xi2 v - lambda_u Xi1 v|| / ||lambda_u Xi1 v||``, used to rank
     plausibility (never as a hard filter); the denominator scale keeps
     strongly decaying modes from ranking well merely because their one-step
     prediction is close to zero.
     """
 
-    lambda_u: complex
-    lambda_l: Optional[complex]
+    lambda_u: np.ndarray
+    lambda_l: np.ndarray
     coefficients: np.ndarray
-    residual_score: float
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumResult:
-    modes: Tuple[SpectrumMode, ...]
+    residual_scores: np.ndarray
     t_s: float
-
-    def __len__(self) -> int:
-        return len(self.modes)
 
 
 #: modes with |lambda_u| below this fraction of the largest |lambda_u| rank
@@ -154,30 +148,31 @@ def spectrum(fit: KoopmanFit) -> SpectrumResult:
     before its conjugate.
     """
     dec = eig(fit.U)
-    on_cut = branch_cut_mask(dec.eigenvalues)
-    modes = []
-    for i, lam in enumerate(dec.eigenvalues):
-        v = dec.right_eigenvectors[:, i]
-        x1v = fit.xi1 @ v
-        denom = abs(lam) * np.linalg.norm(x1v)
-        score = float(np.linalg.norm(fit.xi2 @ v - lam * x1v) / denom) if denom > 0 else np.inf
-        lam_l = None if on_cut[i] else cmath.log(lam) / fit.t_s
-        modes.append(
-            SpectrumMode(
-                lambda_u=complex(lam),
-                lambda_l=lam_l,
-                coefficients=v.copy(),
-                residual_score=score,
-            )
-        )
-    floor = TAIL_FRACTION * max(abs(m.lambda_u) for m in modes)
-
-    def rank(m: SpectrumMode):
-        conjugate_last = -np.sign(m.lambda_u.imag)
-        if abs(m.lambda_u) < floor:
-            return (1, -abs(m.lambda_u), conjugate_last)
-        generator = abs(m.lambda_l.real) if m.lambda_l is not None else np.inf
-        return (0, m.residual_score, generator, conjugate_last)
-
-    modes.sort(key=rank)
-    return SpectrumResult(modes=tuple(modes), t_s=fit.t_s)
+    lam, v = dec.eigenvalues, dec.right_eigenvectors
+    mag = np.abs(lam)
+    x1v = fit.xi1 @ v
+    denom = mag * np.linalg.norm(x1v, axis=0)
+    misfit = np.linalg.norm(fit.xi2 @ v - lam * x1v, axis=0)
+    scores = np.full(len(lam), np.inf)
+    np.divide(misfit, denom, out=scores, where=denom > 0)
+    lam_l = np.array([
+        np.nan if cut else cmath.log(z) / fit.t_s
+        for z, cut in zip(lam, branch_cut_mask(lam))
+    ], dtype=complex)
+    tail = mag < TAIL_FRACTION * mag.max()
+    conjugate_last = -np.sign(lam.imag)
+    generator = np.where(np.isnan(lam_l), np.inf, np.abs(lam_l.real))
+    # lexsort's last key is its first; a stable sort keeps eig's order on ties
+    order = np.lexsort((
+        np.where(tail, 0.0, conjugate_last),
+        np.where(tail, conjugate_last, generator),
+        np.where(tail, -mag, scores),
+        tail,
+    ))
+    return SpectrumResult(
+        lambda_u=lam.astype(complex)[order],
+        lambda_l=lam_l[order],
+        coefficients=v[:, order],
+        residual_scores=scores[order],
+        t_s=fit.t_s,
+    )

@@ -52,6 +52,17 @@ class TestSimulate:
         assert len(doc["pairs"]) == 10
         assert doc["sampling_time"] == 0.5
 
+    def test_unwritable_out_names_the_requested_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main([
+            "simulate", "--model", "graphon", "--pairs", "2", "--trajectories", "1",
+            "--ts", "0.5", "--seed", "1", "--grid", "16", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: [Errno 2] No such file or directory: {str(out)!r}" in err
+        assert ".tmp-" not in err
+
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):
         code = main([
             "simulate", "--model", "nope", "--pairs", "4", "--trajectories", "2",
@@ -531,6 +542,15 @@ class TestSweep:
             "--ts-list", "0.5,0.25", "--seed", "1", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_USAGE
+
+    def test_increasing_sampling_times_are_usage_error(self, tmp_path, capsys):
+        code = main([
+            "sweep-ts", "--model", "graphon", "--weight", "power:2",
+            "--ts-list", "0.1,0.2,0.3", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "sampling times must be strictly decreasing" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("kind, content", [

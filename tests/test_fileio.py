@@ -24,6 +24,14 @@ class TestAtomicWrite:
         assert p.read_text() == "two"
         assert list(tmp_path.iterdir()) == [p]  # no temp files left behind
 
+    def test_failed_replace_names_the_path_and_leaves_no_temp_file(self, tmp_path):
+        p = tmp_path / "taken"
+        p.mkdir()
+        with pytest.raises(OSError) as info:
+            fileio.atomic_write_text(str(p), "one")
+        assert info.value.filename == str(p)
+        assert list(tmp_path.iterdir()) == [p]
+
 
 class TestDatasetRoundTrip:
     def test_bit_exact_values(self, tmp_path):
@@ -198,6 +206,24 @@ class TestCsvSchemas:
         assert lines[0] == "re_lambda_L,im_lambda_L,re_lambda_U,im_lambda_U,residual_score"
         assert len(lines) == 3
         assert any(line.startswith(",,") for line in lines[1:])  # branch-cut row
+
+    def test_sweep_csv_rows(self):
+        from koopid.identify import ConvergenceReport
+
+        dictionary = koopid.Dictionary((
+            koopid.MonomialDerivative(1, 0), koopid.MonomialDerivative(2, 1),
+            koopid.GraphonKernel(1.0, 0.0, 0.5),
+        ))
+        report = ConvergenceReport(
+            t_s=np.array([0.3, 0.15]),
+            errors=np.array([[0.5, 0.25, 2.0], [0.125, 1e-3, 0.0625]]),
+            monotone=True,
+        )
+        assert fileio.sweep_to_csv(report, dictionary) == (
+            'ts,max_abs_error,err_1_u,err_2_u^2*du/dx,"err_3_graphon(c0=1,cx=0,cy=0.5)"\n'
+            "0.3,2.0,0.5,0.25,2.0\n"
+            "0.15,0.125,0.125,0.001,0.0625\n"
+        )
 
     def test_identification_csv_includes_truth_errors(self):
         m = koopid.graphon_model(64)

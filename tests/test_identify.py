@@ -11,6 +11,7 @@ from koopid import (
     Dictionary,
     ICFamily,
     IllConditionedWarning,
+    InvalidInputError,
     MonomialDerivative,
     PowerLaw,
     RankDeficiencyError,
@@ -203,10 +204,10 @@ class TestConvergenceStudy:
     def test_requires_three_decreasing_times(self):
         m = koopid.graphon_model(64)
         cand = Dictionary(m.dictionary.terms)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidInputError):
             ts_convergence_study(m, cand, koopid.PowerLaw(2), [0.5, 0.25],
                                  ICFamily.GRAPHON, 5, 10, 1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidInputError):
             ts_convergence_study(m, cand, koopid.PowerLaw(2), [0.25, 0.5, 0.1],
                                  ICFamily.GRAPHON, 5, 10, 1)
 
@@ -217,7 +218,7 @@ class TestConvergenceStudy:
             m, cand, koopid.PowerLaw(2), [0.5, 0.25, 0.1], ICFamily.GRAPHON, 5, 10, 1
         )
         assert report.monotone
-        assert report.entries[-1].max_error < report.entries[0].max_error
+        assert report.errors[-1].max() < report.errors[0].max()
 
     def test_shared_burn_in_gives_generate_pairs_data(self, monkeypatch):
         # one burn-in serves every sampling time; each dataset must still be

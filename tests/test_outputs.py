@@ -77,13 +77,13 @@ def compute():
         model, koopid.Dictionary(model.dictionary.terms), koopid.Bump(5.0, recentered=True),
         SWEEP_TS, family, trajectories, pairs, seed=1, burn_in=burn_in,
     )
-    for entry in report.entries:
-        out["sweep"][repr(entry.t_s)] = [entry.max_error] + entry.errors.tolist()
+    for t_s, errors in zip(report.t_s.tolist(), report.errors.tolist()):
+        out["sweep"][repr(t_s)] = [max(errors)] + errors
     for seed in SPECTRUM_SEEDS:
         ds = datasets["burgers"] if seed == 1 else default_dataset("burgers", seed)
         xi1, xi2 = koopid.build_data_matrices(ds, build_burgers_basis(seed))
         result = koopid.spectrum(koopid.edmd_fit(xi1, xi2, ds.sampling_time))
-        out["spectrum"][str(seed)] = [[m.lambda_u.real, m.lambda_u.imag] for m in result.modes[:20]]
+        out["spectrum"][str(seed)] = [[z.real, z.imag] for z in result.lambda_u[:20].tolist()]
     return out
 
 
