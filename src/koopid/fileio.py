@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import tempfile
 from typing import List, Sequence
 
@@ -98,12 +99,45 @@ def _get(rec, key: str, what: str, convert=None, default=_REQUIRED):
     return _convert(rec[key], convert, f"{what} field {key!r}")
 
 
+#: the deepest nesting of lists and objects an input file may have.  The
+#: parser recurses once per level and has no limit of its own: a valid
+#: document 150,000 levels deep overflows the C stack.
+MAX_NESTING = 1000
+
+#: a JSON string, escapes included.  An unterminated string, or a lone
+#: backslash, runs to the end of the text: every match then succeeds from its
+#: opening quote, and the scan stays linear in the text's length.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\[\s\S]?[^"\\]*)*(?:"|\Z)')
+#: every byte but the four brackets
+_NOT_BRACKETS = bytes(range(256)).translate(None, b"[]{}")
+
+
+def _nesting(text: str) -> int:
+    """The deepest nesting of lists and objects in ``text``, outside JSON
+    strings."""
+    plain = _JSON_STRING.sub("", text).encode("utf-8", "surrogatepass")
+    brackets = np.frombuffer(plain.translate(None, _NOT_BRACKETS), np.uint8)
+    steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
+    return int(np.cumsum(steps).max(initial=0))
+
+
 def _parse_json(text: str | bytes, kind: str):
-    """The JSON document in ``text``; text that is not JSON, or bytes that do
-    not decode, raise InvalidInputError naming ``kind``."""
+    """The JSON document in ``text``.  Bytes are decoded as ``json.loads``
+    decodes them: UTF-8, -16 or -32, with or without a BOM.  Text that is not
+    JSON (``NaN`` and ``Infinity`` included), a number beyond double range,
+    bytes that do not decode and nesting deeper than MAX_NESTING raise
+    InvalidInputError naming ``kind``.  An integer beyond 64 bits reads as a
+    float."""
+    import orjson  # loaded on the first read, not by ``import koopid``
+
     try:
-        return json.loads(text)
-    # JSONDecodeError, UnicodeDecodeError, or an integer too long to read
+        if isinstance(text, bytes):
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        # at most MAX_NESTING brackets cannot nest deeper: skip the scan
+        if text.count("[") + text.count("{") > MAX_NESTING and _nesting(text) > MAX_NESTING:
+            raise InvalidInputError(f"{kind} nests lists and objects deeper than {MAX_NESTING}")
+        return orjson.loads(text)
+    # orjson.JSONDecodeError or UnicodeDecodeError
     except ValueError as exc:
         raise InvalidInputError(f"{kind} is not valid JSON: {exc}") from None
 

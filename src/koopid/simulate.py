@@ -360,7 +360,7 @@ class _LawsonRK4:
         count = np.ceil(total_time / self.dt)
         if self.dt > MIN_SUBSTEP and count > MAX_SUBSTEPS:
             raise InvalidInputError(
-                f"model '{self.model.name}' would take {count:.0f} substeps of {self.dt:.4g}, "
+                f"model '{self.model.name}' would take {count:.15g} substeps of {self.dt:.4g}, "
                 f"more than {MAX_SUBSTEPS}; shorten the sampling time, the burn-in or the pairs "
                 "per trajectory"
             )

@@ -35,6 +35,14 @@ GRAPHON_DICT = [
 ]
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's koopid."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture
 def graphon_data(tmp_path):
     out = tmp_path / "g.json"
@@ -235,7 +243,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("times, count", [
         (["--ts", "1e6"], 100000000), (["--ts", "0.5", "--burn-in", "1e6"], 100000050),
-    ], ids=["ts", "burn-in"])
+        # a count beyond 15 digits is printed in exponent form, not 303 digits
+        (["--ts", "1e300"], "1e+302"),
+    ], ids=["ts", "burn-in", "huge-ts"])
     def test_too_many_substeps_is_usage_error(self, tmp_path, capsys, monkeypatch, times, count):
         # 1e6 time units at the 1e-2 cap need 1e8 substeps: the run is
         # refused, naming the count, before its first step
@@ -578,6 +588,50 @@ def test_malformed_json_file_is_named(tmp_path, graphon_data, capsys, kind, cont
     assert f"error: {kind} is not valid JSON: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["dataset", "dictionary", "truth", "basis", "model"])
+def test_deeply_nested_file_is_usage_error_without_traceback(tmp_path, graphon_data, kind):
+    # a valid document 150,000 levels deep: json.loads raised RecursionError
+    # on it and orjson overflows the C stack, so the reader runs in a fresh
+    # interpreter that a regression kills instead of pytest
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 150_000 + "]" * 150_000)
+    good_dict = tmp_path / "dict.json"
+    good_dict.write_text(json.dumps(GRAPHON_DICT))
+    out = str(tmp_path / "out.csv")
+    identify = ["identify", "--data", str(graphon_data), "--dict", str(good_dict),
+                "--weight", "power:2", "--method", "lifting", "--out", out]
+    argv = {
+        "dataset": identify[:2] + [str(deep)] + identify[3:],
+        "dictionary": identify[:4] + [str(deep)] + identify[5:],
+        "truth": identify + ["--truth", str(deep)],
+        "basis": ["spectrum", "--data", str(graphon_data), "--basis", f"file:{deep}",
+                  "--out", out],
+        "model": ["simulate", "--model", f"custom:{deep}", "--pairs", "2",
+                  "--trajectories", "1", "--ts", "0.1", "--seed", "1", "--out", out],
+    }[kind]
+    proc = subprocess.run([sys.executable, "-m", "koopid.cli", *argv], cwd=tmp_path,
+                          env=fresh_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr == (
+        f"error: {kind} nests lists and objects deeper than {koopid.fileio.MAX_NESTING}\n"
+    )
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (1, "nests lists and objects deeper than"), (0, "term record must be a JSON object"),
+], ids=["too-deep", "at-the-limit"])
+def test_dictionary_nesting_limit(tmp_path, graphon_data, capsys, extra, message):
+    # nesting up to MAX_NESTING reaches the record checks; one level more is refused
+    depth = koopid.fileio.MAX_NESTING + extra
+    path = tmp_path / "dict.json"
+    path.write_text("[" * depth + "]" * depth)
+    code = main(["identify", "--data", str(graphon_data), "--dict", str(path),
+                 "--weight", "power:2", "--method", "lifting", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["dictionary", "basis", "model"])
 def test_huge_power_is_usage_error(tmp_path, graphon_data, capsys, kind):
     # a power of 10^8 would take 10^8 multiplications per element (and a
@@ -623,15 +677,15 @@ def test_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
 
 
 # Runs each argv list of the JSON in sys.argv[1] through koopid.cli.main and
-# exits with a message at the first step that fails or leaves a scipy module
-# loaded.
+# exits with a message at the first step that fails or leaves loaded a module
+# named in the comma-separated list in sys.argv[2], or one of its submodules.
 _NO_SCIPY_CHILD = """
 import json, sys
 
-steps, banned = json.loads(sys.argv[1]), sys.argv[2]
+steps, banned = json.loads(sys.argv[1]), sys.argv[2].split(",")
 
 def check(step):
-    found = sorted(m for m in sys.modules if m == banned or m.startswith(banned + "."))
+    found = sorted(m for m in sys.modules for b in banned if m == b or m.startswith(b + "."))
     if found:
         sys.exit(f"{step} loaded {', '.join(found[:5])}")
 
@@ -655,17 +709,15 @@ class TestStartup:
     runs in a fresh interpreter."""
 
     def run_fresh(self, steps, cwd, banned="scipy"):
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(steps), banned], cwd=cwd, env=env,
-            capture_output=True, text=True, timeout=300,
+            [sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(steps), banned], cwd=cwd,
+            env=fresh_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
 
     def test_import_loads_no_scipy(self, tmp_path):
-        self.run_fresh([], tmp_path)
+        # nor orjson, which only a file read needs
+        self.run_fresh([], tmp_path, banned="scipy,orjson")
 
     def test_graphon_commands_and_burgers_spectrum_load_no_scipy(self, tmp_path):
         data, dict_path = str(tmp_path / "g.json"), tmp_path / "dict.json"
@@ -683,8 +735,9 @@ class TestStartup:
 
     def test_burgers_simulate_loads_no_scipy_linalg(self, tmp_path):
         # the Burgers diffusion flow is built in closed form, not by expm;
-        # the right-hand-side plan still loads scipy.sparse
+        # the right-hand-side plan still loads scipy.sparse.  A built-in
+        # model reads no file, so no JSON parser either
         self.run_fresh([
             ["simulate", "--model", "burgers", "--pairs", "4", "--trajectories", "2",
              "--ts", "0.2", "--seed", "1", "--grid", "64", "--out", str(tmp_path / "b.json")],
-        ], tmp_path, banned="scipy.linalg")
+        ], tmp_path, banned="scipy.linalg,orjson")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,46 @@ class TestDatasetText:
         text = fileio.dataset_to_json(ds)
         assert text == dumped(ds)
         assert '"u": [-0.0, 1.0, -0.0, 2.0, -0.0, 1.0, -0.0, 2.0]' in text
+
+
+class TestJsonReading:
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32"])
+    def test_utf8_with_bom_utf16_and_utf32_read_as_utf8(self, tmp_path, encoding):
+        # decoded as json.loads decodes bytes: the parser reads only bare UTF-8
+        _, ds = small_dataset()
+        text = fileio.dataset_to_json(ds)
+        plain, coded = tmp_path / "plain.json", tmp_path / "coded.json"
+        plain.write_bytes(text.encode("utf-8"))
+        coded.write_bytes(text.encode(encoding))
+        want, back = fileio.read_dataset(str(plain)), fileio.read_dataset(str(coded))
+        assert (back.grid, back.sampling_time, back.dirichlet, back.provenance) == (
+            want.grid, want.sampling_time, want.dirichlet, want.provenance
+        )
+        assert np.array_equal(back.u.view(np.uint64), want.u.view(np.uint64))
+        assert np.array_equal(back.u_next.view(np.uint64), want.u_next.view(np.uint64))
+
+    def test_brackets_inside_strings_do_not_nest(self):
+        # 4,000 brackets force the depth scan; an escaped quote and backslash
+        # come first, so a scan that ended the string there would count them
+        g = koopid.Grid1D(0.0, 1.0, 8)
+        provenance = {"open": '"\\' + "[" * 2000, "close": "]" * 2000}
+        ds = koopid.SnapshotDataset(g, 0.5, np.ones((1, 8)), np.ones((1, 8)),
+                                    provenance=provenance)
+        assert fileio.dataset_from_json(fileio.dataset_to_json(ds)).provenance == provenance
+
+    def test_unterminated_string_is_refused_in_linear_time(self):
+        # a string that never closes once took time quadratic in its escapes
+        text = "[" * (fileio.MAX_NESTING + 1) + '"' + '\\"' * 20_000
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError):
+            fileio.dataset_from_json(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_closing_brackets_inside_strings_hide_no_nesting(self):
+        depth = fileio.MAX_NESTING + 1
+        text = '["' + "]" * 2000 + '", ' + "[" * depth + "]" * depth + "]"
+        with pytest.raises(InvalidInputError, match=f"deeper than {fileio.MAX_NESTING}"):
+            fileio.dataset_from_json(text)
 
 
 class TestRecordRoundTrips:

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every package it imports outside the standard library is a declared
+dependency.
 
 A dead import hides which layer really depends on which.  Only a line marked
 ``# noqa: F401`` may import a name for other code to find there, and
@@ -7,10 +9,13 @@ A dead import hides which layer really depends on which.  Only a line marked
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "koopid"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "koopid"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -38,3 +43,23 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def declared_dependencies():
+    """The distribution names in pyproject's ``[project] dependencies``."""
+    text = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.MULTILINE | re.DOTALL).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in re.findall(r'"([^"]+)"', block)}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"koopid"}
+    assert "numpy" in third_party  # the walk sees the imports
+    assert third_party <= declared_dependencies()
