@@ -121,18 +121,19 @@ def _nesting(text: str) -> int:
     return int(np.cumsum(steps).max(initial=0))
 
 
-def _parse_json(text: str | bytes, kind: str):
-    """The JSON document in ``text``.  Bytes are decoded as ``json.loads``
-    decodes them: UTF-8, -16 or -32, with or without a BOM.  Text that is not
-    JSON (``NaN`` and ``Infinity`` included), a number beyond double range,
-    bytes that do not decode and nesting deeper than MAX_NESTING raise
-    InvalidInputError naming ``kind``.  An integer beyond 64 bits reads as a
-    float."""
+def _read_json(path: str, kind: str):
+    """The JSON document in the file at ``path``.  Its bytes are decoded as
+    ``json.loads`` decodes them: UTF-8, -16 or -32, with or without a BOM.
+    Text that is not JSON (``NaN`` and ``Infinity`` included), a number beyond
+    double range, bytes that do not decode and nesting deeper than
+    MAX_NESTING raise InvalidInputError naming ``kind``.  An integer beyond
+    64 bits reads as a float."""
     import orjson  # loaded on the first read, not by ``import koopid``
 
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        if isinstance(text, bytes):
-            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        text = data.decode(json.detect_encoding(data), "surrogatepass")
         # at most MAX_NESTING brackets cannot nest deeper: skip the scan
         if text.count("[") + text.count("{") > MAX_NESTING and _nesting(text) > MAX_NESTING:
             raise InvalidInputError(f"{kind} nests lists and objects deeper than {MAX_NESTING}")
@@ -140,12 +141,6 @@ def _parse_json(text: str | bytes, kind: str):
     # orjson.JSONDecodeError or UnicodeDecodeError
     except ValueError as exc:
         raise InvalidInputError(f"{kind} is not valid JSON: {exc}") from None
-
-
-def _read_json(path: str, kind: str):
-    """The JSON document in the file at ``path`` (see :func:`_parse_json`)."""
-    with open(path, "rb") as fh:
-        return _parse_json(fh.read(), kind)
 
 
 def _records(value, what: str) -> list:
@@ -240,12 +235,31 @@ def functional_from_record(rec: dict) -> FunctionalSpec:
 # ---------------------------------------------------------------------------
 # dataset JSON
 
+def _rows_json(values: np.ndarray) -> List[str]:
+    """Each row of the float array ``values`` as ``json.dumps`` writes it.
+
+    orjson and ``repr`` both give the shortest digits that round-trip, laid
+    out alike for magnitudes in [1e-4, 1e16); outside it orjson writes
+    ``0.00001`` and ``1e16`` where ``repr`` writes ``1e-05`` and ``1e+16``,
+    so those values, and only those, are formatted by ``repr``.
+    """
+    import orjson  # loaded on the first write, as the reader loads it
+
+    flat = values.ravel()
+    tokens = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(flat)
+    for i in np.flatnonzero((magnitude < 1e-4) & (magnitude != 0) | (magnitude >= 1e16)).tolist():
+        tokens[i] = repr(float(flat[i]))
+    n = values.shape[-1]
+    return [f"[{', '.join(tokens[k:k + n])}]" for k in range(0, len(tokens), n)]
+
+
 def dataset_to_json(dataset: SnapshotDataset) -> str:
     """The dataset as one JSON document, the text ``json.dumps`` gives.
 
-    Pair k's ``u_next`` is usually pair k+1's ``u``, so each distinct row
-    (by its bytes, which tells -0.0 from 0.0) is formatted once and its text
-    spliced into the ``pairs`` list, the document's last key.
+    The head stays ``json.dumps`` (provenance strings may hold ``,`` and
+    ``:``); the snapshot rows, spliced into the ``pairs`` list, the
+    document's last key, come from :func:`_rows_json`.
     """
     head = json.dumps({
         "grid": {
@@ -257,26 +271,19 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
         "dirichlet": bool(dataset.dirichlet),
         "provenance": dataset.provenance or {},
     })
-    texts: dict = {}
-
-    def row_text(row: np.ndarray) -> str:
-        key = row.tobytes()
-        if key not in texts:
-            texts[key] = json.dumps(row.tolist())
-        return texts[key]
-
     pairs = ", ".join(
-        f'{{"u": {row_text(u)}, "u_next": {row_text(un)}}}'
-        for u, un in zip(dataset.u, dataset.u_next)
+        f'{{"u": {u}, "u_next": {un}}}'
+        for u, un in zip(_rows_json(dataset.u), _rows_json(dataset.u_next))
     )
     return f'{head[:-1]}, "pairs": [{pairs}]}}'
 
 
-def dataset_from_json(text: str) -> SnapshotDataset:
-    return _dataset_from_doc(_parse_json(text, "dataset"))
+def write_dataset(path: str, dataset: SnapshotDataset):
+    atomic_write_text(path, dataset_to_json(dataset))
 
 
-def _dataset_from_doc(doc) -> SnapshotDataset:
+def read_dataset(path: str) -> SnapshotDataset:
+    doc = _read_json(path, "dataset")
     g = _get(doc, "grid", "dataset")
     grid = Grid1D(
         _get(g, "x_min", "dataset grid", float),
@@ -294,14 +301,6 @@ def _dataset_from_doc(doc) -> SnapshotDataset:
         dirichlet=_get(doc, "dirichlet", "dataset", bool, False),
         provenance=provenance,
     )
-
-
-def write_dataset(path: str, dataset: SnapshotDataset):
-    atomic_write_text(path, dataset_to_json(dataset))
-
-
-def read_dataset(path: str) -> SnapshotDataset:
-    return _dataset_from_doc(_read_json(path, "dataset"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Shared non-fixture helpers for the test suite."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 
 import koopid
+from koopid import fileio
 
 
 def heat_model(num_points: int = 256) -> koopid.Model:
@@ -31,3 +36,23 @@ def heat_pairs(model: koopid.Model, states: np.ndarray, ts: float) -> koopid.Sna
     u = np.stack([states, s1], axis=1).reshape(-1, n)
     u_next = np.stack([s1, s2], axis=1).reshape(-1, n)
     return koopid.SnapshotDataset(model.grid, ts, u, u_next, dirichlet=model.dirichlet)
+
+
+def read_dataset_text(text: str) -> koopid.SnapshotDataset:
+    """``fileio.read_dataset`` of a UTF-8 file that holds ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dataset.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return fileio.read_dataset(path)
+
+
+def dumped(ds) -> str:
+    """``json.dumps`` of the whole dataset document, pair by pair."""
+    return json.dumps({
+        "grid": {"x_min": ds.grid.x_min, "x_max": ds.grid.x_max, "num_points": ds.grid.num_points},
+        "sampling_time": ds.sampling_time,
+        "dirichlet": bool(ds.dirichlet),
+        "provenance": ds.provenance or {},
+        "pairs": [{"u": u, "u_next": un} for u, un in zip(ds.u.tolist(), ds.u_next.tolist())],
+    })

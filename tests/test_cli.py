@@ -716,8 +716,13 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_loads_no_scipy(self, tmp_path):
-        # nor orjson, which only a file read needs
-        self.run_fresh([], tmp_path, banned="scipy,orjson")
+        # nor orjson, which only dataset files and input files need: a
+        # graphon sweep reads no file and writes only a CSV
+        self.run_fresh([
+            ["sweep-ts", "--model", "graphon", "--weight", "power:2", "--grid", "16",
+             "--pairs", "30", "--trajectories", "3", "--ts-list", "0.5,0.25,0.125",
+             "--seed", "1", "--out", str(tmp_path / "sweep.csv")],
+        ], tmp_path, banned="scipy,orjson")
 
     def test_graphon_commands_and_burgers_spectrum_load_no_scipy(self, tmp_path):
         data, dict_path = str(tmp_path / "g.json"), tmp_path / "dict.json"
@@ -735,9 +740,9 @@ class TestStartup:
 
     def test_burgers_simulate_loads_no_scipy_linalg(self, tmp_path):
         # the Burgers diffusion flow is built in closed form, not by expm;
-        # the right-hand-side plan still loads scipy.sparse.  A built-in
-        # model reads no file, so no JSON parser either
+        # the right-hand-side plan still loads scipy.sparse, and the dataset
+        # writer orjson
         self.run_fresh([
             ["simulate", "--model", "burgers", "--pairs", "4", "--trajectories", "2",
              "--ts", "0.2", "--seed", "1", "--grid", "64", "--out", str(tmp_path / "b.json")],
-        ], tmp_path, banned="scipy.linalg,orjson")
+        ], tmp_path, banned="scipy.linalg")

@@ -11,6 +11,8 @@ import koopid
 from koopid import fileio
 from koopid.errors import InvalidInputError
 
+from helpers import dumped, read_dataset_text
+
 
 def small_dataset():
     m = koopid.graphon_model(64)
@@ -52,10 +54,13 @@ class TestDatasetRoundTrip:
         rng = np.random.default_rng(0)
         u = rng.standard_normal((3, 8)) * 10.0 ** rng.integers(-300, 300, (3, 8))
         u[0, :4] = [5e-324, -0.0, np.nextafter(1.0, 2.0), np.finfo(float).max]
+        # the ends of [1e-4, 1e16), where orjson lays out floats as repr does
+        u[1, :6] = [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 1e15, 100.0]
         ds = koopid.SnapshotDataset(g, 1.0 / 3.0, u, -u)
         text = fileio.dataset_to_json(ds)
+        assert text == dumped(ds)
         assert list(json.loads(text)) == ["grid", "sampling_time", "dirichlet", "provenance", "pairs"]
-        back = fileio.dataset_from_json(text)
+        back = read_dataset_text(text)
         assert back.sampling_time == ds.sampling_time
         assert np.array_equal(back.u.view(np.uint64), u.view(np.uint64))
         assert np.array_equal(back.u_next.view(np.uint64), (-u).view(np.uint64))
@@ -73,17 +78,6 @@ class TestDatasetRoundTrip:
     def test_deterministic_serialization(self, tmp_path):
         _, ds = small_dataset()
         assert fileio.dataset_to_json(ds) == fileio.dataset_to_json(ds)
-
-
-def dumped(ds) -> str:
-    """``json.dumps`` of the whole dataset document, pair by pair."""
-    return json.dumps({
-        "grid": {"x_min": ds.grid.x_min, "x_max": ds.grid.x_max, "num_points": ds.grid.num_points},
-        "sampling_time": ds.sampling_time,
-        "dirichlet": bool(ds.dirichlet),
-        "provenance": ds.provenance or {},
-        "pairs": [{"u": u, "u_next": un} for u, un in zip(ds.u.tolist(), ds.u_next.tolist())],
-    })
 
 
 class TestDatasetText:
@@ -129,21 +123,21 @@ class TestJsonReading:
         provenance = {"open": '"\\' + "[" * 2000, "close": "]" * 2000}
         ds = koopid.SnapshotDataset(g, 0.5, np.ones((1, 8)), np.ones((1, 8)),
                                     provenance=provenance)
-        assert fileio.dataset_from_json(fileio.dataset_to_json(ds)).provenance == provenance
+        assert read_dataset_text(fileio.dataset_to_json(ds)).provenance == provenance
 
     def test_unterminated_string_is_refused_in_linear_time(self):
         # a string that never closes once took time quadratic in its escapes
         text = "[" * (fileio.MAX_NESTING + 1) + '"' + '\\"' * 20_000
         start = time.perf_counter()
         with pytest.raises(InvalidInputError):
-            fileio.dataset_from_json(text)
+            read_dataset_text(text)
         assert time.perf_counter() - start < 1.0
 
     def test_closing_brackets_inside_strings_hide_no_nesting(self):
         depth = fileio.MAX_NESTING + 1
         text = '["' + "]" * 2000 + '", ' + "[" * depth + "]" * depth + "]"
         with pytest.raises(InvalidInputError, match=f"deeper than {fileio.MAX_NESTING}"):
-            fileio.dataset_from_json(text)
+            read_dataset_text(text)
 
 
 class TestRecordRoundTrips:

@@ -1,5 +1,6 @@
 """Property tests of the record readers: on any input each reader returns or
-raises a KoopidError, and valid records round-trip to identical objects."""
+raises a KoopidError, and valid records round-trip to identical objects.  The
+dataset writer gives the text ``json.dumps`` gives for any finite values."""
 
 import copy
 import json
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import koopid
 from koopid import fileio
 from koopid.errors import InvalidInputError, KoopidError
+
+from helpers import dumped, read_dataset_text
 
 FUZZ = settings(
     derandomize=True, database=None, deadline=None, max_examples=100,
@@ -122,6 +126,22 @@ def datasets(draw):
                                   dirichlet=dirichlet, provenance=provenance or None)
 
 
+#: any finite double, weighted towards the ends of [1e-4, 1e16), the range
+#: where orjson lays out a float as ``repr`` does
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | (
+    st.floats(9e-5, 1.1e-4) | st.floats(9e15, 1.1e16)
+    | st.sampled_from([1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 5e-324])
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def snapshot_arrays(draw):
+    """A dataset whose two snapshot arrays hold any finite doubles."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(8, 12))
+    u, u_next = (draw(arrays(np.float64, (m, n), elements=DOUBLES)) for _ in range(2))
+    return koopid.SnapshotDataset(koopid.Grid1D(0.0, 1.0, n), 0.5, u, u_next)
+
+
 @st.composite
 def mutated(draw, docs):
     """A document from ``docs`` with one value replaced by arbitrary JSON, or
@@ -209,11 +229,16 @@ class TestRoundTrips:
     @FUZZ
     @given(datasets())
     def test_dataset(self, ds):
-        back = fileio.dataset_from_json(fileio.dataset_to_json(ds))
+        back = read_dataset_text(fileio.dataset_to_json(ds))
         assert (back.grid, back.sampling_time, back.dirichlet, back.provenance) == (
             ds.grid, ds.sampling_time, ds.dirichlet, ds.provenance
         )
         assert np.array_equal(back.u, ds.u) and np.array_equal(back.u_next, ds.u_next)
+
+    @FUZZ
+    @given(snapshot_arrays())
+    def test_dataset_text_is_json_dumps(self, ds):
+        assert fileio.dataset_to_json(ds) == dumped(ds)
 
     @FUZZ
     @given(weights())
@@ -232,12 +257,12 @@ class TestTextReaders:
     @FUZZ
     @given(mutated(datasets().map(lambda ds: json.loads(fileio.dataset_to_json(ds)))))
     def test_dataset_from_mutated_json(self, doc):
-        returns_or_raises_koopid_error(fileio.dataset_from_json, json.dumps(doc))
+        returns_or_raises_koopid_error(read_dataset_text, json.dumps(doc))
 
     @FUZZ
     @given(st.text(max_size=40))
     def test_dataset_from_arbitrary_text(self, text):
-        returns_or_raises_koopid_error(fileio.dataset_from_json, text)
+        returns_or_raises_koopid_error(read_dataset_text, text)
 
     @FUZZ
     @given(st.text(max_size=12) | st.builds(
@@ -270,11 +295,11 @@ def _dataset_text(**changes):
     pytest.param(fileio.model_from_record, {**MODEL, "dictionary": 5}, id="number-dict"),
     pytest.param(fileio.model_from_record, {**MODEL, "grid": {**GRID, "num_points": "abc"}},
                  id="text-num-points"),
-    pytest.param(fileio.dataset_from_json, _dataset_text(sampling_time=float("nan")),
+    pytest.param(read_dataset_text, _dataset_text(sampling_time=float("nan")),
                  id="nan-sampling-time"),
-    pytest.param(fileio.dataset_from_json,
+    pytest.param(read_dataset_text,
                  _dataset_text(pairs=[{"u": [10**400] * 8, "u_next": [0] * 8}]), id="huge-value"),
-    pytest.param(fileio.dataset_from_json, "1" * 5000, id="unreadable-int"),
+    pytest.param(read_dataset_text, "1" * 5000, id="unreadable-int"),
 ])
 def test_known_leaks_are_input_errors(reader, arg):
     with pytest.raises(InvalidInputError):
@@ -301,12 +326,12 @@ BUMP = {"kind": "bump", "L": 1.0}
     pytest.param(fileio.model_from_record, {**MODEL, "coefficients": ["1.5"]},
                  id="numeric-text-coef"),
     pytest.param(fileio.model_from_record, {**MODEL, "coefficients": [True]}, id="bool-coef"),
-    pytest.param(fileio.dataset_from_json, _dataset_text(dirichlet="no"), id="text-dirichlet"),
-    pytest.param(fileio.dataset_from_json, _dataset_text(sampling_time="0.1"),
+    pytest.param(read_dataset_text, _dataset_text(dirichlet="no"), id="text-dirichlet"),
+    pytest.param(read_dataset_text, _dataset_text(sampling_time="0.1"),
                  id="text-sampling-time"),
     pytest.param(fileio.model_from_record, {**MODEL, "name": {"a": 1}}, id="object-name"),
-    pytest.param(fileio.dataset_from_json, _dataset_text(provenance=[1, 2]), id="list-provenance"),
-    pytest.param(fileio.dataset_from_json, _dataset_text(provenance="abc"), id="text-provenance"),
+    pytest.param(read_dataset_text, _dataset_text(provenance=[1, 2]), id="list-provenance"),
+    pytest.param(read_dataset_text, _dataset_text(provenance="abc"), id="text-provenance"),
 ])
 def test_values_of_the_wrong_json_type_are_input_errors(reader, arg):
     # each of these was read as something else: 1.5 as 1, "2" as 2, "no" as
