@@ -11,16 +11,13 @@ fitted operator.
 from .errors import (
     BlowUpError,
     BranchCutError,
-    DomainError,
     IllConditionedWarning,
     InsufficientDataError,
     InvalidInputError,
     KoopidError,
-    NumericError,
     PreconditionError,
     RankDeficiencyError,
     RankDeficiencyWarning,
-    ShapeError,
 )
 from .fields import Grid1D
 from .identify import (

@@ -23,7 +23,6 @@ from .errors import (
     InsufficientDataError,
     KoopidError,
     PreconditionError,
-    RankDeficiencyError,
 )
 from .identify import direct_identify, lifting_identify, ts_convergence_study
 from .koopman import build_data_matrices, edmd_fit, spectrum
@@ -209,7 +208,7 @@ def main(argv=None) -> int:
     except BranchCutError as exc:
         print(f"{exc}\nhint: reduce --ts", file=sys.stderr)
         return EXIT_BRANCH
-    except (PreconditionError, RankDeficiencyError) as exc:
+    except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (KoopidError, OSError, ValueError) as exc:

@@ -6,22 +6,13 @@ class KoopidError(Exception):
 
 
 class InvalidInputError(KoopidError):
-    """An argument has an invalid value (non-finite entries, bad order, ...)."""
+    """An argument or input file is unusable: a bad value (non-finite
+    entries, bad order, ...), inconsistent array shapes, a domain a term
+    cannot live on (graphon terms need [0, 1]) or a numerical routine that
+    did not converge on it."""
 
 
-class ShapeError(KoopidError):
-    """Array dimensions are inconsistent with the operation."""
-
-
-class DomainError(KoopidError):
-    """A spatial-domain requirement is violated (e.g. graphon terms need [0, 1])."""
-
-
-class NumericError(KoopidError):
-    """A numerical routine failed to converge or produced unusable output."""
-
-
-class BranchCutError(NumericError):
+class BranchCutError(KoopidError):
     """The principal matrix logarithm is undefined: an eigenvalue lies on the
     closed negative real axis (or is numerically zero)."""
 
@@ -47,7 +38,7 @@ class PreconditionError(KoopidError):
     """A documented precondition of an operation is not met."""
 
 
-class RankDeficiencyError(KoopidError):
+class RankDeficiencyError(PreconditionError):
     """The lifted data matrix has linearly dependent columns.
 
     ``columns`` lists the indices of the dependent columns (0-based, in

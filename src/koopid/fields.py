@@ -23,7 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, ShapeError
+from .errors import InvalidInputError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,14 @@ def grid_values(grid: Grid1D, values, dirichlet: bool, ndims: Tuple[int, ...]) -
     ``ndims``, the last one sampling ``grid``.
 
     The values must be finite and, when ``dirichlet`` is set, exactly zero at
-    both boundaries; anything else raises ShapeError or InvalidInputError.
+    both boundaries; anything else raises InvalidInputError.
     """
     try:
         v = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError("values must be a rectangular array of numbers") from None
     if v.ndim not in ndims or v.shape[-1] != grid.num_points:
-        raise ShapeError(
+        raise InvalidInputError(
             f"values must have {' or '.join(map(str, ndims))} axes, the last of length "
             f"{grid.num_points}, got shape {v.shape}"
         )

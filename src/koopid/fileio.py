@@ -235,32 +235,17 @@ def functional_from_record(rec: dict) -> FunctionalSpec:
 # ---------------------------------------------------------------------------
 # dataset JSON
 
-def _rows_json(values: np.ndarray) -> List[str]:
-    """Each row of the float array ``values`` as ``json.dumps`` writes it.
+def dataset_to_json(dataset: SnapshotDataset) -> str:
+    """The dataset as one JSON document whose floats read back bit-exact.
 
-    orjson and ``repr`` both give the shortest digits that round-trip, laid
-    out alike for magnitudes in [1e-4, 1e16); outside it orjson writes
-    ``0.00001`` and ``1e16`` where ``repr`` writes ``1e-05`` and ``1e+16``,
-    so those values, and only those, are formatted by ``repr``.
+    The head is ``json.dumps``, which writes an integer of any size (orjson
+    refuses one beyond 64 bits, and a provenance seed may be one) and, with
+    ``allow_nan=False``, refuses what the reader would refuse.  The ``pairs``
+    list, the document's last key, is one ``orjson.dumps`` call: shortest
+    round-trip digits, as ``repr`` gives, in orjson's layout (``0.00001``).
     """
     import orjson  # loaded on the first write, as the reader loads it
 
-    flat = values.ravel()
-    tokens = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    magnitude = np.abs(flat)
-    for i in np.flatnonzero((magnitude < 1e-4) & (magnitude != 0) | (magnitude >= 1e16)).tolist():
-        tokens[i] = repr(float(flat[i]))
-    n = values.shape[-1]
-    return [f"[{', '.join(tokens[k:k + n])}]" for k in range(0, len(tokens), n)]
-
-
-def dataset_to_json(dataset: SnapshotDataset) -> str:
-    """The dataset as one JSON document, the text ``json.dumps`` gives.
-
-    The head stays ``json.dumps`` (provenance strings may hold ``,`` and
-    ``:``); the snapshot rows, spliced into the ``pairs`` list, the
-    document's last key, come from :func:`_rows_json`.
-    """
     head = json.dumps({
         "grid": {
             "x_min": dataset.grid.x_min,
@@ -270,12 +255,15 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
         "sampling_time": dataset.sampling_time,
         "dirichlet": bool(dataset.dirichlet),
         "provenance": dataset.provenance or {},
-    })
-    pairs = ", ".join(
-        f'{{"u": {u}, "u_next": {un}}}'
-        for u, un in zip(_rows_json(dataset.u), _rows_json(dataset.u_next))
-    )
-    return f'{head[:-1]}, "pairs": [{pairs}]}}'
+    }, allow_nan=False)
+    # orjson serializes only C-contiguous arrays; a Fortran-ordered input
+    # keeps its layout in SnapshotDataset
+    pairs = orjson.dumps(
+        [{"u": u, "u_next": un} for u, un in
+         zip(np.ascontiguousarray(dataset.u), np.ascontiguousarray(dataset.u_next))],
+        option=orjson.OPT_SERIALIZE_NUMPY,
+    ).decode()
+    return f'{head[:-1]}, "pairs": {pairs}}}'
 
 
 def write_dataset(path: str, dataset: SnapshotDataset):

@@ -18,13 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    KoopidError,
-    RankDeficiencyWarning,
-    ShapeError,
-)
+from .errors import InsufficientDataError, InvalidInputError, KoopidError, RankDeficiencyWarning
 from .linalg import branch_cut_mask, eig, matrix_rank, pinv
 from .observables import FunctionalSpec, functional_values
 from .simulate import SnapshotDataset
@@ -43,7 +37,7 @@ def build_data_matrices(
     raises InvalidInputError naming the first such functional.
     """
     if len(basis) == 0:
-        raise KoopidError("basis must be nonempty")
+        raise InvalidInputError("basis must be nonempty")
     m = len(dataset)
     snapshots = np.concatenate((dataset.u, dataset.u_next))
     xi = np.empty((2 * m, len(basis)))
@@ -83,7 +77,9 @@ def edmd_fit(xi1: np.ndarray, xi2: np.ndarray, t_s: float) -> KoopmanFit:
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     if xi1.shape != xi2.shape:
-        raise ShapeError(f"data matrices must have equal shapes, got {xi1.shape} and {xi2.shape}")
+        raise InvalidInputError(
+            f"data matrices must have equal shapes, got {xi1.shape} and {xi2.shape}"
+        )
     m, n = xi1.shape
     if m < n:
         raise InsufficientDataError(f"insufficient data: m < n ({m} < {n})")

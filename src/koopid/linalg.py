@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BranchCutError,
-    IllConditionedWarning,
-    InvalidInputError,
-    NumericError,
-    ShapeError,
-)
+from .errors import BranchCutError, IllConditionedWarning, InvalidInputError
 
 #: cond(V) above which logm/eig results carry an IllConditionedWarning.
 CONDITION_WARN_THRESHOLD = 1e8
@@ -38,7 +32,9 @@ BRANCH_CUT_TOL = 1e-12
 def _check_matrix(a, name="matrix"):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"{name} must be 2-D with at least one row and column, got shape {a.shape}")
+        raise InvalidInputError(
+            f"{name} must be 2-D with at least one row and column, got shape {a.shape}"
+        )
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
@@ -47,7 +43,7 @@ def _check_matrix(a, name="matrix"):
 def _check_square(a, name="matrix"):
     a = _check_matrix(a, name)
     if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {a.shape}")
+        raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
@@ -87,7 +83,9 @@ def lstsq_fit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     x1 = _check_matrix(x1, "x1")
     x2 = _check_matrix(x2, "x2")
     if x1.shape[0] != x2.shape[0]:
-        raise ShapeError(f"row-count mismatch: x1 has {x1.shape[0]} rows, x2 has {x2.shape[0]}")
+        raise InvalidInputError(
+            f"row-count mismatch: x1 has {x1.shape[0]} rows, x2 has {x2.shape[0]}"
+        )
     return pinv(x1) @ x2
 
 
@@ -116,7 +114,7 @@ def eig(a: np.ndarray) -> EigenDecomposition:
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # QR iteration failed to converge
-        raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
+        raise InvalidInputError(f"eigendecomposition did not converge: {exc}") from exc
     try:
         cond = float(np.linalg.cond(v, 2))
     except np.linalg.LinAlgError:

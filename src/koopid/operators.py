@@ -49,7 +49,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ShapeError
+from .errors import InvalidInputError
 from .fields import Grid1D, diff_matrix, diff_values, trapezoid_weights
 
 
@@ -121,9 +121,7 @@ class Dictionary:
             except (TypeError, ValueError, OverflowError):
                 raise InvalidInputError("coefficients must be numbers") from None
             if len(coeffs) != len(terms):
-                raise ShapeError(
-                    f"{len(coeffs)} coefficients for {len(terms)} terms"
-                )
+                raise InvalidInputError(f"{len(coeffs)} coefficients for {len(terms)} terms")
             if not all(np.isfinite(coeffs)):
                 raise InvalidInputError("coefficients must be finite")
             object.__setattr__(self, "coefficients", coeffs)
@@ -134,7 +132,7 @@ class Dictionary:
 
 def _require_unit_interval(grid: Grid1D):
     if grid.x_min != 0.0 or grid.x_max != 1.0:
-        raise DomainError(
+        raise InvalidInputError(
             f"graphon terms require the domain [0, 1], got [{grid.x_min}, {grid.x_max}]"
         )
 
@@ -216,8 +214,8 @@ class RhsPlan:
     Build it once per integration and evaluate it with :func:`rhs_values`.
     Terms with coefficient 0 are left out, since they add nothing to the
     sum.  Building raises what evaluating the other terms would raise:
-    ``InvalidInputError`` without coefficients, ``DomainError`` for nonzero
-    graphon terms off ``[0, 1]`` (even when their kernels cancel) and
+    ``InvalidInputError`` without coefficients or for nonzero graphon terms
+    off ``[0, 1]`` (even when their kernels cancel), and
     ``PreconditionError`` for a grid too short for a derivative order.
     """
 
@@ -284,7 +282,7 @@ def rhs_values(plan: RhsPlan, values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     n = plan.grid.num_points
     if v.shape[-1:] != (n,):
-        raise ShapeError(f"values must have a last axis of length {n}, got shape {v.shape}")
+        raise InvalidInputError(f"values must have a last axis of length {n}, got shape {v.shape}")
     parts = [plan._polynomial(v)] if plan.poly else []
     if plan.stencils is not None:
         # one product for all A_j; the copy lays each A_j u out like v, which

@@ -68,7 +68,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidInputError, PreconditionError, ShapeError
+from .errors import BlowUpError, InvalidInputError, PreconditionError
 from .fields import Grid1D, diff_matrix, grid_values
 from .operators import Dictionary, GraphonKernel, MonomialDerivative, RhsPlan, rhs_values
 from .linalg import expm
@@ -124,7 +124,7 @@ class SnapshotDataset:
     must be finite and above ``MIN_SUBSTEP``.  Both arrays are copied and must
     have the same shape, at least one row, a last axis of the grid's N nodes
     and finite values, zero at both boundaries when ``dirichlet`` is set;
-    anything else raises ShapeError or InvalidInputError.
+    anything else raises InvalidInputError.
     """
 
     grid: Grid1D
@@ -139,7 +139,7 @@ class SnapshotDataset:
         u = grid_values(self.grid, self.u, self.dirichlet, (2,))
         u_next = grid_values(self.grid, self.u_next, self.dirichlet, (2,))
         if u.shape != u_next.shape:
-            raise ShapeError(f"u has shape {u.shape} but u_next has shape {u_next.shape}")
+            raise InvalidInputError(f"u has shape {u.shape} but u_next has shape {u_next.shape}")
         if len(u) < 1:
             raise InvalidInputError("dataset must contain at least one pair")
         object.__setattr__(self, "u", u)

@@ -1,6 +1,5 @@
 """Shared non-fixture helpers for the test suite."""
 
-import json
 import os
 import tempfile
 
@@ -45,14 +44,3 @@ def read_dataset_text(text: str) -> koopid.SnapshotDataset:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return fileio.read_dataset(path)
-
-
-def dumped(ds) -> str:
-    """``json.dumps`` of the whole dataset document, pair by pair."""
-    return json.dumps({
-        "grid": {"x_min": ds.grid.x_min, "x_max": ds.grid.x_max, "num_points": ds.grid.num_points},
-        "sampling_time": ds.sampling_time,
-        "dirichlet": bool(ds.dirichlet),
-        "provenance": ds.provenance or {},
-        "pairs": [{"u": u, "u_next": un} for u, un in zip(ds.u.tolist(), ds.u_next.tolist())],
-    })

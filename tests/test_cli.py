@@ -160,6 +160,16 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_seed_beyond_64_bits_is_written_and_read_as_a_float(self, tmp_path):
+        out = tmp_path / "x.json"
+        code = main([
+            "simulate", "--model", "graphon", "--pairs", "2", "--trajectories", "1",
+            "--ts", "0.5", "--seed", str(2**64), "--grid", "16", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        seed = koopid.fileio.read_dataset(str(out)).provenance["seed"]
+        assert isinstance(seed, float) and seed == 2.0**64
+
     def simulate_custom(self, tmp_path, doc, *flags):
         model_path = tmp_path / "m.json"
         model_path.write_text(json.dumps(doc))

@@ -15,7 +15,7 @@ from koopid import (
     functional_values,
     spectrum,
 )
-from koopid.errors import KoopidError, RankDeficiencyWarning, ShapeError
+from koopid.errors import InvalidInputError, KoopidError, RankDeficiencyWarning
 from koopid.observables import build_burgers_basis
 from koopid.simulate import EXPERIMENT_DEFAULTS
 from helpers import heat_model, heat_pairs, sine_mode
@@ -76,7 +76,7 @@ class TestDataMatrices:
 
     def test_empty_basis_rejected(self):
         _, ds = heat_sine_dataset(num_states=2)
-        with pytest.raises(KoopidError):
+        with pytest.raises(InvalidInputError):
             build_data_matrices(ds, [])
 
 
@@ -86,7 +86,7 @@ class TestEdmdFit:
             edmd_fit(np.ones((2, 3)), np.ones((2, 3)), 0.1)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             edmd_fit(np.ones((4, 2)), np.ones((4, 3)), 0.1)
 
     def test_rank_deficiency_warns(self):

@@ -13,7 +13,7 @@ from koopid import (
     RhsPlan,
     rhs_values,
 )
-from koopid.errors import DomainError, InvalidInputError, PreconditionError, ShapeError
+from koopid.errors import InvalidInputError, PreconditionError
 from koopid.fields import trapezoid_weights
 from koopid.operators import _int_power, _stencil_matrix, describe_term, term_values
 from helpers import heat_model
@@ -40,7 +40,7 @@ class TestDictionaryValidation:
             Dictionary((MonomialDerivative(1, 0), MonomialDerivative(1, 0)))
 
     def test_coefficient_count_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             Dictionary((MonomialDerivative(0, 0),), coefficients=(1.0, 2.0))
 
     def test_empty_rejected(self):
@@ -108,7 +108,7 @@ class TestGraphonTerms:
 
     def test_requires_unit_interval(self):
         g = Grid1D(0.0, 2.0, 32)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError):
             term_values(GraphonKernel(1.0, 0.0, 0.0), np.zeros(32), g, dirichlet=False)
 
 
@@ -157,7 +157,7 @@ class TestRhs:
              GraphonKernel(2.0, 0.0, 0.0)),
             coefficients=(-1.0, 1.0, -0.5),
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError):
             rhs_values(RhsPlan(dic, g, dirichlet=False), np.zeros((2, 32)))
 
     def test_weighted_sum_of_terms(self, unit_grid):
@@ -334,7 +334,7 @@ class TestRhsPlan:
 
     def test_values_off_the_plan_grid_rejected(self, unit_grid):
         dic = Dictionary((MonomialDerivative(0, 1),), coefficients=(1.0,))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             rhs_values(RhsPlan(dic, unit_grid, dirichlet=False), np.zeros((2, 50)))
 
 

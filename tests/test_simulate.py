@@ -13,7 +13,7 @@ from koopid import (
     generate_pairs,
     integrate,
 )
-from koopid.errors import InvalidInputError, KoopidError, PreconditionError, ShapeError
+from koopid.errors import InvalidInputError, KoopidError, PreconditionError
 from koopid.fields import diff_values
 from koopid.operators import GraphonKernel
 from koopid.simulate import (
@@ -396,7 +396,7 @@ class TestIntegrate:
 
     def test_rejects_mismatched_grid(self):
         m = heat_model(num_points=64)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             integrate(m, np.zeros(32), 0.1)
 
     def test_dirichlet_model_requires_zero_boundary_ic(self):
