@@ -21,6 +21,7 @@ from .errors import (
     BlowUpError,
     BranchCutError,
     InsufficientDataError,
+    InvalidInputError,
     KoopidError,
     PreconditionError,
 )
@@ -37,13 +38,9 @@ EXIT_USAGE = 64
 EXIT_PRECONDITION = 65
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidInputError(message)
 
 
 def _resolve_model(spec: str, num_points):
@@ -58,8 +55,8 @@ def _resolve_model(spec: str, num_points):
         factory = BUILTIN_MODELS[spec]
         model = factory(num_points) if num_points is not None else factory()
         return model, EXPERIMENT_DEFAULTS[spec]
-    raise _UsageError(f"unknown model {spec!r}; expected one of "
-                      f"{sorted(BUILTIN_MODELS)} or custom:<path>")
+    raise InvalidInputError(f"unknown model {spec!r}; expected one of "
+                            f"{sorted(BUILTIN_MODELS)} or custom:<path>")
 
 
 def _cmd_simulate(args) -> int:
@@ -82,12 +79,13 @@ def _resolve_basis(spec: str):
         try:
             seed = int(spec.split(":", 1)[1])
         except ValueError:
-            raise _UsageError(f"--basis {spec!r} is not of the form burgers:SEED "
-                              "with an integer SEED") from None
+            raise InvalidInputError(f"--basis {spec!r} is not of the form burgers:SEED "
+                                    "with an integer SEED") from None
         return build_burgers_basis(seed)
     if spec.startswith("file:"):
         return fileio.read_basis(spec.split(":", 1)[1])
-    raise _UsageError(f"cannot parse basis spec {spec!r}; expected burgers:SEED or file:<path>")
+    raise InvalidInputError(f"cannot parse basis spec {spec!r}; "
+                            "expected burgers:SEED or file:<path>")
 
 
 def _cmd_spectrum(args) -> int:
@@ -124,8 +122,8 @@ def _cmd_sweep_ts(args) -> int:
     try:
         ts_list = [float(t) for t in args.ts_list.split(",") if t.strip()]
     except ValueError:
-        raise _UsageError(f"--ts-list {args.ts_list!r} is not a comma-separated "
-                          "list of numbers") from None
+        raise InvalidInputError(f"--ts-list {args.ts_list!r} is not a comma-separated "
+                                "list of numbers") from None
     model, (pairs, trajectories, _, family, burn_in) = _resolve_model(args.model, args.grid)
     dictionary = fileio.read_dictionary(args.dict) if args.dict is not None else model.dictionary
     weight = fileio.parse_weight_spec(args.weight)
@@ -196,9 +194,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BlowUpError as exc:
         print(f"integration blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Tuple
 
 import numpy as np
@@ -39,7 +40,7 @@ class Grid1D:
             raise InvalidInputError("grid endpoints must be finite")
         if self.x_max <= self.x_min:
             raise InvalidInputError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
-        if self.num_points < 8:
+        if not isinstance(self.num_points, Integral) or self.num_points < 8:
             raise InvalidInputError(f"num_points must be >= 8, got {self.num_points}")
 
     @property

@@ -12,8 +12,9 @@ import csv
 import json
 import os
 import re
+import reprlib
 import tempfile
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -76,11 +77,11 @@ def _convert(value, convert, what: str):
     if types is not None and (
         not isinstance(value, types) or (convert is not bool and isinstance(value, bool))
     ):
-        raise InvalidInputError(f"{what} must be a JSON {name}, got {value!r}")
+        raise InvalidInputError(f"{what} must be a JSON {name}, got {reprlib.repr(value)}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(f"{what} is not a valid {name}: {value!r}") from None
+        raise InvalidInputError(f"{what} is not a valid {name}: {reprlib.repr(value)}") from None
 
 
 def _get(rec, key: str, what: str, convert=None, default=_REQUIRED):
@@ -143,13 +144,6 @@ def _read_json(path: str, kind: str):
         raise InvalidInputError(f"{kind} is not valid JSON: {exc}") from None
 
 
-def _records(value, what: str) -> list:
-    """``value`` if it is a JSON list, else InvalidInputError naming ``what``."""
-    if not isinstance(value, (list, tuple)):
-        raise InvalidInputError(f"{what} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # term / dictionary / weight / functional records
 
@@ -181,8 +175,8 @@ def dictionary_to_records(dictionary: Dictionary) -> List[dict]:
     return [term_to_record(t) for t in dictionary.terms]
 
 
-def dictionary_from_records(records: Sequence[dict]) -> Dictionary:
-    return Dictionary(tuple(term_from_record(r) for r in _records(records, "dictionary")))
+def dictionary_from_records(records: List[dict]) -> Dictionary:
+    return Dictionary(tuple(term_from_record(r) for r in _convert(records, list, "dictionary")))
 
 
 def weight_from_record(rec: dict) -> WeightSpec:
@@ -301,13 +295,9 @@ def model_from_record(doc: dict, num_points: int | None = None) -> Model:
     if num_points is None:
         num_points = _get(g, "num_points", "model grid", int, DEFAULT_GRID_POINTS)
     grid = Grid1D(x_min, x_max, num_points)
-    terms = tuple(
-        term_from_record(r) for r in _records(_get(doc, "dictionary", "model"), "model dictionary")
-    )
-    coefficients = [
-        _convert(c, float, "model coefficient")
-        for c in _records(_get(doc, "coefficients", "model"), "model coefficients")
-    ]
+    terms = tuple(term_from_record(r) for r in _get(doc, "dictionary", "model", list))
+    coefficients = [_convert(c, float, "model coefficient")
+                    for c in _get(doc, "coefficients", "model", list)]
     dic = Dictionary(terms, coefficients)
     boundary = doc.get("boundary", "none")
     if boundary not in ("dirichlet", "none"):
@@ -329,13 +319,13 @@ def read_dictionary(path: str) -> Dictionary:
 
 
 def read_basis(path: str) -> List[FunctionalSpec]:
-    return [functional_from_record(r) for r in _records(_read_json(path, "basis"), "basis")]
+    return [functional_from_record(r) for r in _convert(_read_json(path, "basis"), list, "basis")]
 
 
 def read_truth(path: str, num_terms: int) -> np.ndarray:
     """Read the true coefficients: one number per dictionary term."""
-    doc = _read_json(path, "truth")
-    if not isinstance(doc, list) or len(doc) != num_terms:
+    doc = _convert(_read_json(path, "truth"), list, "truth")
+    if len(doc) != num_terms:
         raise InvalidInputError(
             f"truth must be a list of {num_terms} numbers, one per dictionary term"
         )

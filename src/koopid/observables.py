@@ -17,6 +17,7 @@ its m values; data-matrix assembly makes one such call per basis column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import List, Union
 
 import numpy as np
@@ -81,7 +82,8 @@ class InnerProductPower:
     outer_power: int = 1
 
     def __post_init__(self):
-        if not (1 <= self.state_power <= MAX_POWER and 1 <= self.outer_power <= MAX_POWER):
+        if not all(isinstance(p, Integral) and 1 <= p <= MAX_POWER
+                   for p in (self.state_power, self.outer_power)):
             raise InvalidInputError(
                 f"state_power and outer_power must be in 1..{MAX_POWER}, "
                 f"got {self.state_power} and {self.outer_power}"
@@ -139,7 +141,7 @@ def build_burgers_basis(seed: int) -> List[FunctionalSpec]:
     across the nine ``(k, l)`` combinations of that group; the list is
     deterministic per seed.  A negative seed raises InvalidInputError.
     """
-    if seed < 0:
+    if not isinstance(seed, Integral) or seed < 0:
         raise InvalidInputError(f"basis seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     specs: List[FunctionalSpec] = []

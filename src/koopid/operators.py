@@ -45,6 +45,7 @@ are bit-identical either way, because numpy computes ``v**2`` as ``v * v``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -68,9 +69,9 @@ class MonomialDerivative:
     k: int
 
     def __post_init__(self):
-        if not 0 <= self.j <= MAX_POWER:
+        if not (isinstance(self.j, Integral) and 0 <= self.j <= MAX_POWER):
             raise InvalidInputError(f"monomial power j must be in 0..{MAX_POWER}, got {self.j}")
-        if self.k not in (0, 1, 2, 3):
+        if not isinstance(self.k, Integral) or self.k not in (0, 1, 2, 3):
             raise InvalidInputError(f"derivative order k must be in 0..3, got {self.k}")
 
 
@@ -215,8 +216,9 @@ class RhsPlan:
     Terms with coefficient 0 are left out, since they add nothing to the
     sum.  Building raises what evaluating the other terms would raise:
     ``InvalidInputError`` without coefficients or for nonzero graphon terms
-    off ``[0, 1]`` (even when their kernels cancel), and
-    ``PreconditionError`` for a grid too short for a derivative order.
+    off ``[0, 1]`` (even when their kernels cancel).  No grid is too short
+    for a derivative order: ``Grid1D`` has at least 8 nodes, as many as
+    order 3 needs.
     """
 
     def __init__(self, dictionary: Dictionary, grid: Grid1D, dirichlet: bool):

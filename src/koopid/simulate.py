@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -464,9 +465,9 @@ def _pair_datasets(
     The initial conditions and the burn-in are computed once and shared, so
     each dataset is bit-identical to a separate ``generate_pairs`` call.
     """
-    if num_trajectories < 1 or total_pairs < 1:
+    if not all(isinstance(n, Integral) and n >= 1 for n in (num_trajectories, total_pairs)):
         raise InvalidInputError("need at least one trajectory and one pair")
-    if seed < 0:
+    if not isinstance(seed, Integral) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
     for t_s in ts_list:
         _check_time("sampling time", t_s)

@@ -13,6 +13,7 @@ import koopid
 from koopid.cli import (
     EXIT_BLOWUP,
     EXIT_BRANCH,
+    EXIT_INSUFFICIENT,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
@@ -77,7 +78,10 @@ class TestSimulate:
             "--ts", "0.1", "--seed", "1", "--out", str(tmp_path / "x.json"),
         ])
         assert code == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown model 'nope'; expected one of ['burgers', 'graphon', 'pde1'] "
+            "or custom:<path>\n"
+        )
 
     def test_missing_flag_is_usage_error(self, tmp_path):
         code = main(["simulate", "--model", "graphon"])
@@ -296,8 +300,6 @@ class TestSpectrum:
             "simulate", "--model", "burgers", "--pairs", "10", "--trajectories", "5",
             "--ts", "0.2", "--seed", "1", "--grid", "64", "--out", str(data),
         ]) == EXIT_OK
-        from koopid.cli import EXIT_INSUFFICIENT
-
         code = main(["spectrum", "--data", str(data), "--basis", "burgers:1",
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_INSUFFICIENT
@@ -309,6 +311,18 @@ class TestSpectrum:
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_USAGE
         assert "JSON list" in capsys.readouterr().err
+
+    def test_basis_file_holding_a_large_object_is_named_briefly(self, tmp_path, graphon_data,
+                                                               capsys):
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps({"functionals": [{"kind": "point", "x": 0.5}] * 20000}))
+        code = main(["spectrum", "--data", str(graphon_data), "--basis", f"file:{basis_path}",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        # the rejected value is abbreviated, not printed whole (580 kB here)
+        assert err.startswith("error: basis must be a JSON list, got {'functionals': [")
+        assert err.endswith(", ...]}\n") and len(err) < 300
 
     def test_weight_flag_holding_text_is_usage_error(self, tmp_path, graphon_data, capsys):
         basis_path = tmp_path / "basis.json"
@@ -331,6 +345,18 @@ class TestSpectrum:
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_USAGE
         assert "basis seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    def test_point_functional_off_the_domain_is_named(self, tmp_path, graphon_data, capsys):
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([{"kind": "point", "x": 0.5},
+                                          {"kind": "point", "x": 2.0}]))
+        code = main(["spectrum", "--data", str(graphon_data), "--basis", f"file:{basis_path}",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: functional 1 failed: evaluation point 2.0 outside domain [0.0, 1.0]\n"
+        )
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("spec", ["burgers:1.5", "burgers:"])
     def test_non_integer_basis_seed_names_the_flag(self, tmp_path, graphon_data, capsys, spec):
@@ -474,6 +500,25 @@ class TestIdentify:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "sampling time" in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "id.csv").exists()
+
+    @pytest.mark.parametrize("method", ["lifting", "direct"])
+    def test_fewer_pairs_than_terms_is_insufficient_data(self, tmp_path, capsys, method):
+        data = tmp_path / "p.json"
+        assert main([
+            "simulate", "--model", "pde1", "--pairs", "8", "--trajectories", "4",
+            "--ts", "0.1", "--seed", "1", "--out", str(data),
+        ]) == EXIT_OK
+        dict_path = tmp_path / "dict.json"
+        dict_path.write_text(json.dumps(PDE1_DICT))
+        capsys.readouterr()
+        code = main([
+            "identify", "--data", str(data), "--dict", str(dict_path),
+            "--weight", "bump:5:recentered", "--method", method,
+            "--out", str(tmp_path / "id.csv"),
+        ])
+        assert code == EXIT_INSUFFICIENT
+        assert capsys.readouterr().err == "insufficient data: m < n (8 < 12)\n"
         assert not (tmp_path / "id.csv").exists()
 
     def test_branch_cut_exit_code_with_hint(self, tmp_path, capsys):

@@ -191,6 +191,12 @@ class TestRecordRoundTrips:
         with pytest.raises(InvalidInputError):
             fileio.term_from_record({"kind": "mystery"})
 
+    def test_dictionary_must_be_a_json_list(self):
+        # a tuple is no JSON value: records come from the JSON parser
+        records = ({"kind": "monomial", "j": 1, "k": 0},)
+        with pytest.raises(InvalidInputError, match="dictionary must be a JSON list"):
+            fileio.dictionary_from_records(records)
+
 
 class TestWeightSpecParsing:
     def test_shorthand_forms(self):

@@ -15,6 +15,7 @@ from koopid import (
 )
 from koopid.errors import InvalidInputError, KoopidError, PreconditionError
 from koopid.fields import diff_values
+from koopid.observables import InnerProductPower, build_burgers_basis
 from koopid.operators import GraphonKernel
 from koopid.simulate import (
     BUILTIN_MODELS,
@@ -511,6 +512,35 @@ class TestGeneratePairs:
         burn = EXPERIMENT_DEFAULTS["pde1"][4]
         ds = generate_pairs(m, ICFamily.PDE1, 5, 10, 0.3, seed=1, burn_in=burn)
         assert len(ds) == 10
+
+
+def _pairs(num_trajectories=2, total_pairs=4, seed=1):
+    return generate_pairs(koopid.graphon_model(16), ICFamily.GRAPHON, num_trajectories,
+                          total_pairs, 0.5, seed)
+
+
+# each integer field of the library API: a builder, a valid value and the
+# message of the field's range check
+INTEGER_FIELDS = {
+    "grid-nodes": (lambda v: Grid1D(0.0, 1.0, v), 16, "num_points must be >= 8"),
+    "monomial-j": (lambda v: MonomialDerivative(v, 0), 1, "monomial power j"),
+    "monomial-k": (lambda v: MonomialDerivative(0, v), 1, "derivative order k"),
+    "state-power": (lambda v: InnerProductPower(0.5, 0.5, v, 1), 1, "state_power and"),
+    "outer-power": (lambda v: InnerProductPower(0.5, 0.5, 1, v), 1, "state_power and"),
+    "basis-seed": (build_burgers_basis, 1, "basis seed must be a non-negative integer"),
+    "trajectories": (lambda v: _pairs(num_trajectories=v), 2, "at least one trajectory"),
+    "pairs": (lambda v: _pairs(total_pairs=v), 4, "at least one trajectory"),
+    "seed": (lambda v: _pairs(seed=v), 1, "seed must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+def test_integer_fields_refuse_non_integers(field):
+    build, valid, message = INTEGER_FIELDS[field]
+    build(np.int64(valid))  # a numpy integer is an integer
+    for value in (valid + 0.5, float(valid)):
+        with pytest.raises(InvalidInputError, match=message):
+            build(value)
 
 
 class TestSnapshotDataset:
