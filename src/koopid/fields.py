@@ -40,7 +40,9 @@ class Grid1D:
             raise InvalidInputError("grid endpoints must be finite")
         if self.x_max <= self.x_min:
             raise InvalidInputError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
-        if not isinstance(self.num_points, Integral) or self.num_points < 8:
+        if not isinstance(self.num_points, Integral):
+            raise InvalidInputError(f"num_points must be an integer, got {self.num_points}")
+        if self.num_points < 8:
             raise InvalidInputError(f"num_points must be >= 8, got {self.num_points}")
 
     @property

@@ -296,13 +296,13 @@ class TestIntegrate:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_too_many_substeps_refused_before_the_first_step(self, monkeypatch):
-        # 1e5 time units at the 1e-2 cap need 1e7 substeps
+        # 1e5 time units at the 2.5e-2 cap need 4e6 substeps
         def no_step(*args):
             raise AssertionError("integration started")
 
         monkeypatch.setattr(_LawsonRK4, "step", no_step)
         m = koopid.graphon_model(16)
-        with pytest.raises(InvalidInputError, match="10000000 substeps"):
+        with pytest.raises(InvalidInputError, match="4000000 substeps"):
             integrate(m, np.zeros(16), 1e5)
 
     def test_reaction_only_exponential_decay(self):
@@ -329,7 +329,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("viscosity", [1.0, 0.0], ids=["burgers", "inviscid"])
     def test_fine_burgers_grid_integrates(self, viscosity):
-        # 1024 nodes: DT_MAX would put RK4 at CFL number 5 on u u_x, which
+        # 1024 nodes: DT_MAX would put RK4 at CFL number 12.8 on u u_x, which
         # blows up the inviscid flow within one default segment
         g = Grid1D(-1.0, 1.0, 1024)
         dic = Dictionary((MonomialDerivative(1, 1), MonomialDerivative(0, 2)),
@@ -357,6 +357,29 @@ class TestIntegrate:
         stepper.dt /= 4
         fine = stepper.advance(u0, ts)
         assert np.max(np.abs(coarse - fine)) <= 1e-7 * np.max(np.abs(fine))
+
+    def test_graphon_time_error_below_its_spatial_error(self):
+        # graphon steps at the DT_MAX cap, which no derivative bound undercuts.
+        # Over one default segment its time error (dt against dt / 4, 4.0e-9
+        # relative) stays under a tenth of its spatial error (256 against 511
+        # nodes at the shared nodes, 3.4e-7), so a shorter cap buys nothing
+        _, _, ts, family, _ = EXPERIMENT_DEFAULTS["graphon"]
+
+        def segment(num_points, quarter=False):
+            m = koopid.graphon_model(num_points)
+            rng = np.random.default_rng(1)
+            u0 = np.stack([sample_initial_condition(family, m.grid, *rng.random(2))
+                           for _ in range(3)])
+            stepper = _LawsonRK4(m)
+            assert stepper.dt == DT_MAX
+            if quarter:
+                stepper.dt /= 4
+            return stepper.advance(u0, ts)
+
+        coarse = segment(256)
+        time_error = np.max(np.abs(coarse - segment(256, quarter=True)))
+        space_error = np.max(np.abs(coarse - segment(511)[:, ::2]))
+        assert time_error <= 0.1 * space_error
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan, 1e-16])
     def test_rejects_nonpositive_or_non_finite_horizon(self, horizon):
@@ -520,16 +543,17 @@ def _pairs(num_trajectories=2, total_pairs=4, seed=1):
 
 
 # each integer field of the library API: a builder, a valid value and the
-# message of the field's range check
+# message that refuses a non-integer
 INTEGER_FIELDS = {
-    "grid-nodes": (lambda v: Grid1D(0.0, 1.0, v), 16, "num_points must be >= 8"),
+    "grid-nodes": (lambda v: Grid1D(0.0, 1.0, v), 16, "num_points must be an integer"),
     "monomial-j": (lambda v: MonomialDerivative(v, 0), 1, "monomial power j"),
     "monomial-k": (lambda v: MonomialDerivative(0, v), 1, "derivative order k"),
     "state-power": (lambda v: InnerProductPower(0.5, 0.5, v, 1), 1, "state_power and"),
     "outer-power": (lambda v: InnerProductPower(0.5, 0.5, 1, v), 1, "state_power and"),
     "basis-seed": (build_burgers_basis, 1, "basis seed must be a non-negative integer"),
-    "trajectories": (lambda v: _pairs(num_trajectories=v), 2, "at least one trajectory"),
-    "pairs": (lambda v: _pairs(total_pairs=v), 4, "at least one trajectory"),
+    "trajectories": (lambda v: _pairs(num_trajectories=v), 2,
+                     "num_trajectories must be an integer"),
+    "pairs": (lambda v: _pairs(total_pairs=v), 4, "total_pairs must be an integer"),
     "seed": (lambda v: _pairs(seed=v), 1, "seed must be a non-negative integer"),
 }
 
@@ -541,6 +565,16 @@ def test_integer_fields_refuse_non_integers(field):
     for value in (valid + 0.5, float(valid)):
         with pytest.raises(InvalidInputError, match=message):
             build(value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Grid1D(0, 1, 4), "num_points must be >= 8, got 4"),
+    (lambda: _pairs(num_trajectories=0), "need at least one trajectory and one pair"),
+    (lambda: _pairs(total_pairs=0), "need at least one trajectory and one pair"),
+], ids=["grid-nodes", "trajectories", "pairs"])
+def test_integers_out_of_range_keep_the_range_message(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
 
 
 class TestSnapshotDataset:
