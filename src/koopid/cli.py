@@ -12,6 +12,7 @@ input too large for memory, 65 precondition violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -141,7 +142,10 @@ def _cmd_sweep_ts(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``koopid`` parser, built on the first call and shared by every
+    later one; ``parse_args`` keeps no state between calls."""
     parser = _Parser(prog="koopid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,7 @@ and applied to the whole batch.  It takes one of two forms:
   the r leading modes whose factor is at least ``SINE_FLOOR`` (1e-20) are
   kept: P is applied as ``(v A_r) (diag(e_r) A_r^T)`` with the zero-padded
   ``(N, r)`` block ``A_r`` of sine columns, 2 N r operations per state
-  instead of N^2, without scipy (r = 71 of 254 on 256 nodes at the Burgers
+  instead of N^2, without scipy (r = 49 of 254 on 256 nodes at the Burgers
   step).  The boundary values it returns are exactly 0;
 * any other L (pde1's ``-0.5 u_x + u_xx + 0.1 u_xxx``): P is a dense
   matrix, the ``expm`` of the stencil matrix of L.  Under Dirichlet
@@ -24,16 +24,17 @@ and applied to the whole batch.  It takes one of two forms:
 
 RK4 integrates the remaining terms at the fixed substep
 
-    dt = min(h / D1, 0.25 * h^2 / D2, 0.25 * h^3 / D3, 2.5e-2)
+    dt = min(2 h / D1, 0.25 * h^2 / D2, 0.25 * h^3 / D3, 2.5e-2)
 
 where Dk is the largest coefficient magnitude of the explicitly integrated
 k-th derivative terms ``c u^j d^k u / dx^k`` (absent terms are skipped).
-For the centred stencils the k = 1 and k = 2 bounds keep about 35% of RK4's
-stability limit (2 sqrt(2) h / D1 on the imaginary axis, about 0.70 h^2 / D2
-on the real axis) and the k = 3 bound about 23%; the 2.5e-2 cap is an
-accuracy bound where no derivative term limits the step (graphon, heat).
-At the cap one default graphon segment agrees with a quarter substep to
-4e-9 relative, below its spatial error on 256 nodes (3e-7).
+For the centred stencils the k = 1 bound keeps 71% of RK4's stability limit
+(2 sqrt(2) h / D1 on the imaginary axis), the k = 2 bound 35% (about
+0.70 h^2 / D2 on the real axis) and the k = 3 bound 23%; the 2.5e-2 cap is
+an accuracy bound where no derivative term limits the step (graphon, heat).
+One default segment agrees with a quarter substep to 5e-8 relative for
+Burgers (at 2 h = 1.57e-2 on 256 nodes) and 4e-9 for graphon (at the cap),
+below their spatial errors on 256 nodes (7e-6 and 3e-7).
 Without a split the step is classical RK4.  Under homogeneous Dirichlet
 conditions the boundary values are re-clamped to zero after every substep.
 
@@ -183,9 +184,9 @@ def _term_bounds(dictionary: Dictionary, h: float) -> list:
     for term, c in zip(dictionary.terms, dictionary.coefficients):
         if isinstance(term, MonomialDerivative) and c != 0.0 and term.k >= 1:
             if term.k == 1:
-                # 35% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
-                # centred stencil, the margin SAFETY keeps on the real axis
-                bounds.append((h / abs(c), term.j, 1))
+                # 71% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
+                # centred stencil
+                bounds.append((2.0 * h / abs(c), term.j, 1))
             else:
                 bounds.append((SAFETY * h**term.k / abs(c), term.j, term.k))
     return bounds

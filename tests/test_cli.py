@@ -731,6 +731,25 @@ def test_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
                   "(1000000000000,) and data type float64\n"
 
 
+def test_consecutive_calls_share_no_state(tmp_path, graphon_data, capsys):
+    # the parser is built once per process: a usage error leaves nothing
+    # behind for the next call, and a --truth of one call is not read by the next
+    dict_path = tmp_path / "dict.json"
+    dict_path.write_text(json.dumps(GRAPHON_DICT))
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(json.dumps(list(koopid.graphon_model().dictionary.coefficients)))
+    identify = ["identify", "--data", str(graphon_data), "--dict", str(dict_path),
+                "--weight", "power:2", "--method", "lifting", "--out", str(tmp_path / "id.csv")]
+    assert main(identify[:-2]) == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+    assert main(identify + ["--truth", str(truth_path)]) == EXIT_OK
+    assert "max abs error" in capsys.readouterr().out
+    assert main(identify) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "coefficient estimates (lifting)" in out and "max abs error" not in out
+    assert koopid.cli.build_parser() is koopid.cli.build_parser()
+
+
 # Runs each argv list of the JSON in sys.argv[1] through koopid.cli.main and
 # exits with a message at the first step that fails or leaves loaded a module
 # named in the comma-separated list in sys.argv[2], or one of its submodules.

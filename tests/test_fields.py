@@ -24,6 +24,11 @@ class TestGrid:
         with pytest.raises(InvalidInputError):
             Grid1D(0.0, 1.0, 4)
 
+    @pytest.mark.parametrize("x_min, x_max", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_non_finite_endpoints(self, x_min, x_max):
+        with pytest.raises(InvalidInputError, match="^grid endpoints must be finite$"):
+            Grid1D(x_min, x_max, 16)
+
 
 class TestQuadrature:
     def test_weights_sum_to_length(self):

@@ -1,13 +1,15 @@
 """Dense linear-algebra kernel: pseudoinverse, eigendecomposition, matrix
 exponential / logarithm."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopid import BranchCutError, eig, expm, logm, lstsq_fit, pinv
-from koopid.errors import IllConditionedWarning
+from koopid.errors import IllConditionedWarning, InvalidInputError
 from koopid.linalg import CONDITION_WARN_THRESHOLD, matrix_rank
 
 
@@ -88,6 +90,53 @@ class TestEig:
         a = np.diag([3.0, -1.0, 0.5])
         dec = eig(a)
         assert np.allclose(sorted(dec.eigenvalues.real), [-1.0, 0.5, 3.0], atol=1e-12)
+
+    def test_non_convergence_is_invalid_input(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        with pytest.raises(InvalidInputError, match="^eigendecomposition did not converge: "
+                                                    "Eigenvalues did not converge$"):
+            eig(np.eye(3))
+
+
+class TestInputChecks:
+    """The shape and value checks that every public kernel runs first."""
+
+    @pytest.mark.parametrize("kernel", [pinv, matrix_rank, eig, expm, logm])
+    @pytest.mark.parametrize("a, shape", [
+        (np.ones(3), "(3,)"), (np.ones((2, 2, 2)), "(2, 2, 2)"), (np.ones((0, 3)), "(0, 3)"),
+    ], ids=["1-D", "3-D", "empty"])
+    def test_not_2d_or_empty(self, kernel, a, shape):
+        with pytest.raises(InvalidInputError, match=(
+                r"^matrix must be 2-D with at least one row and column, got shape "
+                + re.escape(shape) + "$")):
+            kernel(a)
+
+    @pytest.mark.parametrize("kernel", [pinv, matrix_rank, eig, expm, logm])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, kernel, bad):
+        a = np.eye(2)
+        a[0, 1] = bad
+        with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
+            kernel(a)
+
+    @pytest.mark.parametrize("kernel", [eig, expm, logm])
+    def test_non_square(self, kernel):
+        with pytest.raises(InvalidInputError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+            kernel(np.ones((2, 3)))
+
+    def test_lstsq_names_its_operand(self):
+        with pytest.raises(InvalidInputError, match=r"^x2 contains non-finite entries$"):
+            lstsq_fit(np.eye(2), np.full((2, 1), np.nan))
+        with pytest.raises(InvalidInputError, match=(
+                r"^row-count mismatch: x1 has 3 rows, x2 has 2$")):
+            lstsq_fit(np.ones((3, 2)), np.ones((2, 2)))
+
+    def test_complex_logm_input(self):
+        with pytest.raises(InvalidInputError, match="^logm expects a real matrix$"):
+            logm(np.eye(2) * (1.0 + 1.0j))
 
 
 class TestExpmLogm:

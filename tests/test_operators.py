@@ -47,6 +47,16 @@ class TestDictionaryValidation:
         with pytest.raises(InvalidInputError):
             Dictionary(())
 
+    @pytest.mark.parametrize("coefficients, message", [
+        (("a",), "coefficients must be numbers"),
+        ((None,), "coefficients must be numbers"),
+        ((np.nan,), "coefficients must be finite"),
+        ((-np.inf,), "coefficients must be finite"),
+    ], ids=["text", "none", "nan", "inf"])
+    def test_coefficients_must_be_finite_numbers(self, coefficients, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            Dictionary((MonomialDerivative(1, 0),), coefficients=coefficients)
+
 
 class TestMonomialTerms:
     def test_monomial_derivative_oracle(self, unit_grid):

@@ -51,7 +51,7 @@ class TestStableSubstep:
 
     def test_dirichlet_diffusion_split_off(self):
         # Burgers and heat integrate u_xx exactly; Burgers then steps at its
-        # advection bound h / |c| = h, heat at DT_MAX
+        # advection bound 2 h / |c| = 2 h, heat at DT_MAX
         burgers, heat = koopid.burgers_model(), heat_model(num_points=101)
         for m in (burgers, heat):
             explicit, linear = split(m)
@@ -59,7 +59,7 @@ class TestStableSubstep:
             # the split-off term stays in place with coefficient 0
             assert explicit.terms == m.dictionary.terms
             assert explicit.coefficients[-1] == 0.0
-        assert _LawsonRK4(burgers).dt == burgers.grid.spacing
+        assert _LawsonRK4(burgers).dt == 2.0 * burgers.grid.spacing
         assert _LawsonRK4(heat).dt == DT_MAX
 
     def test_dirichlet_constant_stays_explicit(self):
@@ -76,7 +76,7 @@ class TestStableSubstep:
         koopid.graphon_model(),     # no derivative terms
         Model("backward-heat", Dictionary((MonomialDerivative(0, 2),), coefficients=(-1.0,)),
               Grid1D(-1.0, 1.0, 101), dirichlet=True),
-        # h / 2 = 2.5e-3 binds before 0.25 h^2 / 1e-3 = 6.25e-3
+        # 2 h / 2 = 5e-3 binds before 0.25 h^2 / 1e-3 = 6.25e-3
         Model("transport", Dictionary((MonomialDerivative(0, 1), MonomialDerivative(0, 2)),
                                       coefficients=(-2.0, 1e-3)), Grid1D(0.0, 1.0, 201)),
     ], ids=["graphon", "backward-heat", "transport"])
@@ -111,7 +111,7 @@ class TestStableSubstep:
     @pytest.mark.parametrize("advection, route", [(0.5, "sine"), (5.0, "dense")])
     def test_dirichlet_diffusion_keeps_sine_flow_where_it_suffices(self, advection, route):
         # u_xx binds the unsplit step.  With u_xx alone split off, c u_x is
-        # stepped explicitly at h / |c|: capped at DT_MAX for c = 0.5, so the
+        # stepped explicitly at 2 h / |c|: capped at DT_MAX for c = 0.5, so the
         # sine flow gives the full split's step; for c = 5 it does not
         m = Model("advection-diffusion", Dictionary(
             (MonomialDerivative(0, 1), MonomialDerivative(0, 2)), coefficients=(advection, 1.0)),
@@ -170,14 +170,14 @@ class TestStableSubstep:
 
     @pytest.mark.parametrize("num_points", [256, 1024])
     def test_advection_limit_sets_burgers_step(self, num_points):
-        # u u_x with c = -1: dt = h / |c|, below DT_MAX on both grids
+        # u u_x with c = -1: dt = 2 h / |c|, below DT_MAX on both grids
         m = koopid.burgers_model(num_points)
-        assert _LawsonRK4(m).dt == m.grid.spacing < DT_MAX
+        assert _LawsonRK4(m).dt == 2.0 * m.grid.spacing < DT_MAX
 
     def test_advection_limit(self):
         g = Grid1D(0.0, 1.0, 201)  # h = 0.005
         dic = Dictionary((MonomialDerivative(0, 1),), coefficients=(-2.0,))
-        assert _LawsonRK4(Model("transport", dic, g)).dt == pytest.approx(0.005 / 2.0)
+        assert _LawsonRK4(Model("transport", dic, g)).dt == pytest.approx(2.0 * 0.005 / 2.0)
 
     def test_dispersion_limit(self):
         # Airy: u_xxx sets the unsplit step and is split off
@@ -227,21 +227,24 @@ class TestIntegrate:
         # Dirichlet stencil on the interior nodes, at the default substep, at
         # the remainder of a horizon off the dt grid and at a substep short
         # enough to keep every sine mode; its boundary rows and columns are
-        # exactly 0
+        # exactly 0.  The interior stencil is symmetric, so the reference
+        # exponential is taken through its eigh: at the 256-node step the
+        # Pade expm is 1.7e-13 from it, the flow 6.7e-14
         m = koopid.burgers_model(num_points)
         stepper = _LawsonRK4(m)
-        gen = diff_values(np.eye(num_points), m.grid.spacing, 2, True).T
-        gen[[0, -1]] = 0.0
+        gen = diff_values(np.eye(num_points), m.grid.spacing, 2, True).T[1:-1, 1:-1]
+        assert np.array_equal(gen, gen.T)
+        lam, vec = np.linalg.eigh(gen)
         t = 0.1234
         for h in (stepper.dt, t - int(t / stepper.dt) * stepper.dt, 1e-3):
             p_t = stepper._half_flow(h)(np.eye(num_points))
-            ref = koopid.expm(0.5 * h * gen).T[1:-1, 1:-1]
+            ref = (vec * np.exp(0.5 * h * lam)) @ vec.T
             assert np.max(np.abs(p_t[1:-1, 1:-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert not p_t[[0, -1]].any() and not p_t[:, [0, -1]].any()
 
     def test_sine_flow_keeps_the_modes_above_the_floor(self):
         # the modes whose half-step factor exp((h/2) lam_k) is at least
-        # SINE_FLOOR: on 256 nodes 71 of 254 at the default substep, 104 at
+        # SINE_FLOOR: on 256 nodes 49 of 254 at the default substep, 57 at
         # the remainder of a 0.2 horizon and all of them at h = 1e-3.  Fewer
         # than N - 2 at the defaults: the flow is not the dense one
         m = koopid.burgers_model()
@@ -250,7 +253,7 @@ class TestIntegrate:
         stepper = _LawsonRK4(m)
         lengths = (stepper.dt, 0.2 - int(0.2 / stepper.dt) * stepper.dt, 1e-3)
         kept = [stepper._sine_factor(h)[1].size for h in lengths]
-        assert kept == [71, 104, n - 2]
+        assert kept == [49, 57, n - 2]
         for h, r in zip(lengths, kept):
             assert r == np.count_nonzero(np.exp(0.5 * h * lam) >= SINE_FLOOR)
 
@@ -358,20 +361,22 @@ class TestIntegrate:
         fine = stepper.advance(u0, ts)
         assert np.max(np.abs(coarse - fine)) <= 1e-7 * np.max(np.abs(fine))
 
-    def test_graphon_time_error_below_its_spatial_error(self):
-        # graphon steps at the DT_MAX cap, which no derivative bound undercuts.
-        # Over one default segment its time error (dt against dt / 4, 4.0e-9
-        # relative) stays under a tenth of its spatial error (256 against 511
-        # nodes at the shared nodes, 3.4e-7), so a shorter cap buys nothing
-        _, _, ts, family, _ = EXPERIMENT_DEFAULTS["graphon"]
+    @staticmethod
+    def time_and_space_errors(name):
+        """Over one default segment of the built-in model ``name`` from three
+        seed-1 starts: the largest gap between dt and dt / 4 on 256 nodes
+        (time error) and between 256 and 511 nodes at the shared nodes
+        (spatial error), with the steppers' dt on 256 and 511 nodes."""
+        _, _, ts, family, _ = EXPERIMENT_DEFAULTS[name]
+        steps = []
 
         def segment(num_points, quarter=False):
-            m = koopid.graphon_model(num_points)
+            m = BUILTIN_MODELS[name](num_points)
             rng = np.random.default_rng(1)
             u0 = np.stack([sample_initial_condition(family, m.grid, *rng.random(2))
                            for _ in range(3)])
             stepper = _LawsonRK4(m)
-            assert stepper.dt == DT_MAX
+            steps.append(stepper.dt)
             if quarter:
                 stepper.dt /= 4
             return stepper.advance(u0, ts)
@@ -379,6 +384,24 @@ class TestIntegrate:
         coarse = segment(256)
         time_error = np.max(np.abs(coarse - segment(256, quarter=True)))
         space_error = np.max(np.abs(coarse - segment(511)[:, ::2]))
+        return time_error, space_error, steps[0], steps[-1]
+
+    def test_graphon_time_error_below_its_spatial_error(self):
+        # graphon steps at the DT_MAX cap, which no derivative bound undercuts.
+        # Over one default segment its time error (dt against dt / 4, 4.0e-9
+        # relative) stays under a tenth of its spatial error (256 against 511
+        # nodes at the shared nodes, 3.4e-7), so a shorter cap buys nothing
+        time_error, space_error, *steps = self.time_and_space_errors("graphon")
+        assert steps == [DT_MAX, DT_MAX]
+        assert time_error <= 0.1 * space_error
+
+    def test_burgers_time_error_below_its_spatial_error(self):
+        # Burgers steps at its advection bound 2 h, 71% of RK4's limit on the
+        # imaginary axis.  Over one default segment its time error (5.0e-8
+        # relative) stays under a tenth of its spatial error (7.4e-6), so a
+        # shorter step buys nothing
+        time_error, space_error, *steps = self.time_and_space_errors("burgers")
+        assert steps == [2.0 * koopid.burgers_model(n).grid.spacing for n in (256, 511)]
         assert time_error <= 0.1 * space_error
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan, 1e-16])
@@ -417,6 +440,11 @@ class TestIntegrate:
         m = Model("decay", Dictionary((MonomialDerivative(1, 0),), (-1.0,)), g)
         out = integrate(m, np.full(32, 1e307), 0.01)
         assert np.allclose(out, 1e307 * np.exp(-0.01), rtol=1e-12)
+
+    def test_model_needs_coefficients(self):
+        candidates = Dictionary((MonomialDerivative(1, 0),))
+        with pytest.raises(InvalidInputError, match="^a model dictionary must carry coefficients$"):
+            Model("candidates", candidates, Grid1D(0.0, 1.0, 16))
 
     def test_rejects_mismatched_grid(self):
         m = heat_model(num_points=64)
