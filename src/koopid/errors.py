@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the two
+checks every constructor shares: integer arguments and input kinds."""
+
+from numbers import Integral
+from typing import get_args
 
 
 class KoopidError(Exception):
@@ -10,6 +14,22 @@ class InvalidInputError(KoopidError):
     entries, bad order, ...), inconsistent array shapes, a domain a term
     cannot live on (graphon terms need [0, 1]) or a numerical routine that
     did not converge on it."""
+
+
+def require_int(name: str, value, low: int, high=None) -> None:
+    """Raise InvalidInputError unless ``value`` is an integer in ``low..high``
+    (no upper bound when ``high`` is None)."""
+    if not (isinstance(value, Integral) and low <= value and (high is None or value <= high)):
+        bound = (f"in {low}..{high}" if high is not None
+                 else "a non-negative integer" if low == 0 else f"an integer >= {low}")
+        raise InvalidInputError(f"{name} must be {bound}, got {value!r}")
+
+
+def require_kind(what: str, value, kinds) -> None:
+    """Raise InvalidInputError unless ``value`` is an instance of one member of
+    the ``Union`` alias ``kinds``."""
+    if not isinstance(value, get_args(kinds)):
+        raise InvalidInputError(f"unknown {what}: {value!r}")
 
 
 class BranchCutError(KoopidError):

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError, require_int
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,7 @@ class Grid1D:
             raise InvalidInputError("grid endpoints must be finite")
         if self.x_max <= self.x_min:
             raise InvalidInputError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
-        if not isinstance(self.num_points, Integral):
-            raise InvalidInputError(f"num_points must be an integer, got {self.num_points}")
-        if self.num_points < 8:
-            raise InvalidInputError(f"num_points must be >= 8, got {self.num_points}")
+        require_int("num_points", self.num_points, 8)
 
     @property
     def spacing(self) -> float:

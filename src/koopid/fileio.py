@@ -150,9 +150,7 @@ def _read_json(path: str, kind: str):
 def term_to_record(term: TermSpec) -> dict:
     if isinstance(term, MonomialDerivative):
         return {"kind": "monomial", "j": term.j, "k": term.k}
-    if isinstance(term, GraphonKernel):
-        return {"kind": "graphon", "f": {"c0": term.c0, "cx": term.cx, "cy": term.cy}}
-    raise InvalidInputError(f"unknown term type: {term!r}")
+    return {"kind": "graphon", "f": {"c0": term.c0, "cx": term.cx, "cy": term.cy}}
 
 
 def term_from_record(rec: dict) -> TermSpec:

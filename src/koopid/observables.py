@@ -17,12 +17,11 @@ its m values; data-matrix assembly makes one such call per basis column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import List, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError, require_int, require_kind
 from .fields import Grid1D, trapezoid_weights
 from .operators import IDENTITY_TERM, MAX_POWER, Dictionary, TermSpec, _int_power, term_values
 
@@ -45,13 +44,12 @@ class Bump:
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """w(x) = x^p; p = 0 is the constant weight w(x) = 1."""
+    """w(x) = x^p for an integer p >= 0; p = 0 is the constant weight w(x) = 1."""
 
     p: int
 
     def __post_init__(self):
-        if self.p < 0:
-            raise InvalidInputError(f"power-law exponent must be >= 0, got {self.p}")
+        require_int("power-law exponent", self.p, 0)
 
 
 WeightSpec = Union[Bump, PowerLaw]
@@ -60,15 +58,12 @@ WeightSpec = Union[Bump, PowerLaw]
 def weight_values(weight: WeightSpec, grid: Grid1D) -> np.ndarray:
     """Weighting function sampled on the grid nodes."""
     x = grid.nodes()
-    if isinstance(weight, Bump):
-        t = (2.0 * x / weight.L - 1.0) if weight.recentered else x / weight.L
-        w = np.zeros_like(x)
-        inside = np.abs(t) < 1.0
-        w[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    elif isinstance(weight, PowerLaw):
-        w = x**weight.p
-    else:
-        raise InvalidInputError(f"unknown weight spec: {weight!r}")
+    if isinstance(weight, PowerLaw):
+        return x**weight.p
+    t = (2.0 * x / weight.L - 1.0) if weight.recentered else x / weight.L
+    w = np.zeros_like(x)
+    inside = np.abs(t) < 1.0
+    w[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
     return w
 
 
@@ -82,12 +77,10 @@ class InnerProductPower:
     outer_power: int = 1
 
     def __post_init__(self):
-        if not all(isinstance(p, Integral) and 1 <= p <= MAX_POWER
-                   for p in (self.state_power, self.outer_power)):
-            raise InvalidInputError(
-                f"state_power and outer_power must be in 1..{MAX_POWER}, "
-                f"got {self.state_power} and {self.outer_power}"
-            )
+        if not all(np.isfinite([self.a, self.b])):
+            raise InvalidInputError("cosine coefficients a and b must be finite")
+        require_int("state_power", self.state_power, 1, MAX_POWER)
+        require_int("outer_power", self.outer_power, 1, MAX_POWER)
 
 
 @dataclass(frozen=True)
@@ -99,19 +92,27 @@ class PointEvaluation:
 
 @dataclass(frozen=True)
 class LiftedTerm:
-    """xi(u) = <W_term(u), w>."""
+    """xi(u) = <W_term(u), w>, for a ``TermSpec`` term and a ``WeightSpec``
+    weight; any other kind is refused here, before the first evaluation."""
 
     term: TermSpec
     weight: WeightSpec
+
+    def __post_init__(self):
+        require_kind("term type", self.term, TermSpec)
+        require_kind("weight spec", self.weight, WeightSpec)
 
 
 FunctionalSpec = Union[InnerProductPower, PointEvaluation, LiftedTerm]
 
 
 def functional_values(spec: FunctionalSpec, values: np.ndarray, grid: Grid1D, dirichlet: bool):
-    """Evaluate a functional on raw node values (last axis = space); a batch
-    of snapshots gives one value per snapshot."""
+    """Evaluate a functional on raw node values (last axis = space, of the
+    grid's N nodes); a batch of snapshots gives one value per snapshot."""
     v = np.asarray(values, dtype=float)
+    n = grid.num_points
+    if v.shape[-1:] != (n,):
+        raise InvalidInputError(f"values must have a last axis of length {n}, got shape {v.shape}")
     q = trapezoid_weights(grid)
     x = grid.nodes()
     if isinstance(spec, InnerProductPower):
@@ -123,7 +124,7 @@ def functional_values(spec: FunctionalSpec, values: np.ndarray, grid: Grid1D, di
                 f"evaluation point {spec.x_j} outside domain [{grid.x_min}, {grid.x_max}]"
             )
         # nodes j and j + 1 bracket x_j; the weights reproduce node values exactly
-        j = min(int(np.searchsorted(x, spec.x_j, side="right")) - 1, grid.num_points - 2)
+        j = min(int(np.searchsorted(x, spec.x_j, side="right")) - 1, n - 2)
         t = (spec.x_j - x[j]) / (x[j + 1] - x[j])
         return (1.0 - t) * v[..., j] + t * v[..., j + 1]
     if isinstance(spec, LiftedTerm):
@@ -141,8 +142,7 @@ def build_burgers_basis(seed: int) -> List[FunctionalSpec]:
     across the nine ``(k, l)`` combinations of that group; the list is
     deterministic per seed.  A negative seed raises InvalidInputError.
     """
-    if not isinstance(seed, Integral) or seed < 0:
-        raise InvalidInputError(f"basis seed must be a non-negative integer, got {seed}")
+    require_int("basis seed", seed, 0)
     rng = np.random.default_rng(seed)
     specs: List[FunctionalSpec] = []
     for _ in range(3):

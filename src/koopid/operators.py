@@ -45,12 +45,11 @@ are bit-identical either way, because numpy computes ``v**2`` as ``v * v``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int, require_kind
 from .fields import Grid1D, diff_matrix, diff_values, trapezoid_weights
 
 
@@ -69,10 +68,8 @@ class MonomialDerivative:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.j, Integral) and 0 <= self.j <= MAX_POWER):
-            raise InvalidInputError(f"monomial power j must be in 0..{MAX_POWER}, got {self.j}")
-        if not isinstance(self.k, Integral) or self.k not in (0, 1, 2, 3):
-            raise InvalidInputError(f"derivative order k must be in 0..3, got {self.k}")
+        require_int("monomial power j", self.j, 0, MAX_POWER)
+        require_int("derivative order k", self.k, 0, 3)
 
 
 @dataclass(frozen=True)
@@ -101,9 +98,10 @@ class Dictionary:
     """Ordered candidate terms, optionally paired with coefficients.
 
     Coefficients are present for simulation models and absent for
-    identification candidates.  Terms must be pairwise distinct under
-    structural equality (duplicate columns would make the lifted data matrix
-    rank-deficient).
+    identification candidates.  Terms must be ``TermSpec`` kinds, checked
+    here so that no later evaluation meets a foreign one, and pairwise
+    distinct under structural equality (duplicate columns would make the
+    lifted data matrix rank-deficient).
     """
 
     terms: Tuple[TermSpec, ...]
@@ -114,6 +112,8 @@ class Dictionary:
         object.__setattr__(self, "terms", terms)
         if len(terms) == 0:
             raise InvalidInputError("dictionary must contain at least one term")
+        for term in terms:
+            require_kind("term type", term, TermSpec)
         if len(set(terms)) != len(terms):
             raise InvalidInputError("dictionary terms must be pairwise distinct")
         if self.coefficients is not None:
@@ -186,12 +186,10 @@ def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: boo
         else:
             out = _int_power(v, term.j)
             out *= diff_values(v, grid.spacing, term.k, dirichlet)
-    elif isinstance(term, GraphonKernel):
+    else:
         moments, spread, diagonal = _graphon_kernel(term.c0, term.cx, term.cy, grid)
         out = (v @ moments) @ spread
         out -= v * diagonal
-    else:
-        raise InvalidInputError(f"unknown term type: {term!r}")
     if dirichlet:
         out[..., 0] = 0.0
         out[..., -1] = 0.0
@@ -236,10 +234,8 @@ class RhsPlan:
                 poly[term.j] = c
             elif isinstance(term, MonomialDerivative):
                 groups.setdefault(term.j, {})[term.k] = c
-            elif isinstance(term, GraphonKernel):
-                graphons.append((c, term))
             else:
-                raise InvalidInputError(f"unknown term type: {term!r}")
+                graphons.append((c, term))
         # Horner coefficients of the derivative-free terms, constant first;
         # the graphon coupling's diagonal part joins the linear one
         coeffs = [poly.get(j, 0.0) for j in range(max(poly, default=0) + 1)]
@@ -320,6 +316,4 @@ def describe_term(term: TermSpec) -> str:
             return upart or "1"
         dpart = "du/dx" if term.k == 1 else f"d{term.k}u/dx{term.k}"
         return f"{upart}*{dpart}" if upart else dpart
-    if isinstance(term, GraphonKernel):
-        return f"graphon(c0={term.c0:g},cx={term.cx:g},cy={term.cy:g})"
-    raise InvalidInputError(f"unknown term type: {term!r}")
+    return f"graphon(c0={term.c0:g},cx={term.cx:g},cy={term.cy:g})"

@@ -67,12 +67,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidInputError, PreconditionError
+from .errors import BlowUpError, InvalidInputError, PreconditionError, require_int
 from .fields import Grid1D, diff_matrix, grid_values
 from .operators import Dictionary, GraphonKernel, MonomialDerivative, RhsPlan, rhs_values
 from .linalg import expm
@@ -470,13 +469,9 @@ def _pair_datasets(
     The initial conditions and the burn-in are computed once and shared, so
     each dataset is bit-identical to a separate ``generate_pairs`` call.
     """
-    for name, n in (("num_trajectories", num_trajectories), ("total_pairs", total_pairs)):
-        if not isinstance(n, Integral):
-            raise InvalidInputError(f"{name} must be an integer, got {n}")
-    if num_trajectories < 1 or total_pairs < 1:
-        raise InvalidInputError("need at least one trajectory and one pair")
-    if not isinstance(seed, Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
+    require_int("num_trajectories", num_trajectories, 1)
+    require_int("total_pairs", total_pairs, 1)
+    require_int("seed", seed, 0)
     for t_s in ts_list:
         _check_time("sampling time", t_s)
     if burn_in != 0:

@@ -598,7 +598,8 @@ class TestSweep:
             flag, "0", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_USAGE
-        assert "at least one" in capsys.readouterr().err
+        name = {"--pairs": "total_pairs", "--trajectories": "num_trajectories"}[flag]
+        assert capsys.readouterr().err == f"error: {name} must be an integer >= 1, got 0\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_too_few_sampling_times(self, tmp_path):

@@ -81,6 +81,12 @@ class TestInnerProductPower:
         with pytest.raises(InvalidInputError):
             InnerProductPower(0.0, 0.0, 0, 1)
 
+    @pytest.mark.parametrize("a, b", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 0.0)],
+                             ids=["inf-a", "inf-b", "nan-a"])
+    def test_coefficients_must_be_finite(self, a, b):
+        with pytest.raises(InvalidInputError, match="^cosine coefficients a and b must be finite$"):
+            InnerProductPower(a, b)
+
 
 class TestPointEvaluation:
     def test_interpolates_between_nodes(self):
@@ -122,6 +128,37 @@ class TestLiftedTerm:
         )
         # <u_xx, 1> for u = sin(pi x) on [0,1] is -pi^2 * 2/pi = -2 pi
         assert tagged == pytest.approx(-2.0 * np.pi, rel=1e-3)
+
+
+# a kind from the other family in each slot, and a plain string
+@pytest.mark.parametrize("build, message", [
+    (lambda: Dictionary((MonomialDerivative(1, 0), PowerLaw(1))),
+     "unknown term type: PowerLaw(p=1)"),
+    (lambda: Dictionary(("u",)), "unknown term type: 'u'"),
+    (lambda: LiftedTerm(Bump(1.0), PowerLaw(0)),
+     "unknown term type: Bump(L=1.0, recentered=False)"),
+    (lambda: LiftedTerm(MonomialDerivative(1, 0), "w"), "unknown weight spec: 'w'"),
+    (lambda: LiftedTerm(MonomialDerivative(1, 0), MonomialDerivative(0, 0)),
+     "unknown weight spec: MonomialDerivative(j=0, k=0)"),
+], ids=["dictionary-weight", "dictionary-text", "lifted-term", "lifted-weight-text",
+        "lifted-weight-term"])
+def test_foreign_kinds_refused_at_construction(build, message):
+    with pytest.raises(InvalidInputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (InnerProductPower(0.3, 0.7, 2, 1), (3, 10)),
+    (InnerProductPower(0.3, 0.7, 2, 1), ()),
+    (PointEvaluation(0.9), (5,)),
+    (LiftedTerm(MonomialDerivative(1, 1), PowerLaw(1)), (3, 10)),
+], ids=["cosine-batch", "cosine-scalar", "point-state", "lifted-batch"])
+def test_functional_values_need_the_grids_last_axis(spec, shape):
+    g = Grid1D(0.0, 1.0, 16)
+    with pytest.raises(InvalidInputError) as exc:
+        functional_values(spec, np.ones(shape), g, dirichlet=False)
+    assert str(exc.value) == f"values must have a last axis of length 16, got shape {shape}"
 
 
 class TestBurgersBasis:

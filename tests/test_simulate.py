@@ -15,7 +15,7 @@ from koopid import (
 )
 from koopid.errors import InvalidInputError, KoopidError, PreconditionError
 from koopid.fields import diff_values
-from koopid.observables import InnerProductPower, build_burgers_basis
+from koopid.observables import InnerProductPower, PowerLaw, build_burgers_basis
 from koopid.operators import GraphonKernel
 from koopid.simulate import (
     BUILTIN_MODELS,
@@ -576,8 +576,9 @@ INTEGER_FIELDS = {
     "grid-nodes": (lambda v: Grid1D(0.0, 1.0, v), 16, "num_points must be an integer"),
     "monomial-j": (lambda v: MonomialDerivative(v, 0), 1, "monomial power j"),
     "monomial-k": (lambda v: MonomialDerivative(0, v), 1, "derivative order k"),
-    "state-power": (lambda v: InnerProductPower(0.5, 0.5, v, 1), 1, "state_power and"),
-    "outer-power": (lambda v: InnerProductPower(0.5, 0.5, 1, v), 1, "state_power and"),
+    "state-power": (lambda v: InnerProductPower(0.5, 0.5, v, 1), 1, "state_power must be in"),
+    "outer-power": (lambda v: InnerProductPower(0.5, 0.5, 1, v), 1, "outer_power must be in"),
+    "power-law exponent": (PowerLaw, 2, "power-law exponent must be a non-negative integer"),
     "basis-seed": (build_burgers_basis, 1, "basis seed must be a non-negative integer"),
     "trajectories": (lambda v: _pairs(num_trajectories=v), 2,
                      "num_trajectories must be an integer"),
@@ -590,19 +591,23 @@ INTEGER_FIELDS = {
 def test_integer_fields_refuse_non_integers(field):
     build, valid, message = INTEGER_FIELDS[field]
     build(np.int64(valid))  # a numpy integer is an integer
-    for value in (valid + 0.5, float(valid)):
+    for value in (valid + 0.5, float(valid), np.nan, str(valid)):
         with pytest.raises(InvalidInputError, match=message):
             build(value)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Grid1D(0, 1, 4), "num_points must be >= 8, got 4"),
-    (lambda: _pairs(num_trajectories=0), "need at least one trajectory and one pair"),
-    (lambda: _pairs(total_pairs=0), "need at least one trajectory and one pair"),
-], ids=["grid-nodes", "trajectories", "pairs"])
+    (lambda: Grid1D(0, 1, 4), "num_points must be an integer >= 8, got 4"),
+    (lambda: _pairs(num_trajectories=0), "num_trajectories must be an integer >= 1, got 0"),
+    (lambda: _pairs(total_pairs=0), "total_pairs must be an integer >= 1, got 0"),
+    (lambda: _pairs(seed=-1), "seed must be a non-negative integer, got -1"),
+    (lambda: PowerLaw(-2), "power-law exponent must be a non-negative integer, got -2"),
+    (lambda: InnerProductPower(0.5, 0.5, 1, 65), "outer_power must be in 1..64, got 65"),
+], ids=["grid-nodes", "trajectories", "pairs", "seed", "power-law exponent", "outer-power"])
 def test_integers_out_of_range_keep_the_range_message(build, message):
-    with pytest.raises(InvalidInputError, match=message):
+    with pytest.raises(InvalidInputError) as exc:
         build()
+    assert str(exc.value) == message
 
 
 class TestSnapshotDataset:
