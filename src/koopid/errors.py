@@ -1,7 +1,8 @@
-"""Exception and warning types shared across the package, and the two
-checks every constructor shares: integer arguments and input kinds."""
+"""Exception and warning types shared across the package, and the checks
+every constructor shares: integer and real-number arguments and input
+kinds."""
 
-from numbers import Integral
+from numbers import Integral, Real
 from typing import get_args
 
 
@@ -18,11 +19,21 @@ class InvalidInputError(KoopidError):
 
 def require_int(name: str, value, low: int, high=None) -> None:
     """Raise InvalidInputError unless ``value`` is an integer in ``low..high``
-    (no upper bound when ``high`` is None)."""
-    if not (isinstance(value, Integral) and low <= value and (high is None or value <= high)):
+    (no upper bound when ``high`` is None).  A ``bool`` is not an integer
+    here, as a JSON boolean is not one in an input file."""
+    if isinstance(value, bool) or not (
+        isinstance(value, Integral) and low <= value and (high is None or value <= high)
+    ):
         bound = (f"in {low}..{high}" if high is not None
                  else "a non-negative integer" if low == 0 else f"an integer >= {low}")
         raise InvalidInputError(f"{name} must be {bound}, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise InvalidInputError unless ``value`` is a real number (a Python or
+    numpy int or float, not a ``bool``); the caller checks its range."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
 def require_kind(what: str, value, kinds) -> None:

@@ -21,7 +21,7 @@ from typing import List, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, require_int, require_kind
+from .errors import InvalidInputError, PreconditionError, require_int, require_kind, require_real
 from .fields import Grid1D, trapezoid_weights
 from .operators import IDENTITY_TERM, MAX_POWER, Dictionary, TermSpec, _int_power, term_values
 
@@ -38,6 +38,7 @@ class Bump:
     recentered: bool = False
 
     def __post_init__(self):
+        require_real("bump radius L", self.L)
         if not (np.isfinite(self.L) and self.L > 0):
             raise InvalidInputError(f"bump radius L must be positive, got {self.L}")
 
@@ -77,6 +78,8 @@ class InnerProductPower:
     outer_power: int = 1
 
     def __post_init__(self):
+        require_real("cosine coefficient a", self.a)
+        require_real("cosine coefficient b", self.b)
         if not all(np.isfinite([self.a, self.b])):
             raise InvalidInputError("cosine coefficients a and b must be finite")
         require_int("state_power", self.state_power, 1, MAX_POWER)
@@ -85,9 +88,13 @@ class InnerProductPower:
 
 @dataclass(frozen=True)
 class PointEvaluation:
-    """xi(u) = u(x_j) by linear interpolation between nodes."""
+    """xi(u) = u(x_j) by linear interpolation between nodes; ``x_j`` must lie
+    in the grid's domain, which is checked at evaluation."""
 
     x_j: float
+
+    def __post_init__(self):
+        require_real("evaluation point x_j", self.x_j)
 
 
 @dataclass(frozen=True)

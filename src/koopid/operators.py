@@ -22,13 +22,11 @@ A right-hand side ``sum_i c_i W_i(u)`` is compiled once into an
 
 * the derivative-free terms ``c u^j`` (j = 0: the constant) form one
   polynomial in u, evaluated by Horner's rule;
-* the derivative terms ``c u^j d^k u`` that share a power j are summed into
-  one matrix ``A_j = sum_k c_jk D_k`` of the :func:`~koopid.fields.diff_matrix`
-  matrices that :func:`~koopid.fields.diff_values` (and so
-  :func:`term_values`) multiplies by.  All ``A_j`` are stacked into one
-  ``scipy.sparse`` CSR matrix, so one sparse product per call yields every
-  ``A_j u``.  ``scipy.sparse`` is loaded on first use, when a plan with
-  derivative terms is built;
+* the derivative terms ``c u^j d^k u`` that share a power j are summed, tap
+  by tap, into one banded operator ``A_j = sum_k c_jk D_k``
+  (:func:`~koopid.fields.stencil_operator`) of the ``D_k`` that
+  :func:`~koopid.fields.diff_values` (and so :func:`term_values`) applies;
+  a call applies each ``A_j`` to the whole batch at once;
 * graphon terms are linear in their kernel, so they fold into one kernel
   ``sum_i c_i (c0, cx, cy)_i``; its rank-2 part costs two small matrix
   products per call, and its diagonal part joins the polynomial's linear
@@ -49,8 +47,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int, require_kind
-from .fields import Grid1D, diff_matrix, diff_values, trapezoid_weights
+from .errors import InvalidInputError, require_int, require_kind, require_real
+from .fields import Grid1D, diff_values, stencil_operator, trapezoid_weights
 
 
 #: the largest integer power of the state that a term or functional takes;
@@ -82,6 +80,8 @@ class GraphonKernel:
     cy: float
 
     def __post_init__(self):
+        for name in ("c0", "cx", "cy"):
+            require_real(f"kernel coefficient {name}", getattr(self, name))
         if not all(np.isfinite([self.c0, self.cx, self.cy])):
             raise InvalidInputError("kernel coefficients must be finite")
 
@@ -181,7 +181,6 @@ def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: boo
         if term.k == 0:
             out = _int_power(v, term.j)
         elif term.j == 0:
-            # diff_values' array as is: its memory order fixes the bits of a lift
             out = diff_values(v, grid.spacing, term.k, dirichlet)
         else:
             out = _int_power(v, term.j)
@@ -194,17 +193,6 @@ def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: boo
         out[..., 0] = 0.0
         out[..., -1] = 0.0
     return out
-
-
-def _stencil_matrix(groups: dict, grid: Grid1D, dirichlet: bool) -> scipy.sparse.csr_array:
-    """``A_j = sum_k c_jk D_k`` for each power j of ``groups`` (j -> {k: c_jk}),
-    stacked in ``groups`` order into one ``(len(groups) * N, N)`` CSR matrix."""
-    import scipy.sparse
-
-    n, h = grid.num_points, grid.spacing
-    blocks = [sum(c * diff_matrix(n, h, k, dirichlet) for k, c in orders.items())
-              for orders in groups.values()]
-    return scipy.sparse.vstack(blocks, format="csr")
 
 
 class RhsPlan:
@@ -252,7 +240,8 @@ class RhsPlan:
             coeffs[1] = coeffs[1] - diagonal
         self.poly = tuple(coeffs) if poly or graphons else ()
         self.powers = tuple(groups)
-        self.stencils = _stencil_matrix(groups, grid, dirichlet) if groups else None
+        self.stencils = tuple(stencil_operator(grid.num_points, grid.spacing, orders, dirichlet)
+                              for orders in groups.values())
 
     def _polynomial(self, v: np.ndarray) -> np.ndarray:
         """The derivative-free terms at ``v``, by Horner's rule; always a new
@@ -282,17 +271,11 @@ def rhs_values(plan: RhsPlan, values: np.ndarray) -> np.ndarray:
     if v.shape[-1:] != (n,):
         raise InvalidInputError(f"values must have a last axis of length {n}, got shape {v.shape}")
     parts = [plan._polynomial(v)] if plan.poly else []
-    if plan.stencils is not None:
-        # one product for all A_j; the copy lays each A_j u out like v, which
-        # makes the elementwise work below about twice as fast on 25 x 64
-        rows = v.reshape(-1, n)
-        derivs = (plan.stencils @ rows.T).reshape(len(plan.powers), n, len(rows))
-        derivs = derivs.transpose(0, 2, 1).copy()
-        for j, d in zip(plan.powers, derivs):
-            d = d.reshape(v.shape)
-            if j:
-                d *= v if j == 1 else _int_power(v, j)
-            parts.append(d)
+    for j, stencil in zip(plan.powers, plan.stencils):
+        d = stencil(v)
+        if j:
+            d *= v if j == 1 else _int_power(v, j)
+        parts.append(d)
     if plan.graphon is not None:
         moments, spread = plan.graphon
         parts.append((v @ moments) @ spread)
@@ -303,8 +286,7 @@ def rhs_values(plan: RhsPlan, values: np.ndarray) -> np.ndarray:
     for part in parts[1:]:
         out += part
     if plan.dirichlet:
-        out[..., 0] = 0.0
-        out[..., -1] = 0.0
+        out[..., ::n - 1] = 0.0  # both boundary columns
     return out
 
 

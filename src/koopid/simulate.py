@@ -52,9 +52,10 @@ sweep over sampling times -- builds one stepper, :class:`_LawsonRK4`, and
 every horizon of it (burn-in, segment) is one call of its ``advance``.  The
 stepper reads a table of one ``(bound, j, k)`` per derivative term once,
 for the split, dt and the refinement limits, and compiles the explicitly
-integrated terms once into an :class:`~koopid.operators.RhsPlan` (stacked
-sparse derivative matrices, a polynomial and a folded graphon kernel); every
-RK4 stage then evaluates ``rhs_values(plan, values)`` on the whole batch.
+integrated terms once into an :class:`~koopid.operators.RhsPlan` (one banded
+derivative operator per power of u, a polynomial and a folded graphon
+kernel); every RK4 stage then evaluates ``rhs_values(plan, values)`` on the
+whole batch.
 ``advance`` alone refuses a substep at or below ``MIN_SUBSTEP`` and a
 Dirichlet start that does not vanish at the boundaries, and reports a
 blow-up.
@@ -71,8 +72,8 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidInputError, PreconditionError, require_int
-from .fields import Grid1D, diff_matrix, grid_values
+from .errors import BlowUpError, InvalidInputError, PreconditionError, require_int, require_real
+from .fields import Grid1D, grid_values, stencil_operator
 from .operators import Dictionary, GraphonKernel, MonomialDerivative, RhsPlan, rhs_values
 from .linalg import expm
 
@@ -171,6 +172,7 @@ MAX_SUBSTEPS = 10**6
 def _check_time(name: str, value: float) -> None:
     """Refuse a time to integrate over that is not finite or is at or below
     MIN_SUBSTEP, and so would take no step, with InvalidInputError."""
+    require_real(name, value)
     if not MIN_SUBSTEP < value < np.inf:
         raise InvalidInputError(f"{name} must be finite and above {MIN_SUBSTEP:g}, got {value}")
 
@@ -272,10 +274,10 @@ class _LawsonRK4:
             lam = -(4.0 / model.grid.spacing**2) * np.sin(k * np.pi / (2 * (n - 1))) ** 2
             self._sine_rates = linear[2] * lam
         elif linear:
-            # the same entries as diff_values, so L u is the split-off terms
-            n, h = model.grid.num_points, model.grid.spacing
-            gen = sum(c * diff_matrix(n, h, k, model.dirichlet)
-                      for k, c in linear.items()).toarray()
+            # the same entries as diff_values, so L u is the split-off terms;
+            # L applied to row i of the identity is column i of L
+            n = model.grid.num_points
+            gen = stencil_operator(n, model.grid.spacing, linear, model.dirichlet)(np.eye(n)).T
             if model.dirichlet:
                 gen[[0, -1]] = 0.0
             self._generator = gen

@@ -777,11 +777,11 @@ for argv in steps:
 
 
 class TestStartup:
-    """Importing koopid, and the commands that need only numpy, load no scipy
-    module, and a Burgers simulation loads no scipy.linalg: importing
-    scipy.sparse and scipy.linalg costs more than a whole graphon
-    identification.  This process has scipy loaded already, so each check
-    runs in a fresh interpreter."""
+    """Importing koopid, and every command but a pde1 or custom-model
+    simulation, load no scipy module; a pde1 simulation loads scipy.linalg
+    for the expm of its linear flow, and no scipy.sparse.  Importing scipy
+    costs more than a whole graphon identification.  This process has scipy
+    loaded already, so each check runs in a fresh interpreter."""
 
     def run_fresh(self, steps, cwd, banned="scipy"):
         proc = subprocess.run(
@@ -813,11 +813,28 @@ class TestStartup:
              "--out", str(tmp_path / "s.csv")],
         ], tmp_path)
 
-    def test_burgers_simulate_loads_no_scipy_linalg(self, tmp_path):
-        # the Burgers diffusion flow is built in closed form, not by expm;
-        # the right-hand-side plan still loads scipy.sparse, and the dataset
-        # writer orjson
+    def test_burgers_simulate_and_spectrum_load_no_scipy(self, tmp_path):
+        # the Burgers diffusion flow is built in closed form, not by expm, and
+        # its advection term takes its derivative through numpy stencils
+        data = str(tmp_path / "b.json")
         self.run_fresh([
-            ["simulate", "--model", "burgers", "--pairs", "4", "--trajectories", "2",
-             "--ts", "0.2", "--seed", "1", "--grid", "64", "--out", str(tmp_path / "b.json")],
-        ], tmp_path, banned="scipy.linalg")
+            ["simulate", "--model", "burgers", "--pairs", "28", "--trajectories", "7",
+             "--ts", "0.2", "--seed", "1", "--grid", "64", "--out", data],
+            ["spectrum", "--data", data, "--basis", "burgers:1",
+             "--out", str(tmp_path / "s.csv")],
+        ], tmp_path)
+
+    def test_pde1_simulate_loads_no_scipy_sparse_and_identify_no_scipy(self, tmp_path):
+        # the lifting basis takes third derivatives, whose boundary rows are
+        # the widest blocks of the stencils
+        data, dict_path = str(tmp_path / "p.json"), tmp_path / "dict.json"
+        dict_path.write_text(json.dumps(PDE1_DICT))
+        self.run_fresh([
+            ["simulate", "--model", "pde1", "--pairs", "24", "--trajectories", "12",
+             "--ts", "0.3", "--seed", "1", "--grid", "32", "--out", data],
+        ], tmp_path, banned="scipy.sparse")
+        self.run_fresh([
+            ["identify", "--data", data, "--dict", str(dict_path),
+             "--weight", "bump:5:recentered", "--method", "lifting",
+             "--out", str(tmp_path / "id.csv")],
+        ], tmp_path)

@@ -7,7 +7,7 @@ import pytest
 
 from koopid import Grid1D
 from koopid.errors import InvalidInputError, PreconditionError
-from koopid.fields import diff_matrix, diff_values, trapezoid_weights
+from koopid.fields import diff_operator, diff_values, stencil_operator, trapezoid_weights
 
 
 class TestGrid:
@@ -92,10 +92,35 @@ class TestDerivatives:
         assert np.allclose(d, exact, rtol=1e-9, atol=1e-9)
 
     def test_matrix_is_cached_and_read_only(self):
-        d = diff_matrix(16, 0.1, 2, dirichlet=True)
-        assert diff_matrix(16, 0.1, 2, dirichlet=True) is d
-        with pytest.raises(ValueError):
-            d.data[0] = 1.0
+        d = diff_operator(16, 0.1, 2, dirichlet=True)
+        assert diff_operator(16, 0.1, 2, dirichlet=True) is d
+        for block in (d.head, d.tail):
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("orders", [{1: 1.0}, {2: 1.0}, {3: 1.0}, {1: -0.5, 2: 1.0, 3: 0.1}],
+                             ids=["k1", "k2", "k3", "k123"])
+    def test_batch_layouts_match_row_by_row(self, orders, dirichlet):
+        # the taps run over the flattened batch and read across row ends, so
+        # each layout must give what each row gives alone: the centred rows
+        # exactly, and the boundary blocks up to BLAS's rounding, which can
+        # depend on the batch size
+        n = 9
+        op = stencil_operator(n, 0.3, orders, dirichlet)
+        r = op.head.shape[1]
+        batch = np.random.default_rng(5).standard_normal((2, 3, n))
+        rows = np.stack([op(row) for row in batch.reshape(-1, n)]).reshape(batch.shape)
+        wide = np.zeros((3, 2 * n))
+        wide[:, ::2] = batch[0]
+        for got, want in [
+            (op(batch), rows), (op(batch[1]), rows[1]), (op(batch[1, 2]), rows[1, 2]),
+            # every other row, and every other column: two non-contiguous layouts
+            (op(batch[:, ::2]), rows[:, ::2]), (op(wide[:, ::2]), rows[0]),
+        ]:
+            assert got.shape == want.shape
+            assert np.array_equal(got[..., r:n - r], want[..., r:n - r])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_invalid_order(self, grid):
         with pytest.raises(InvalidInputError):

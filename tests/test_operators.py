@@ -14,8 +14,8 @@ from koopid import (
     rhs_values,
 )
 from koopid.errors import InvalidInputError, PreconditionError
-from koopid.fields import trapezoid_weights
-from koopid.operators import _int_power, _stencil_matrix, describe_term, term_values
+from koopid.fields import stencil_operator, trapezoid_weights
+from koopid.operators import _int_power, describe_term, term_values
 from helpers import heat_model
 
 
@@ -265,7 +265,7 @@ class TestRhsPlan:
             for i, row in enumerate(rows):
                 expected[:, i] = u[:, :len(row)] @ row / den
                 expected[:, n - 1 - i] = (-1.0) ** k * (u[:, ::-1][:, :len(row)] @ row) / den
-        got = (_stencil_matrix({0: {k: 1.0}}, grid, dirichlet) @ u.T).T
+        got = stencil_operator(n, h, {k: 1.0}, dirichlet)(u)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("make_model", [
@@ -335,7 +335,7 @@ class TestRhsPlan:
         assert np.array_equal(out, -u)
 
     def test_too_few_nodes_for_an_order(self):
-        # Grid1D admits no grid this short; the diff_matrix check still guards the plan
+        # Grid1D admits no grid this short; the stencil_operator check still guards the plan
         from types import SimpleNamespace
 
         dic = Dictionary((MonomialDerivative(0, 3),), coefficients=(1.0,))

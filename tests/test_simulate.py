@@ -1,5 +1,7 @@
 """Time integration and snapshot-pair dataset generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from koopid import (
 )
 from koopid.errors import InvalidInputError, KoopidError, PreconditionError
 from koopid.fields import diff_values
-from koopid.observables import InnerProductPower, PowerLaw, build_burgers_basis
+from koopid.observables import (
+    Bump, InnerProductPower, PointEvaluation, PowerLaw, build_burgers_basis,
+)
 from koopid.operators import GraphonKernel
 from koopid.simulate import (
     BUILTIN_MODELS,
@@ -594,6 +598,40 @@ def test_integer_fields_refuse_non_integers(field):
     for value in (valid + 0.5, float(valid), np.nan, str(valid)):
         with pytest.raises(InvalidInputError, match=message):
             build(value)
+
+
+@pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+def test_integer_fields_refuse_bool(field):
+    # a JSON boolean is refused in these fields of an input file, and so is
+    # True here, although Python counts it as the integer 1
+    build, _, message = INTEGER_FIELDS[field]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}.*, got True$"):
+        build(True)
+
+
+# each real-number field of the library API and the name that its message gives
+FLOAT_FIELDS = {
+    "kernel-c0": (lambda v: GraphonKernel(v, 0.0, 0.0), "kernel coefficient c0"),
+    "kernel-cy": (lambda v: GraphonKernel(0.0, 0.0, v), "kernel coefficient cy"),
+    "bump-radius": (Bump, "bump radius L"),
+    "cosine-a": (lambda v: InnerProductPower(v, 0.5), "cosine coefficient a"),
+    "cosine-b": (lambda v: InnerProductPower(0.5, v), "cosine coefficient b"),
+    "point": (PointEvaluation, "evaluation point x_j"),
+    "grid-x-min": (lambda v: Grid1D(v, 1.0, 16), "grid endpoint x_min"),
+    "grid-x-max": (lambda v: Grid1D(0.0, v, 16), "grid endpoint x_max"),
+    "sampling-time": (lambda v: SnapshotDataset(Grid1D(0.0, 1.0, 16), v, np.zeros((1, 16)),
+                                                np.zeros((1, 16))), "sampling time"),
+}
+
+
+@pytest.mark.parametrize("field", list(FLOAT_FIELDS))
+def test_float_fields_refuse_non_numbers(field):
+    build, name = FLOAT_FIELDS[field]
+    build(np.float64(0.5))  # a numpy float is a real number
+    for value in ("x", None, True, [0.5]):
+        with pytest.raises(InvalidInputError) as exc:
+            build(value)
+        assert str(exc.value) == f"{name} must be a real number, got {value!r}"
 
 
 @pytest.mark.parametrize("build, message", [
