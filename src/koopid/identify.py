@@ -11,6 +11,9 @@ estimate ``l_tilde``:
   least-squares regression of the forward difference of ``<u, w>`` on the
   lifted functional values (no smoothing).
 
+Either result holds that fit, the ``KoopmanFit`` of :func:`koopman.edmd_fit`,
+so its data matrices, ``U``, rank and residual can be read from the result.
+
 A sampling-time sweep rerunning the lifting pipeline on freshly generated
 data reports how the coefficient error shrinks as the sampling time
 decreases.
@@ -23,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BranchCutError, InsufficientDataError, InvalidInputError, RankDeficiencyError
-from .koopman import build_data_matrices, edmd_fit
+from .errors import InsufficientDataError, InvalidInputError, RankDeficiencyError
+from .koopman import KoopmanFit, build_data_matrices, edmd_fit
 from .linalg import logm, matrix_rank
 from .observables import WeightSpec, build_lifting_basis, identity_index
 from .operators import Dictionary
@@ -39,27 +42,36 @@ class IdentificationResult:
 
     ``estimates[i]`` corresponds to ``dictionary.terms[i]``.  ``l_tilde`` is
     the generator estimate of either method, rows and columns in dictionary
-    order.  ``rank_used`` and ``residual`` come from the fit of ``U``: its
-    retained rank and ``||Xi1 U - Xi2|| / ||Xi2||``.
+    order.  ``fit`` is the :class:`~koopid.koopman.KoopmanFit` that
+    ``edmd_fit`` returned: the data matrices, ``U``, the sampling time, the
+    retained rank and the residual ``||Xi1 U - Xi2|| / ||Xi2||``.
     """
 
     dictionary: Dictionary
     estimates: np.ndarray
-    t_s: float
     l_tilde: np.ndarray
-    rank_used: int
-    residual: float
+    fit: KoopmanFit
 
 
-def _lifted_fit_inputs(dataset: SnapshotDataset, dictionary: Dictionary, weight: WeightSpec):
-    basis = build_lifting_basis(dictionary, weight)
-    xi1, xi2 = build_data_matrices(dataset, basis)
+def _identify(
+    dataset: SnapshotDataset,
+    dictionary: Dictionary,
+    weight: WeightSpec,
+    generator: Callable[[np.ndarray], np.ndarray],
+) -> IdentificationResult:
+    """Assemble the lifted data matrices, check them, fit ``U`` and read the
+    estimates from the identity column of ``l_tilde = generator(U) / t_s``.
+
+    Fewer pairs than terms raise InsufficientDataError; then a lifted data
+    matrix of rank below the term count raises RankDeficiencyError, naming
+    the dependent columns found by column-pivoted QR.
+    """
+    xi1, xi2 = build_data_matrices(dataset, build_lifting_basis(dictionary, weight))
     m, n = xi1.shape
     if m < n:
         raise InsufficientDataError(f"insufficient data: m < n ({m} < {n})")
     rank = matrix_rank(xi1)
     if rank < n:
-        # name the dependent columns via column-pivoted QR
         import scipy.linalg
 
         _, _, piv = scipy.linalg.qr(xi1, mode="economic", pivoting=True)
@@ -69,35 +81,9 @@ def _lifted_fit_inputs(dataset: SnapshotDataset, dictionary: Dictionary, weight:
             f"(dictionary order): {dependent}",
             columns=dependent,
         )
-    return xi1, xi2
-
-
-def _identify(
-    dataset: SnapshotDataset,
-    dictionary: Dictionary,
-    weight: WeightSpec,
-    generator: Callable[[np.ndarray], np.ndarray],
-) -> IdentificationResult:
-    """Fit ``U`` on the lifted basis and read the estimates from the identity
-    column of ``l_tilde = generator(U) / t_s``."""
-    xi1, xi2 = _lifted_fit_inputs(dataset, dictionary, weight)
     fit = edmd_fit(xi1, xi2, dataset.sampling_time)
     l_tilde = generator(fit.U) / dataset.sampling_time
-    return IdentificationResult(
-        dictionary=dictionary,
-        estimates=l_tilde[:, identity_index(dictionary)],
-        t_s=dataset.sampling_time,
-        l_tilde=l_tilde,
-        rank_used=fit.rank_used,
-        residual=fit.residual,
-    )
-
-
-def _principal_log(u: np.ndarray) -> np.ndarray:
-    try:
-        return logm(u)
-    except BranchCutError as exc:
-        raise BranchCutError(f"sampling time too large or data degenerate: {exc}") from exc
+    return IdentificationResult(dictionary, l_tilde[:, identity_index(dictionary)], l_tilde, fit)
 
 
 def lifting_identify(
@@ -106,14 +92,14 @@ def lifting_identify(
     """Estimate dictionary coefficients via the matrix-logarithm lifting,
     ``l_tilde = logm(U) / t_s``.
 
-    The dictionary must contain the identity term W(u) = u.  Raises a
-    BranchCutError (annotated with a remediation hint) when the fitted matrix
-    has an eigenvalue on the closed negative real axis, which signals a
-    sampling time too large or degenerate data.  The IllConditionedWarning
-    that ``logm`` issues for an ill-conditioned eigenbasis or a discarded
-    imaginary part reaches the caller.
+    The dictionary must contain the identity term W(u) = u.  ``logm``
+    raises a BranchCutError when the fitted matrix has an eigenvalue on the
+    closed negative real axis, which signals a sampling time too large or
+    degenerate data.  The IllConditionedWarning that ``logm`` issues for an
+    ill-conditioned eigenbasis or a discarded imaginary part reaches the
+    caller.
     """
-    return _identify(dataset, dictionary, weight, _principal_log)
+    return _identify(dataset, dictionary, weight, logm)
 
 
 def direct_identify(

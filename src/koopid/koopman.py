@@ -58,7 +58,15 @@ def build_data_matrices(
 
 @dataclass(frozen=True, eq=False)
 class KoopmanFit:
-    """Least-squares fit of the sampled-flow operator on a functional basis."""
+    """Least-squares fit of the sampled-flow operator on a functional basis:
+    the one record of a fit, which :class:`SpectrumResult` and
+    :class:`~koopid.identify.IdentificationResult` both hold.
+
+    ``xi1`` and ``xi2`` (m x n) are the data matrices, ``U`` (n x n) the
+    minimum-norm solution of ``Xi1 @ U ~ Xi2``, ``t_s`` the sampling time,
+    ``rank_used`` the retained rank of ``Xi1`` and ``residual`` the relative
+    misfit ``||Xi1 U - Xi2|| / ||Xi2||`` (0 when ``Xi2`` is zero).
+    """
 
     xi1: np.ndarray
     xi2: np.ndarray
@@ -116,14 +124,15 @@ class SpectrumResult:
     ``||Xi2 v - lambda_u Xi1 v|| / ||lambda_u Xi1 v||``, used to rank
     plausibility (never as a hard filter); the denominator scale keeps
     strongly decaying modes from ranking well merely because their one-step
-    prediction is close to zero.
+    prediction is close to zero.  ``fit`` is the :class:`KoopmanFit` the
+    eigenpairs were read from.
     """
 
     lambda_u: np.ndarray
     lambda_l: np.ndarray
     coefficients: np.ndarray
     residual_scores: np.ndarray
-    t_s: float
+    fit: KoopmanFit
 
 
 #: modes with |lambda_u| below this fraction of the largest |lambda_u| rank
@@ -170,5 +179,5 @@ def spectrum(fit: KoopmanFit) -> SpectrumResult:
         lambda_l=lam_l[order],
         coefficients=v[:, order],
         residual_scores=scores[order],
-        t_s=fit.t_s,
+        fit=fit,
     )

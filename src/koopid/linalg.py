@@ -50,8 +50,9 @@ def _check_square(a, name="matrix"):
 def _rcond(a: np.ndarray) -> float:
     """The relative singular-value cutoff of :func:`pinv` and
     :func:`matrix_rank`: ``max(rows, cols)`` times the machine epsilon of
-    ``a``'s float dtype (float64 for any other dtype)."""
-    return max(a.shape) * np.finfo(a.dtype if a.dtype.kind == "f" else np.float64).eps
+    ``a``'s singular values (float64 for a non-float dtype), numpy's default
+    rank tolerance."""
+    return max(a.shape) * np.finfo(a.dtype if a.dtype.kind in "fc" else np.float64).eps
 
 
 def pinv(a: np.ndarray) -> np.ndarray:
@@ -66,10 +67,9 @@ def pinv(a: np.ndarray) -> np.ndarray:
 
 def matrix_rank(a: np.ndarray) -> int:
     """Numerical rank: the number of singular values that :func:`pinv`
-    keeps, those above ``_rcond(a) * sigma_max``."""
-    a = _check_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > _rcond(a) * s[0]))
+    keeps, those above ``_rcond(a) * sigma_max`` (numpy's default
+    tolerance)."""
+    return int(np.linalg.matrix_rank(_check_matrix(a)))
 
 
 def lstsq_fit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -156,9 +156,10 @@ def logm(a: np.ndarray) -> np.ndarray:
     Requires that no eigenvalue of ``a`` lies on the closed negative real
     axis (including zero) by the rule of :func:`branch_cut_mask`; otherwise
     a :class:`BranchCutError` is raised, which for sampled-flow matrices
-    signals a sampling time too large or a rank-deficient lift.  The result is real for real input off the branch
-    cut.  Where the eigenvector matrix is ill-conditioned (the
-    ``IllConditionedWarning`` of :func:`eig`), the result comes from
+    signals a sampling time too large or degenerate data, and says so.  The
+    result is real for real input off the branch cut.  Where the eigenvector
+    matrix is ill-conditioned (the ``IllConditionedWarning`` of
+    :func:`eig`), the result comes from
     ``scipy.linalg.logm`` (inverse scaling and squaring on the Schur form)
     instead, which does not invert the eigenvectors.  On either route a
     residual imaginary part is discarded after a consistency check, which
@@ -174,7 +175,8 @@ def logm(a: np.ndarray) -> np.ndarray:
         bad = w[on_cut]
         raise BranchCutError(
             "principal logarithm undefined: eigenvalue(s) on the closed negative "
-            f"real axis or numerically zero: {bad}"
+            f"real axis or numerically zero: {bad}; for a sampled-flow matrix: "
+            "sampling time too large or data degenerate"
         )
     if dec.condition > CONDITION_WARN_THRESHOLD:
         import scipy.linalg

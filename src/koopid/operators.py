@@ -98,10 +98,11 @@ class Dictionary:
     """Ordered candidate terms, optionally paired with coefficients.
 
     Coefficients are present for simulation models and absent for
-    identification candidates.  Terms must be ``TermSpec`` kinds, checked
-    here so that no later evaluation meets a foreign one, and pairwise
-    distinct under structural equality (duplicate columns would make the
-    lifted data matrix rank-deficient).
+    identification candidates; each must be a finite real number
+    (``errors.require_real``: no string, ``None`` or ``bool``).  Terms must
+    be ``TermSpec`` kinds, checked here so that no later evaluation meets a
+    foreign one, and pairwise distinct under structural equality (duplicate
+    columns would make the lifted data matrix rank-deficient).
     """
 
     terms: Tuple[TermSpec, ...]
@@ -118,9 +119,15 @@ class Dictionary:
             raise InvalidInputError("dictionary terms must be pairwise distinct")
         if self.coefficients is not None:
             try:
-                coeffs = tuple(float(c) for c in self.coefficients)
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidInputError("coefficients must be numbers") from None
+                coeffs = tuple(self.coefficients)
+            except TypeError:
+                raise InvalidInputError("coefficients must be a sequence of numbers") from None
+            for i, c in enumerate(coeffs):
+                require_real(f"coefficient {i}", c)
+            try:
+                coeffs = tuple(float(c) for c in coeffs)
+            except OverflowError:
+                raise InvalidInputError("coefficients must be finite") from None
             if len(coeffs) != len(terms):
                 raise InvalidInputError(f"{len(coeffs)} coefficients for {len(terms)} terms")
             if not all(np.isfinite(coeffs)):

@@ -24,14 +24,21 @@ and applied to the whole batch.  It takes one of two forms:
 
 RK4 integrates the remaining terms at the fixed substep
 
-    dt = min(2 h / D1, 0.25 * h^2 / D2, 0.25 * h^3 / D3, 2.5e-2)
+    dt = min(2 h / D1, 0.25 * h^2 / D2, 0.25 * h^3 / D3,
+             0.35 * 2.785 / R, 0.35 * 2.785 / G, 2.5e-2)
 
 where Dk is the largest coefficient magnitude of the explicitly integrated
 k-th derivative terms ``c u^j d^k u / dx^k`` (absent terms are skipped).
 For the centred stencils the k = 1 bound keeps 71% of RK4's stability limit
 (2 sqrt(2) h / D1 on the imaginary axis), the k = 2 bound 35% (about
-0.70 h^2 / D2 on the real axis) and the k = 3 bound 23%; the 2.5e-2 cap is
-an accuracy bound where no derivative term limits the step (graphon, heat).
+0.70 h^2 / D2 on the real axis) and the k = 3 bound 23%.  The
+derivative-free terms keep 35% of RK4's real-axis limit 2.785: R = sum
+j |c_j| bounds the rate of the whole reaction polynomial ``sum c_j u^j``
+(one sum, not one bound per term), and G = 2 max |f| that of the folded
+graphon coupling with kernel f on the unit square.  No built-in model
+meets these two: pde1's -2u gives 0.49 against its 7.87e-3 step, and
+graphon's R = 6.5 and G = 2 give 0.15.  The 2.5e-2 cap is an accuracy
+bound where nothing else limits the step (graphon, heat).
 One default segment agrees with a quarter substep to 5e-8 relative for
 Burgers (at 2 h = 1.57e-2 on 256 nodes) and 4e-9 for graphon (at the cap),
 below their spatial errors on 256 nodes (7e-6 and 3e-7).
@@ -40,7 +47,8 @@ conditions the boundary values are re-clamped to zero after every substep.
 
 These bounds hold where |u| <= 1.  Before every substep each state's largest
 magnitude s is read, and a state for which s^j breaks the bound of an
-explicit ``u^j`` term takes the substep in 2^r equal pieces (at most
+explicit ``u^j`` derivative term, or s^(J - 1) the reaction bound of a
+polynomial of degree J, takes the substep in 2^r equal pieces (at most
 2^10).  Without this, pde1's ``-0.2 u u_xx``, which anti-diffuses where
 u > 5, would be stepped past its growth, and the exact flow of L would damp
 the growing mesh modes instead of reporting the blow-up.  An integration
@@ -80,6 +88,13 @@ from .linalg import expm
 SAFETY = 0.25
 DT_MAX = 2.5e-2
 DEFAULT_GRID_POINTS = 256
+
+#: where RK4's stability interval on the negative real axis ends (Hairer &
+#: Wanner, Solving Ordinary Differential Equations II, section IV.2), and the
+#: share of it that the derivative-free terms keep, as the k = 2 bound keeps
+#: 35% of its real-axis limit
+RK4_REAL_LIMIT = 2.785
+REAL_SHARE = 0.35
 
 #: the smallest half-step factor exp((h/2) lam_k) of a sine mode that the
 #: Dirichlet diffusion flow keeps; the sine modes are orthonormal, so dropping
@@ -178,18 +193,44 @@ def _check_time(name: str, value: float) -> None:
 
 
 def _term_bounds(dictionary: Dictionary, h: float) -> list:
-    """``(bound, j, k)`` for each derivative term ``c u^j d^k u / dx^k`` with
-    c != 0: its substep bound where |u| <= 1, which a larger |u| divides by
-    |u|^j."""
+    """``(bound, p, k)`` for each derivative term ``c u^j d^k u / dx^k`` with
+    c != 0, and one k = 0 entry each for the reaction polynomial and the
+    graphon coupling: the substep bound where |u| <= 1, which a larger |u|
+    divides by |u|^p.
+
+    A derivative term has p = j.  The derivative-free parts keep
+    ``REAL_SHARE`` of RK4's real-axis limit ``RK4_REAL_LIMIT`` over their
+    largest rate.  The reaction polynomial ``sum c_j u^j`` is bounded as a
+    sum, since its Jacobian is one polynomial: its rate is at most ``sum
+    j |c_j|`` where |u| <= 1, and a larger |u| scales it by at most
+    |u|^p with p = max j - 1 (0 for a linear reaction, which no state
+    refines).  The folded graphon coupling ``int f(x, y) (u(y) - u(x)) dy``
+    is a rank-2 operator minus a diagonal one, each at most the domain
+    length times max |f| on the grid square; on [0, 1], the only domain a
+    graphon term lives on, its rate is at most 2 max |f|, taken at the
+    square's corners since f is affine, and p = 0.
+    """
     bounds = []
+    reaction, power = 0.0, 0
+    c0 = cx = cy = 0.0  # the folded graphon kernel
     for term, c in zip(dictionary.terms, dictionary.coefficients):
-        if isinstance(term, MonomialDerivative) and c != 0.0 and term.k >= 1:
-            if term.k == 1:
-                # 71% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
-                # centred stencil
-                bounds.append((2.0 * h / abs(c), term.j, 1))
-            else:
-                bounds.append((SAFETY * h**term.k / abs(c), term.j, term.k))
+        if c == 0.0:
+            continue
+        if isinstance(term, GraphonKernel):
+            c0, cx, cy = c0 + c * term.c0, cx + c * term.cx, cy + c * term.cy
+        elif term.k == 0:
+            reaction += term.j * abs(c)
+            power = max(power, term.j - 1)
+        elif term.k == 1:
+            # 71% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
+            # centred stencil
+            bounds.append((2.0 * h / abs(c), term.j, 1))
+        else:
+            bounds.append((SAFETY * h**term.k / abs(c), term.j, term.k))
+    coupling = 2.0 * max(abs(c0), abs(c0 + cx), abs(c0 + cy), abs(c0 + cx + cy))
+    for rate, p in ((reaction, power), (coupling, 0)):
+        if rate > 0.0:
+            bounds.append((REAL_SHARE * RK4_REAL_LIMIT / rate, p, 0))
     return bounds
 
 
@@ -218,7 +259,7 @@ def _split_linear(model: Model, bounds: list) -> Tuple[Dictionary, dict, float]:
     def substep(split):
         """The bound of the terms left explicit with the orders ``split`` of
         the linear part split off, capped at DT_MAX."""
-        return min([DT_MAX] + [b for b, j, k in bounds if j or k not in split])
+        return min([DT_MAX] + [b for b, p, k in bounds if p or k not in split])
 
     unsplit = substep({})
     advection = min([DT_MAX] + [b for b, _, k in bounds if k == 1])
@@ -239,7 +280,7 @@ class _LawsonRK4:
 
     The constructor reads the model's ``_term_bounds`` table once: the split
     and ``dt`` through ``_split_linear``, and the refinement limits from the
-    ``u^j`` terms with j >= 1, which are never split off.  With a linear part
+    entries with p >= 1, which are never split off.  With a linear part
     L split off, its half-step flow P = exp((h/2) L) is applied exactly, as
     one callable per substep length from ``_half_flow``: through the rank-r
     sine factor of ``_sine_factor`` when L is Dirichlet ``c u_xx``, otherwise
@@ -249,7 +290,7 @@ class _LawsonRK4:
 
     ``dt`` is the stability bound of the explicitly integrated terms, which
     holds where |u| <= 1.  A state whose largest magnitude s exceeds 1
-    divides the bound of each ``u^j`` term by s^j, and ``_substep`` cuts the
+    divides the bound of each entry by s^p, and ``_substep`` cuts the
     substep for that state into 2^r equal pieces.  ``advance`` integrates a
     batch over a horizon and ``check_substeps`` refuses a horizon too long
     for ``dt``.
@@ -260,9 +301,9 @@ class _LawsonRK4:
         bounds = _term_bounds(model.dictionary, model.grid.spacing)
         explicit, linear, self.dt = _split_linear(model, bounds)
         self.plan = RhsPlan(explicit, model.grid, model.dirichlet)
-        # the bounds that a state with |u| > 1 shortens: those of u^j terms, j >= 1
-        self._limits = np.array([b for b, j, _ in bounds if j >= 1])
-        self._powers = np.array([j for _, j, _ in bounds if j >= 1])
+        # the bounds that a state with |u| > 1 shortens: those with p >= 1
+        self._limits = np.array([b for b, p, _ in bounds if p >= 1])
+        self._powers = np.array([p for _, p, _ in bounds if p >= 1])
         self._sine_rates = None  # the eigenvalues of L in its sine modes, or
         self._generator = None   # L as a dense matrix
         if model.dirichlet and linear.keys() == {2}:

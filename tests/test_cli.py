@@ -228,6 +228,14 @@ class TestSimulate:
         assert code == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
 
+    def test_too_stiff_reaction_is_usage_error(self, tmp_path, capsys):
+        # du/dt = -1e7 u: its reaction bound 9.75e-8 needs 6.2e6 substeps for
+        # 4 pairs over 2 trajectories at ts = 0.3, more than MAX_SUBSTEPS
+        code = self.simulate_custom(tmp_path, {**self.DECAY, "coefficients": [-1e7]})
+        assert code == EXIT_USAGE
+        assert "more than 1000000" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("burn_in", ["0", "0.1"])
     def test_dirichlet_start_off_the_boundary_is_precondition_error(self, tmp_path, capsys,
                                                                     burn_in):

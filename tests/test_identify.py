@@ -77,13 +77,13 @@ class TestLiftingIdentify:
     def test_weight_scaling_invariance(self):
         # both data matrices scale by c, so the estimates cannot change;
         # verified by comparing two proportional weights on symmetric data
-        from koopid.identify import _lifted_fit_inputs
         from koopid.koopman import edmd_fit
         from koopid.linalg import logm
         from koopid.observables import identity_index
 
         _, ds = heat_modes_dataset()
-        xi1, xi2 = _lifted_fit_inputs(ds, HEAT_CANDIDATES, PowerLaw(0))
+        fit = lifting_identify(ds, HEAT_CANDIDATES, PowerLaw(0)).fit
+        xi1, xi2 = fit.xi1, fit.xi2
         k = identity_index(HEAT_CANDIDATES)
         base = logm(edmd_fit(xi1, xi2, ds.sampling_time).U)[:, k]
         scaled = logm(edmd_fit(5.0 * xi1, 5.0 * xi2, ds.sampling_time).U)[:, k]
@@ -169,9 +169,8 @@ class TestDirectIdentify:
     def test_reads_the_forward_difference_from_the_fit(self, name, weight):
         # (U - I)/ts of the lifting's own fit: its identity column is the
         # regression of the forward difference of <u, w> on Xi1
-        from koopid.identify import _lifted_fit_inputs
-        from koopid.koopman import edmd_fit
-        from koopid.observables import identity_index
+        from koopid.koopman import build_data_matrices, edmd_fit
+        from koopid.observables import build_lifting_basis, identity_index
 
         model = koopid.BUILTIN_MODELS[name]()
         pairs, trajectories, ts, family, burn_in = koopid.EXPERIMENT_DEFAULTS[name]
@@ -179,14 +178,37 @@ class TestDirectIdentify:
         dic = Dictionary(model.dictionary.terms)
         result = direct_identify(ds, dic, weight)
 
-        xi1, xi2 = _lifted_fit_inputs(ds, dic, weight)
+        xi1, xi2 = build_data_matrices(ds, build_lifting_basis(dic, weight))
         k = identity_index(dic)
         regression = np.linalg.lstsq(xi1, (xi2[:, k] - xi1[:, k]) / ts, rcond=None)[0]
         assert np.linalg.norm(result.estimates - regression) <= 1e-9 * np.linalg.norm(regression)
         fit = edmd_fit(xi1, xi2, ts)
         assert np.array_equal(result.l_tilde, (fit.U - np.eye(len(dic))) / ts)
-        assert result.residual == fit.residual
-        assert result.rank_used == fit.rank_used == len(dic)
+        assert np.array_equal(result.fit.xi1, xi1) and np.array_equal(result.fit.U, fit.U)
+        assert result.fit.residual == fit.residual
+        assert result.fit.rank_used == fit.rank_used == len(dic)
+
+
+class TestFitRecord:
+    @pytest.mark.parametrize("method", [lifting_identify, direct_identify])
+    def test_result_holds_the_fit_edmd_fit_returned(self, method, monkeypatch):
+        import koopid.identify
+
+        returned = []
+        fit = koopid.identify.edmd_fit
+
+        def spy(xi1, xi2, t_s):
+            returned.append(fit(xi1, xi2, t_s))
+            return returned[-1]
+
+        monkeypatch.setattr(koopid.identify, "edmd_fit", spy)
+        _, ds = heat_modes_dataset()
+        result = method(ds, HEAT_CANDIDATES, PowerLaw(0))
+        assert len(returned) == 1 and result.fit is returned[0]
+        assert result.fit.t_s == ds.sampling_time
+        assert result.fit.rank_used == len(HEAT_CANDIDATES)
+        for copy in ("t_s", "rank_used", "residual"):
+            assert not hasattr(result, copy)
 
 
 class TestTrueCoefficients:

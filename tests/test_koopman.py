@@ -161,6 +161,12 @@ class TestSpectrum:
         with pytest.raises(koopid.BranchCutError):
             koopid.logm(u)
 
+    def test_holds_the_fit_it_was_read_from(self):
+        fit = edmd_fit(np.eye(2), np.diag([0.5, 0.25]), 0.1)
+        result = spectrum(fit)
+        assert result.fit is fit
+        assert not hasattr(result, "t_s")
+
     def test_sorted_by_residual(self):
         _, ds = heat_sine_dataset()
         basis = sine_basis()

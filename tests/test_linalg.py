@@ -45,6 +45,14 @@ class TestPinv:
         assert np.trace(a @ p) == pytest.approx(1.0, abs=1e-3)
         assert matrix_rank(a) == 1
 
+    def test_complex64_rank_matches_pinv_truncation(self):
+        # numpy's rank tolerance takes the epsilon of the singular values'
+        # dtype, float32 here, and pinv's cutoff must take the same
+        a = (np.outer(np.arange(1, 7), [1.0, 0.3, -2.0, 0.7]) * (1 + 1j)).astype(np.complex64)
+        p = pinv(a)
+        assert abs(np.trace(a @ p)) == pytest.approx(1.0, abs=1e-3)
+        assert matrix_rank(a) == 1
+
     @given(seed=st.integers(0, 20), c=st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)
     def test_pinv_scaling(self, seed, c):

@@ -48,11 +48,15 @@ class TestDictionaryValidation:
             Dictionary(())
 
     @pytest.mark.parametrize("coefficients, message", [
-        (("a",), "coefficients must be numbers"),
-        ((None,), "coefficients must be numbers"),
+        (("a",), "coefficient 0 must be a real number, got 'a'"),
+        ((None,), "coefficient 0 must be a real number, got None"),
+        (("1.5",), "coefficient 0 must be a real number, got '1.5'"),
+        ((True,), "coefficient 0 must be a real number, got True"),
         ((np.nan,), "coefficients must be finite"),
         ((-np.inf,), "coefficients must be finite"),
-    ], ids=["text", "none", "nan", "inf"])
+        ((10**400,), "coefficients must be finite"),
+        (2.0, "coefficients must be a sequence of numbers"),
+    ], ids=["text", "none", "numeric-text", "bool", "nan", "inf", "huge-int", "scalar"])
     def test_coefficients_must_be_finite_numbers(self, coefficients, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             Dictionary((MonomialDerivative(1, 0),), coefficients=coefficients)

@@ -203,6 +203,75 @@ class TestStableSubstep:
             integrate(m, np.cos(g.nodes()), 0.5)
 
 
+class TestDerivativeFreeBounds:
+    """The k = 0 entries of the step table: 35% of RK4's real-axis limit
+    2.785 over the rate of the reaction polynomial and of the coupling."""
+
+    @staticmethod
+    def reaction_bounds(model):
+        return [(b, p) for b, p, k in _term_bounds(model.dictionary, model.grid.spacing)
+                if k == 0]
+
+    def test_builtin_steps_do_not_move(self):
+        # pde1's -2u: 0.975 / 2; graphon's reaction rate 0.5 + 3 + 3, coupling
+        # rate 2 max |1 - 0.7x - 0.3y| = 2; Burgers has no k = 0 term
+        assert self.reaction_bounds(koopid.pde1_model()) == [
+            (pytest.approx(0.35 * 2.785 / 2.0), 0)]
+        assert self.reaction_bounds(koopid.graphon_model()) == [
+            (pytest.approx(0.35 * 2.785 / 6.5), 2), (pytest.approx(0.35 * 2.785 / 2.0), 0)]
+        assert min(b for b, _ in self.reaction_bounds(koopid.graphon_model())) >= 0.115
+        assert self.reaction_bounds(koopid.burgers_model()) == []
+        assert _LawsonRK4(koopid.pde1_model()).dt == pytest.approx(7.8735e-3, rel=1e-4)
+        assert _LawsonRK4(koopid.graphon_model()).dt == DT_MAX
+
+    def test_reaction_is_bounded_as_a_sum(self):
+        # u - 2u^2 + u^3: rate 1 + 4 + 3, refined by |u|^2 where |u| > 1
+        g = Grid1D(0.0, 1.0, 16)
+        dic = Dictionary((MonomialDerivative(1, 0), MonomialDerivative(2, 0),
+                          MonomialDerivative(3, 0)), coefficients=(1.0, -2.0, 1.0))
+        m = Model("cubic", dic, g)
+        assert self.reaction_bounds(m) == [(pytest.approx(0.35 * 2.785 / 8.0), 2)]
+        stepper = _LawsonRK4(m)
+        assert stepper._powers.tolist() == [2]
+
+    @pytest.mark.parametrize("c, horizon", [(-200.0, 1.0), (-1000.0, 0.2)])
+    def test_linear_decay_takes_rk4_amplification(self, c, horizon):
+        # before these bounds c = -200 stepped at the cap, z = -5, and grew to
+        # 3.0e45 by t = 1 where exp(-200) is 1.4e-87
+        g = Grid1D(0.0, 1.0, 64)
+        m = Model("decay", Dictionary((MonomialDerivative(1, 0),), coefficients=(c,)), g)
+        u0 = np.cos(np.pi * g.nodes())
+        dt = _LawsonRK4(m).dt
+        assert dt == pytest.approx(0.35 * 2.785 / abs(c))
+
+        def amplification(z):
+            return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+        n_full = int(horizon / dt)
+        rem = horizon - n_full * dt
+        factor = amplification(c * dt) ** n_full
+        if rem > MIN_SUBSTEP:
+            factor *= amplification(c * rem)
+        assert 0.0 < factor < np.exp(c * horizon) * 1e3
+        assert np.allclose(integrate(m, u0, horizon), factor * u0, rtol=1e-9, atol=0.0)
+
+    def test_strong_graphon_coupling_decays(self):
+        # coefficient 500 on f = 1: rate 1000, where the cap reached 1.6e115
+        g = Grid1D(0.0, 1.0, 64)
+        m = Model("couple", Dictionary((GraphonKernel(1.0, 0.0, 0.0),), coefficients=(500.0,)), g)
+        assert _LawsonRK4(m).dt == pytest.approx(0.35 * 2.785 / 1000.0)
+        u0 = np.cos(np.pi * g.nodes())
+        out = integrate(m, u0, 1.0)
+        assert np.max(np.abs(out - out.mean())) <= 1e-12 * np.max(np.abs(u0))
+
+    def test_too_stiff_reaction_is_refused(self):
+        # c = -1e7 steps at 9.7475e-8, about 1.03e7 substeps per time unit
+        g = Grid1D(0.0, 1.0, 16)
+        m = Model("stiff", Dictionary((MonomialDerivative(1, 0),), coefficients=(-1e7,)), g)
+        with pytest.raises(InvalidInputError, match="would take 10259041 substeps"):
+            integrate(m, np.ones(16), 1.0)
+
+
 class TestIntegrate:
     def test_heat_mode_decay_oracle(self):
         # mode k of the heat equation on [-1,1] decays at exp(-(k pi/2)^2 t)
