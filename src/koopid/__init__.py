@@ -35,7 +35,7 @@ from .koopman import (
     edmd_fit,
     spectrum,
 )
-from .linalg import EigenDecomposition, eig, expm, logm, lstsq_fit, pinv
+from .linalg import EigenDecomposition, eig, expm, logm, pinv
 from .observables import (
     Bump,
     FunctionalSpec,

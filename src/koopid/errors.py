@@ -2,6 +2,7 @@
 every constructor shares: integer and real-number arguments and input
 kinds."""
 
+import math
 from numbers import Integral, Real
 from typing import get_args
 
@@ -29,11 +30,20 @@ def require_int(name: str, value, low: int, high=None) -> None:
         raise InvalidInputError(f"{name} must be {bound}, got {value!r}")
 
 
-def require_real(name: str, value) -> None:
-    """Raise InvalidInputError unless ``value`` is a real number (a Python or
-    numpy int or float, not a ``bool``); the caller checks its range."""
+def require_real(name: str, value) -> float:
+    """``value`` as a Python float, or InvalidInputError unless it is a real
+    number (a Python or numpy int or float, not a ``bool``) that a float
+    holds finitely: no NaN, no infinity and no int beyond the float range.
+    The caller checks its range."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 def require_kind(what: str, value, kinds) -> None:

@@ -38,13 +38,15 @@ class Grid1D:
     num_points: int
 
     def __post_init__(self):
-        require_real("grid endpoint x_min", self.x_min)
-        require_real("grid endpoint x_max", self.x_max)
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise InvalidInputError("grid endpoints must be finite")
-        if self.x_max <= self.x_min:
-            raise InvalidInputError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
+        x_min = require_real("grid endpoint x_min", self.x_min)
+        x_max = require_real("grid endpoint x_max", self.x_max)
+        if x_max <= x_min:
+            raise InvalidInputError(f"x_max ({x_max}) must exceed x_min ({x_min})")
         require_int("num_points", self.num_points, 8)
+        # Python numbers, which a dataset file can hold, in place of numpy scalars
+        object.__setattr__(self, "x_min", x_min)
+        object.__setattr__(self, "x_max", x_max)
+        object.__setattr__(self, "num_points", int(self.num_points))
 
     @property
     def spacing(self) -> float:

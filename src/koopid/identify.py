@@ -31,7 +31,7 @@ from .koopman import KoopmanFit, build_data_matrices, edmd_fit
 from .linalg import logm, matrix_rank
 from .observables import WeightSpec, build_lifting_basis, identity_index
 from .operators import Dictionary
-from .simulate import ICFamily, Model, SnapshotDataset, _pair_datasets
+from .simulate import ICFamily, Model, SnapshotDataset, _check_time, _pair_datasets
 # benchmarks/tracing.py times the simulate layer at this module's name
 from .simulate import generate_pairs  # noqa: F401
 
@@ -148,12 +148,13 @@ def ts_convergence_study(
     """Rerun the lifting identification on freshly generated data for each
     sampling time and compare against the model's true coefficients.
 
-    ``ts_list`` must hold at least three strictly decreasing values; anything
-    else raises InvalidInputError.  The trajectories share one seed and one
+    ``ts_list`` must hold at least three strictly decreasing sampling times,
+    each a finite real number above MIN_SUBSTEP; anything else raises
+    InvalidInputError.  The trajectories share one seed and one
     burn-in, run once; each sampling time's dataset equals ``generate_pairs``
     with the same arguments.
     """
-    ts_list = [float(t) for t in ts_list]
+    ts_list = [_check_time("sampling time", t) for t in ts_list]
     if len(ts_list) < 3:
         raise InvalidInputError(f"need at least 3 sampling times, got {len(ts_list)}")
     if any(b >= a for a, b in zip(ts_list, ts_list[1:])):

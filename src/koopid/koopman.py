@@ -19,9 +19,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, KoopidError, RankDeficiencyWarning
-from .linalg import branch_cut_mask, eig, matrix_rank, pinv
+from .linalg import _check_matrix, branch_cut_mask, eig, matrix_rank, pinv
 from .observables import FunctionalSpec, functional_values
-from .simulate import SnapshotDataset
+from .simulate import SnapshotDataset, _check_time
 
 
 def build_data_matrices(
@@ -77,17 +77,20 @@ class KoopmanFit:
 
 
 def edmd_fit(xi1: np.ndarray, xi2: np.ndarray, t_s: float) -> KoopmanFit:
-    """Fit ``U = pinv(Xi1) @ Xi2`` and report retained rank and residual.
+    """Fit ``U = pinv(Xi1) @ Xi2``, the minimum-norm least-squares solution,
+    and report retained rank and residual.
 
-    Requires at least as many snapshot pairs as basis functionals; a retained
-    rank below the column count raises a RankDeficiencyWarning.
+    ``Xi1`` and ``Xi2`` must be finite 2-D matrices of one shape, and ``t_s``
+    a sampling time by the rule of ``simulate._check_time``; anything else
+    raises InvalidInputError.  Requires at least as many snapshot pairs as
+    basis functionals; a retained rank below the column count raises a
+    RankDeficiencyWarning.
     """
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
+    t_s = _check_time("sampling time", t_s)
+    xi1 = _check_matrix(np.asarray(xi1, dtype=float), "Xi1")
+    xi2 = _check_matrix(np.asarray(xi2, dtype=float), "Xi2")
     if xi1.shape != xi2.shape:
-        raise InvalidInputError(
-            f"data matrices must have equal shapes, got {xi1.shape} and {xi2.shape}"
-        )
+        raise InvalidInputError(f"Xi2 must have the shape of Xi1, {xi1.shape}, got {xi2.shape}")
     m, n = xi1.shape
     if m < n:
         raise InsufficientDataError(f"insufficient data: m < n ({m} < {n})")
@@ -105,7 +108,7 @@ def edmd_fit(xi1: np.ndarray, xi2: np.ndarray, t_s: float) -> KoopmanFit:
         xi1=xi1,
         xi2=xi2,
         U=u_mat,
-        t_s=float(t_s),
+        t_s=t_s,
         rank_used=rank,
         residual=residual,
     )

@@ -1,13 +1,13 @@
-"""Dense linear-algebra kernels: pseudoinverse, least squares, eigendecomposition,
-matrix exponential and principal matrix logarithm.
+"""Dense linear-algebra kernels: pseudoinverse, numerical rank,
+eigendecomposition, matrix exponential and principal matrix logarithm.
 
-The pseudoinverse, least-squares solve, eigendecomposition and matrix
-exponential delegate to LAPACK-backed numpy/scipy routines behind the
-package's error contracts.  The principal logarithm is computed by
-eigendecomposition, ``V log(diag(w)) V^{-1}``, which is adequate for the
-near-identity matrices produced by short-sampling-time fits; an
-ill-conditioned eigenvector matrix triggers a warning rather than a failure,
-and the logarithm then falls back to ``scipy.linalg.logm``.
+The pseudoinverse, rank, eigendecomposition and matrix exponential delegate
+to LAPACK-backed numpy/scipy routines behind the package's error contracts.
+The principal logarithm is computed by eigendecomposition,
+``V log(diag(w)) V^{-1}``, which is adequate for the near-identity matrices
+produced by short-sampling-time fits; an ill-conditioned eigenvector matrix
+triggers a warning rather than a failure, and the logarithm then falls back
+to ``scipy.linalg.logm``.
 
 Only :func:`expm` and that fallback need scipy.  They import ``scipy.linalg``
 when called, so importing this module loads no scipy module.
@@ -70,23 +70,6 @@ def matrix_rank(a: np.ndarray) -> int:
     keeps, those above ``_rcond(a) * sigma_max`` (numpy's default
     tolerance)."""
     return int(np.linalg.matrix_rank(_check_matrix(a)))
-
-
-def lstsq_fit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution ``B`` of ``x1 @ B ~ x2``, one
-    column per column of ``x2``.
-
-    Computed as ``pinv(x1) @ x2``, so singular values at or below the cutoff
-    that :func:`pinv` and :func:`matrix_rank` share are dropped; with full
-    column rank this coincides with the normal-equations solution.
-    """
-    x1 = _check_matrix(x1, "x1")
-    x2 = _check_matrix(x2, "x2")
-    if x1.shape[0] != x2.shape[0]:
-        raise InvalidInputError(
-            f"row-count mismatch: x1 has {x1.shape[0]} rows, x2 has {x2.shape[0]}"
-        )
-    return pinv(x1) @ x2
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ class Bump:
     recentered: bool = False
 
     def __post_init__(self):
-        require_real("bump radius L", self.L)
-        if not (np.isfinite(self.L) and self.L > 0):
+        object.__setattr__(self, "L", require_real("bump radius L", self.L))
+        if not self.L > 0:
             raise InvalidInputError(f"bump radius L must be positive, got {self.L}")
 
 
@@ -78,10 +78,8 @@ class InnerProductPower:
     outer_power: int = 1
 
     def __post_init__(self):
-        require_real("cosine coefficient a", self.a)
-        require_real("cosine coefficient b", self.b)
-        if not all(np.isfinite([self.a, self.b])):
-            raise InvalidInputError("cosine coefficients a and b must be finite")
+        object.__setattr__(self, "a", require_real("cosine coefficient a", self.a))
+        object.__setattr__(self, "b", require_real("cosine coefficient b", self.b))
         require_int("state_power", self.state_power, 1, MAX_POWER)
         require_int("outer_power", self.outer_power, 1, MAX_POWER)
 
@@ -94,7 +92,7 @@ class PointEvaluation:
     x_j: float
 
     def __post_init__(self):
-        require_real("evaluation point x_j", self.x_j)
+        object.__setattr__(self, "x_j", require_real("evaluation point x_j", self.x_j))
 
 
 @dataclass(frozen=True)

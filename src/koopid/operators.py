@@ -81,9 +81,8 @@ class GraphonKernel:
 
     def __post_init__(self):
         for name in ("c0", "cx", "cy"):
-            require_real(f"kernel coefficient {name}", getattr(self, name))
-        if not all(np.isfinite([self.c0, self.cx, self.cy])):
-            raise InvalidInputError("kernel coefficients must be finite")
+            value = require_real(f"kernel coefficient {name}", getattr(self, name))
+            object.__setattr__(self, name, value)
 
 
 TermSpec = Union[MonomialDerivative, GraphonKernel]
@@ -122,16 +121,9 @@ class Dictionary:
                 coeffs = tuple(self.coefficients)
             except TypeError:
                 raise InvalidInputError("coefficients must be a sequence of numbers") from None
-            for i, c in enumerate(coeffs):
-                require_real(f"coefficient {i}", c)
-            try:
-                coeffs = tuple(float(c) for c in coeffs)
-            except OverflowError:
-                raise InvalidInputError("coefficients must be finite") from None
+            coeffs = tuple(require_real(f"coefficient {i}", c) for i, c in enumerate(coeffs))
             if len(coeffs) != len(terms):
                 raise InvalidInputError(f"{len(coeffs)} coefficients for {len(terms)} terms")
-            if not all(np.isfinite(coeffs)):
-                raise InvalidInputError("coefficients must be finite")
             object.__setattr__(self, "coefficients", coeffs)
 
     def __len__(self) -> int:

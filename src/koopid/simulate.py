@@ -154,7 +154,7 @@ class SnapshotDataset:
     provenance: Optional[dict] = field(default=None)
 
     def __post_init__(self):
-        _check_time("sampling time", self.sampling_time)
+        object.__setattr__(self, "sampling_time", _check_time("sampling time", self.sampling_time))
         u = grid_values(self.grid, self.u, self.dirichlet, (2,))
         u_next = grid_values(self.grid, self.u_next, self.dirichlet, (2,))
         if u.shape != u_next.shape:
@@ -184,12 +184,14 @@ MAX_REFINE = 10
 MAX_SUBSTEPS = 10**6
 
 
-def _check_time(name: str, value: float) -> None:
-    """Refuse a time to integrate over that is not finite or is at or below
-    MIN_SUBSTEP, and so would take no step, with InvalidInputError."""
-    require_real(name, value)
-    if not MIN_SUBSTEP < value < np.inf:
+def _check_time(name: str, value: float) -> float:
+    """``value`` as a Python float, or InvalidInputError for a time to
+    integrate over that is not a finite real number (``require_real``) or is
+    at or below MIN_SUBSTEP, and so would take no step."""
+    value = require_real(name, value)
+    if not value > MIN_SUBSTEP:
         raise InvalidInputError(f"{name} must be finite and above {MIN_SUBSTEP:g}, got {value}")
+    return value
 
 
 def _term_bounds(dictionary: Dictionary, h: float) -> list:
@@ -463,7 +465,7 @@ def integrate(model: Model, values, horizon: float) -> np.ndarray:
     forward by ``horizon``; the result has the shape of ``values``.  A
     horizon that is not finite or is at or below MIN_SUBSTEP, or that needs
     more than MAX_SUBSTEPS substeps, raises InvalidInputError."""
-    _check_time("horizon", horizon)
+    horizon = _check_time("horizon", horizon)
     v = grid_values(model.grid, values, False, (1, 2))
     stepper = _LawsonRK4(model)
     stepper.check_substeps(horizon)
@@ -515,10 +517,9 @@ def _pair_datasets(
     require_int("num_trajectories", num_trajectories, 1)
     require_int("total_pairs", total_pairs, 1)
     require_int("seed", seed, 0)
-    for t_s in ts_list:
-        _check_time("sampling time", t_s)
+    ts_list = [_check_time("sampling time", t_s) for t_s in ts_list]
     if burn_in != 0:
-        _check_time("burn-in (0 for none)", burn_in)
+        burn_in = _check_time("burn-in (0 for none)", burn_in)
 
     base, rem = divmod(total_pairs, num_trajectories)
     quotas = [base + (1 if i < rem else 0) for i in range(num_trajectories)]
@@ -561,7 +562,7 @@ def _pair_datasets(
             "burn_in": float(burn_in),
         }
         yield SnapshotDataset(
-            model.grid, float(t_s),
+            model.grid, t_s,
             snapshots[pair_seg, pair_traj], snapshots[pair_seg + 1, pair_traj],
             dirichlet=model.dirichlet, provenance=provenance,
         )

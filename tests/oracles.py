@@ -1,0 +1,32 @@
+"""Exact solutions that the tests hold the simulator against."""
+
+import numpy as np
+
+
+def burgers_cole_hopf(u0, x, t, modes=64, fine=8193):
+    """Viscous Burgers ``u_t = -u u_x + u_xx`` on [-1, 1] with ``u(+-1) = 0``,
+    at time ``t`` and points ``x``, from the start ``u0`` (a callable of the
+    points, which may return a batch of rows).
+
+    Cole-Hopf: ``phi = exp(-1/2 int_{-1}^x u)`` solves the heat equation with
+    Neumann ends, so ``phi(x, t) = sum_k a_k cos(k pi (x + 1) / 2)
+    exp(-(k pi / 2)^2 t)`` and ``u = -2 phi_x / phi`` (Hopf, CPAM 3, 1950;
+    Cole, Q. Appl. Math. 9, 1951).  The integral and the ``a_k`` are
+    trapezoid sums on ``fine`` points; the ``a_k`` integrands have zero slope
+    at both ends, so the sums converge fast.  At t >= 0.2 the first 64 modes
+    agree with 128 modes on 32769 points to 7e-9.
+    """
+    s = np.linspace(-1.0, 1.0, fine)
+    h = s[1] - s[0]
+    v = u0(s)
+    primitive = np.concatenate(
+        (np.zeros(v.shape[:-1] + (1,)), np.cumsum(0.5 * h * (v[..., 1:] + v[..., :-1]), axis=-1)),
+        axis=-1)
+    q = np.full(fine, h)
+    q[0] = q[-1] = 0.5 * h
+    wave = np.arange(modes) * np.pi / 2.0
+    a = np.exp(-0.5 * primitive) @ (q[:, None] * np.cos(wave * (s[:, None] + 1.0)))
+    a[..., 0] *= 0.5  # the constant mode has norm 2, the cosines norm 1
+    a *= np.exp(-wave**2 * t)
+    phase = wave * (np.asarray(x)[:, None] + 1.0)
+    return 2.0 * ((a * wave) @ np.sin(phase).T) / (a @ np.cos(phase).T)

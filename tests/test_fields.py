@@ -26,8 +26,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("x_min, x_max", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
     def test_non_finite_endpoints(self, x_min, x_max):
-        with pytest.raises(InvalidInputError, match="^grid endpoints must be finite$"):
+        name, bad = ("x_max", x_max) if np.isfinite(x_min) else ("x_min", x_min)
+        with pytest.raises(InvalidInputError) as exc:
             Grid1D(x_min, x_max, 16)
+        assert str(exc.value) == f"grid endpoint {name} must be finite, got {bad!r}"
 
 
 class TestQuadrature:

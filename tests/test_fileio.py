@@ -74,6 +74,23 @@ class TestDatasetRoundTrip:
         assert back.provenance["burn_in"] == 0.0
         assert back.dirichlet is True
 
+    @pytest.mark.parametrize("grid, t_s", [
+        (koopid.Grid1D(0.0, 1.0, np.int64(8)), 0.5),
+        (koopid.Grid1D(np.float32(0), 1.0, 8), 0.5),
+        (koopid.Grid1D(0, 1, 8), np.float32(0.5)),
+        (koopid.Grid1D(0.0, 1.0, 8), 1),
+    ], ids=["int64-nodes", "float32-endpoint", "float32-sampling-time", "int-sampling-time"])
+    def test_numpy_and_int_scalars_round_trip(self, tmp_path, grid, t_s):
+        # the constructors keep Python numbers, which the JSON writer takes,
+        # and an int reads back as the float it was written as
+        u = np.random.default_rng(1).standard_normal((2, 8))
+        ds = koopid.SnapshotDataset(grid, t_s, u, -u)
+        p = tmp_path / "d.json"
+        fileio.write_dataset(str(p), ds)
+        back = fileio.read_dataset(str(p))
+        assert back.grid == ds.grid and back.sampling_time == ds.sampling_time == float(t_s)
+        assert fileio.dataset_to_json(back) == fileio.dataset_to_json(ds)
+
     def test_deterministic_serialization(self, tmp_path):
         _, ds = small_dataset()
         assert fileio.dataset_to_json(ds) == fileio.dataset_to_json(ds)

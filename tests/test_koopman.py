@@ -104,6 +104,47 @@ class TestEdmdFit:
         assert fit.residual <= 1e-12
         assert fit.rank_used == 2
 
+    def test_exact_recovery_of_a_general_matrix(self):
+        # consistent overdetermined system: recovers the generating matrix
+        rng = np.random.default_rng(3)
+        x1 = rng.standard_normal((20, 4))
+        u_true = rng.standard_normal((4, 4))
+        assert np.allclose(edmd_fit(x1, x1 @ u_true, 0.1).U, u_true, atol=1e-10)
+
+    def test_minimum_norm_solution(self):
+        # underdetermined in rank: the solution must be the minimum-norm one
+        x1 = np.array([[1.0, 0.0], [1.0, 0.0]])  # rank 1
+        x2 = np.array([[2.0, 0.0], [2.0, 0.0]])
+        with pytest.warns(RankDeficiencyWarning):
+            u = edmd_fit(x1, x2, 0.1).U
+        assert np.allclose(x1 @ u, x2, atol=1e-12)
+        assert np.allclose(u[1], 0.0, atol=1e-12)  # no component in the null direction
+
+    @pytest.mark.parametrize("xi1, xi2, message", [
+        (np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]]), "Xi2 contains non-finite entries"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2), "Xi1 contains non-finite entries"),
+        (np.ones((3, 2)), np.ones((2, 2)), r"Xi2 must have the shape of Xi1, \(3, 2\), got \(2, 2\)"),
+        (np.ones(3), np.ones(3),
+         r"Xi1 must be 2-D with at least one row and column, got shape \(3,\)"),
+    ], ids=["nan-xi2", "inf-xi1", "shape", "1-D"])
+    def test_names_the_bad_matrix(self, xi1, xi2, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            edmd_fit(xi1, xi2, 0.1)
+
+    @pytest.mark.parametrize("t_s, message", [
+        (0.0, "sampling time must be finite and above 1e-15, got 0.0"),
+        (-1.0, "sampling time must be finite and above 1e-15, got -1.0"),
+        (np.nan, "sampling time must be finite, got nan"),
+        ("0.2", "sampling time must be a real number, got '0.2'"),
+        (True, "sampling time must be a real number, got True"),
+    ], ids=["zero", "negative", "nan", "text", "bool"])
+    def test_refuses_a_bad_sampling_time(self, t_s, message):
+        # the spectrum and the generator estimate both divide by t_s
+        x1 = np.random.default_rng(1).standard_normal((6, 2))
+        with pytest.raises(InvalidInputError) as exc:
+            edmd_fit(x1, x1, t_s)
+        assert str(exc.value) == message
+
 
 class TestSpectrum:
     def test_heat_equation_eigenvalues(self):

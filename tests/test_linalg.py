@@ -1,5 +1,6 @@
 """Dense linear-algebra kernel: pseudoinverse, eigendecomposition, matrix
-exponential / logarithm."""
+exponential / logarithm.  The least-squares fit built on the pseudoinverse is
+tested on ``edmd_fit`` in test_koopman.py."""
 
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopid import BranchCutError, eig, expm, logm, lstsq_fit, pinv
+from koopid import BranchCutError, eig, expm, logm, pinv
 from koopid.errors import IllConditionedWarning, InvalidInputError
 from koopid.linalg import CONDITION_WARN_THRESHOLD, matrix_rank
 
@@ -65,24 +66,6 @@ class TestPinv:
         assert np.allclose(pinv(q), q.T, atol=1e-12)
 
 
-class TestLstsq:
-    def test_exact_recovery(self):
-        # consistent overdetermined system: recovers the generating matrix
-        rng = np.random.default_rng(3)
-        x1 = rng.standard_normal((20, 4))
-        u_true = rng.standard_normal((4, 4))
-        u_fit = lstsq_fit(x1, x1 @ u_true)
-        assert np.allclose(u_fit, u_true, atol=1e-10)
-
-    def test_minimum_norm_solution(self):
-        # underdetermined in rank: solution must be the minimum-norm one
-        x1 = np.array([[1.0, 0.0], [1.0, 0.0]])  # rank 1
-        x2 = np.array([[2.0, 0.0], [2.0, 0.0]])
-        u = lstsq_fit(x1, x2)
-        assert np.allclose(x1 @ u, x2, atol=1e-12)
-        assert np.allclose(u[1], 0.0, atol=1e-12)  # no component in the null direction
-
-
 class TestEig:
     @given(seed=st.integers(0, 50), n=st.integers(2, 8))
     @settings(max_examples=30, deadline=None)
@@ -134,13 +117,6 @@ class TestInputChecks:
     def test_non_square(self, kernel):
         with pytest.raises(InvalidInputError, match=r"^matrix must be square, got shape \(2, 3\)$"):
             kernel(np.ones((2, 3)))
-
-    def test_lstsq_names_its_operand(self):
-        with pytest.raises(InvalidInputError, match=r"^x2 contains non-finite entries$"):
-            lstsq_fit(np.eye(2), np.full((2, 1), np.nan))
-        with pytest.raises(InvalidInputError, match=(
-                r"^row-count mismatch: x1 has 3 rows, x2 has 2$")):
-            lstsq_fit(np.ones((3, 2)), np.ones((2, 2)))
 
     def test_complex_logm_input(self):
         with pytest.raises(InvalidInputError, match="^logm expects a real matrix$"):

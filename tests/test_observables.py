@@ -84,8 +84,10 @@ class TestInnerProductPower:
     @pytest.mark.parametrize("a, b", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 0.0)],
                              ids=["inf-a", "inf-b", "nan-a"])
     def test_coefficients_must_be_finite(self, a, b):
-        with pytest.raises(InvalidInputError, match="^cosine coefficients a and b must be finite$"):
+        name, bad = ("b", b) if np.isfinite(a) else ("a", a)
+        with pytest.raises(InvalidInputError) as exc:
             InnerProductPower(a, b)
+        assert str(exc.value) == f"cosine coefficient {name} must be finite, got {bad!r}"
 
 
 class TestPointEvaluation:

@@ -52,9 +52,9 @@ class TestDictionaryValidation:
         ((None,), "coefficient 0 must be a real number, got None"),
         (("1.5",), "coefficient 0 must be a real number, got '1.5'"),
         ((True,), "coefficient 0 must be a real number, got True"),
-        ((np.nan,), "coefficients must be finite"),
-        ((-np.inf,), "coefficients must be finite"),
-        ((10**400,), "coefficients must be finite"),
+        ((np.nan,), "coefficient 0 must be finite, got nan"),
+        ((-np.inf,), "coefficient 0 must be finite, got -inf"),
+        ((10**400,), f"coefficient 0 must be finite, got {10**400}"),
         (2.0, "coefficients must be a sequence of numbers"),
     ], ids=["text", "none", "numeric-text", "bool", "nan", "inf", "huge-int", "scalar"])
     def test_coefficients_must_be_finite_numbers(self, coefficients, message):

@@ -36,6 +36,7 @@ from koopid.simulate import (
     sample_initial_condition,
 )
 from helpers import heat_model, sine_mode
+from oracles import burgers_cole_hopf
 
 
 def split(model):
@@ -477,6 +478,24 @@ class TestIntegrate:
         assert steps == [2.0 * koopid.burgers_model(n).grid.spacing for n in (256, 511)]
         assert time_error <= 0.1 * space_error
 
+    def test_burgers_matches_cole_hopf_at_second_order(self):
+        # the seed-1 default starts against the exact solution at t = 0.2 and
+        # 1.0, each trajectory relative to its own largest value.  Measured:
+        # 3.0e-4 on 128 nodes and 7.4e-5 on 256, a ratio of 4.03, the
+        # centred stencils' h^2; the bounds allow twice the errors
+        a, b = np.random.default_rng(1).random((EXPERIMENT_DEFAULTS["burgers"][1], 2)).T
+        start = lambda s: (s**2 - 1.0) * np.cos(np.pi * (a[:, None] * s + b[:, None]))
+        errors = {}
+        for n in (128, 256):
+            x = koopid.burgers_model(n).grid.nodes()
+            exact = [burgers_cole_hopf(start, x, t) for t in (0.2, 1.0)]
+            errors[n] = [np.max(np.max(np.abs(integrate(koopid.burgers_model(n), start(x), t) - u),
+                                       axis=1) / np.max(np.abs(u), axis=1))
+                         for t, u in zip((0.2, 1.0), exact)]
+        assert max(errors[128]) <= 6.0e-4 and max(errors[256]) <= 1.5e-4
+        for coarse, fine in zip(errors[128], errors[256]):
+            assert 3.6 <= coarse / fine <= 4.4
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan, 1e-16])
     def test_rejects_nonpositive_or_non_finite_horizon(self, horizon):
         m = koopid.graphon_model(16)
@@ -678,10 +697,18 @@ def test_integer_fields_refuse_bool(field):
         build(True)
 
 
+def _sweep(ts_list):
+    graphon = koopid.graphon_model(16)
+    return koopid.ts_convergence_study(
+        graphon, Dictionary(graphon.dictionary.terms), PowerLaw(2), ts_list,
+        ICFamily.GRAPHON, 5, 10, 1)
+
+
 # each real-number field of the library API and the name that its message gives
 FLOAT_FIELDS = {
     "kernel-c0": (lambda v: GraphonKernel(v, 0.0, 0.0), "kernel coefficient c0"),
     "kernel-cy": (lambda v: GraphonKernel(0.0, 0.0, v), "kernel coefficient cy"),
+    "coefficient": (lambda v: Dictionary((MonomialDerivative(1, 0),), (v,)), "coefficient 0"),
     "bump-radius": (Bump, "bump radius L"),
     "cosine-a": (lambda v: InnerProductPower(v, 0.5), "cosine coefficient a"),
     "cosine-b": (lambda v: InnerProductPower(0.5, v), "cosine coefficient b"),
@@ -690,6 +717,11 @@ FLOAT_FIELDS = {
     "grid-x-max": (lambda v: Grid1D(0.0, v, 16), "grid endpoint x_max"),
     "sampling-time": (lambda v: SnapshotDataset(Grid1D(0.0, 1.0, 16), v, np.zeros((1, 16)),
                                                 np.zeros((1, 16))), "sampling time"),
+    "fit-sampling-time": (lambda v: koopid.edmd_fit(np.eye(3), np.eye(3), v), "sampling time"),
+    "horizon": (lambda v: integrate(koopid.graphon_model(16), np.zeros(16), v), "horizon"),
+    "burn-in": (lambda v: generate_pairs(koopid.graphon_model(16), ICFamily.GRAPHON, 1, 2, 0.5,
+                                         seed=1, burn_in=v), "burn-in (0 for none)"),
+    "sweep-sampling-time": (lambda v: _sweep([v, 0.25, 0.125]), "sampling time"),
 }
 
 
@@ -701,6 +733,16 @@ def test_float_fields_refuse_non_numbers(field):
         with pytest.raises(InvalidInputError) as exc:
             build(value)
         assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("field", list(FLOAT_FIELDS))
+def test_float_fields_refuse_non_finite_values(field):
+    # 10**400 is an int that no float holds
+    build, name = FLOAT_FIELDS[field]
+    for value in (10**400, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError) as exc:
+            build(value)
+        assert str(exc.value) == f"{name} must be finite, got {value!r}"
 
 
 @pytest.mark.parametrize("build, message", [
