@@ -1,10 +1,12 @@
 """Exception and warning types shared across the package, and the checks
-every constructor shares: integer and real-number arguments and input
-kinds."""
+every constructor shares: integer, real-number and flag arguments and input
+kinds.  The file readers leave every number and flag to these rules."""
 
 import math
 from numbers import Integral, Real
 from typing import get_args
+
+import numpy as np
 
 
 class KoopidError(Exception):
@@ -18,16 +20,17 @@ class InvalidInputError(KoopidError):
     did not converge on it."""
 
 
-def require_int(name: str, value, low: int, high=None) -> None:
-    """Raise InvalidInputError unless ``value`` is an integer in ``low..high``
-    (no upper bound when ``high`` is None).  A ``bool`` is not an integer
-    here, as a JSON boolean is not one in an input file."""
+def require_int(name: str, value, low: int, high=None) -> int:
+    """``value`` as a Python int, or InvalidInputError unless it is an integer
+    in ``low..high`` (no upper bound when ``high`` is None).  A ``bool`` is
+    not an integer here, as a JSON boolean is not one in an input file."""
     if isinstance(value, bool) or not (
         isinstance(value, Integral) and low <= value and (high is None or value <= high)
     ):
         bound = (f"in {low}..{high}" if high is not None
                  else "a non-negative integer" if low == 0 else f"an integer >= {low}")
         raise InvalidInputError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def require_real(name: str, value) -> float:
@@ -44,6 +47,14 @@ def require_real(name: str, value) -> float:
     if not math.isfinite(x):
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
     return x
+
+
+def require_bool(name: str, value) -> bool:
+    """``value`` as a Python bool, or InvalidInputError unless it is a Python
+    or numpy ``bool``: no number, string or ``None`` stands for a flag."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{name} must be a boolean, got {value!r}")
+    return bool(value)
 
 
 def require_kind(what: str, value, kinds) -> None:

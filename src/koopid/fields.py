@@ -42,11 +42,10 @@ class Grid1D:
         x_max = require_real("grid endpoint x_max", self.x_max)
         if x_max <= x_min:
             raise InvalidInputError(f"x_max ({x_max}) must exceed x_min ({x_min})")
-        require_int("num_points", self.num_points, 8)
         # Python numbers, which a dataset file can hold, in place of numpy scalars
         object.__setattr__(self, "x_min", x_min)
         object.__setattr__(self, "x_max", x_max)
-        object.__setattr__(self, "num_points", int(self.num_points))
+        object.__setattr__(self, "num_points", require_int("num_points", self.num_points, 8))
 
     @property
     def spacing(self) -> float:

@@ -18,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_real
 from .fields import Grid1D
 from .identify import ConvergenceReport, IdentificationResult
 from .koopman import SpectrumResult
@@ -59,28 +59,26 @@ def atomic_write_text(path: str, text: str):
             os.unlink(tmp)
 
 
-#: the JSON values each strict conversion of :func:`_get` accepts: a number
-#: is never read from a string, a flag never from a number or a string, and a
-#: JSON boolean is no number (Python's ``bool`` subclasses ``int``)
-_JSON_TYPES = {int: ("integer", (int,)), float: ("number", (int, float)),
-               bool: ("boolean", (bool,)), list: ("list", (list,)),
-               str: ("string", (str,)), dict: ("object", (dict,))}
+#: the JSON name of each type that :func:`_convert` checks.  Numbers and flags
+#: go as read to the constructors, whose rules (``errors.require_int``,
+#: ``require_real`` and ``require_bool``) refuse a wrong one
+_JSON_TYPES = {list: "list", str: "string", dict: "object"}
 
 _REQUIRED = object()
 
 
 def _convert(value, convert, what: str):
-    """``convert(value)``, where ``value`` must be of the JSON type that
-    ``convert`` stands for in ``_JSON_TYPES`` (any value for other callables);
-    anything else raises InvalidInputError naming ``what``."""
-    name, types = _JSON_TYPES.get(convert, (convert.__name__, None))
-    if types is not None and (
-        not isinstance(value, types) or (convert is not bool and isinstance(value, bool))
-    ):
-        raise InvalidInputError(f"{what} must be a JSON {name}, got {reprlib.repr(value)}")
+    """``value`` if it has the JSON type ``convert`` in ``_JSON_TYPES``, else
+    ``convert(value)`` for any other callable; anything else raises
+    InvalidInputError naming ``what``."""
+    name = _JSON_TYPES.get(convert, convert.__name__)
+    if convert in _JSON_TYPES:
+        if not isinstance(value, convert):
+            raise InvalidInputError(f"{what} must be a JSON {name}, got {reprlib.repr(value)}")
+        return value
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         raise InvalidInputError(f"{what} is not a valid {name}: {reprlib.repr(value)}") from None
 
 
@@ -160,12 +158,10 @@ def term_from_record(rec: dict) -> TermSpec:
     if kind == "constant":
         return MonomialDerivative(0, 0)
     if kind == "monomial":
-        return MonomialDerivative(
-            _get(rec, "j", "monomial term", int), _get(rec, "k", "monomial term", int)
-        )
+        return MonomialDerivative(_get(rec, "j", "monomial term"), _get(rec, "k", "monomial term"))
     if kind == "graphon":
         f = _get(rec, "f", "graphon term")
-        return GraphonKernel(*(_get(f, c, "graphon kernel", float) for c in ("c0", "cx", "cy")))
+        return GraphonKernel(*(_get(f, c, "graphon kernel") for c in ("c0", "cx", "cy")))
     raise InvalidInputError(f"unknown term kind: {kind!r}")
 
 
@@ -182,10 +178,10 @@ def weight_from_record(rec: dict) -> WeightSpec:
     ``PowerLaw(0)``."""
     kind = _get(rec, "kind", "weight record")
     if kind == "bump":
-        return Bump(_get(rec, "L", "bump weight", float),
-                    recentered=_get(rec, "recentered", "bump weight", bool, False))
+        return Bump(_get(rec, "L", "bump weight"),
+                    recentered=_get(rec, "recentered", "bump weight", default=False))
     if kind == "power":
-        return PowerLaw(_get(rec, "p", "power weight", int))
+        return PowerLaw(_get(rec, "p", "power weight"))
     if kind == "constant":
         return PowerLaw(0)
     raise InvalidInputError(f"unknown weight kind: {kind!r}")
@@ -210,12 +206,10 @@ def parse_weight_spec(text: str) -> WeightSpec:
 def functional_from_record(rec: dict) -> FunctionalSpec:
     kind = _get(rec, "kind", "functional record")
     if kind == "cosine":
-        return InnerProductPower(
-            _get(rec, "a", "cosine functional", float), _get(rec, "b", "cosine functional", float),
-            _get(rec, "k", "cosine functional", int), _get(rec, "l", "cosine functional", int),
-        )
+        return InnerProductPower(*(_get(rec, key, "cosine functional")
+                                   for key in ("a", "b", "k", "l")))
     if kind == "point":
-        return PointEvaluation(_get(rec, "x", "point functional", float))
+        return PointEvaluation(_get(rec, "x", "point functional"))
     if kind == "lifted":
         return LiftedTerm(
             term_from_record(_get(rec, "term", "lifted functional")),
@@ -245,7 +239,7 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
             "num_points": dataset.grid.num_points,
         },
         "sampling_time": dataset.sampling_time,
-        "dirichlet": bool(dataset.dirichlet),
+        "dirichlet": dataset.dirichlet,
         "provenance": dataset.provenance or {},
     }, allow_nan=False)
     # orjson serializes only C-contiguous arrays; a Fortran-ordered input
@@ -265,20 +259,16 @@ def write_dataset(path: str, dataset: SnapshotDataset):
 def read_dataset(path: str) -> SnapshotDataset:
     doc = _read_json(path, "dataset")
     g = _get(doc, "grid", "dataset")
-    grid = Grid1D(
-        _get(g, "x_min", "dataset grid", float),
-        _get(g, "x_max", "dataset grid", float),
-        _get(g, "num_points", "dataset grid", int),
-    )
+    grid = Grid1D(*(_get(g, key, "dataset grid") for key in ("x_min", "x_max", "num_points")))
     pairs = _get(doc, "pairs", "dataset", list)
     provenance = doc.get("provenance")
     if provenance is not None:  # absent, null and {} all read as no provenance
         provenance = _get(doc, "provenance", "dataset", dict) or None
     return SnapshotDataset(
-        grid, _get(doc, "sampling_time", "dataset", float),
+        grid, _get(doc, "sampling_time", "dataset"),
         [_get(p, "u", "dataset pair") for p in pairs],
         [_get(p, "u_next", "dataset pair") for p in pairs],
-        dirichlet=_get(doc, "dirichlet", "dataset", bool, False),
+        dirichlet=_get(doc, "dirichlet", "dataset", default=False),
         provenance=provenance,
     )
 
@@ -288,15 +278,11 @@ def read_dataset(path: str) -> SnapshotDataset:
 
 def model_from_record(doc: dict, num_points: int | None = None) -> Model:
     g = _get(doc, "grid", "model")
-    x_min = _get(g, "x_min", "model grid", float)
-    x_max = _get(g, "x_max", "model grid", float)
     if num_points is None:
-        num_points = _get(g, "num_points", "model grid", int, DEFAULT_GRID_POINTS)
-    grid = Grid1D(x_min, x_max, num_points)
+        num_points = _get(g, "num_points", "model grid", default=DEFAULT_GRID_POINTS)
+    grid = Grid1D(_get(g, "x_min", "model grid"), _get(g, "x_max", "model grid"), num_points)
     terms = tuple(term_from_record(r) for r in _get(doc, "dictionary", "model", list))
-    coefficients = [_convert(c, float, "model coefficient")
-                    for c in _get(doc, "coefficients", "model", list)]
-    dic = Dictionary(terms, coefficients)
+    dic = Dictionary(terms, _get(doc, "coefficients", "model", list))
     boundary = doc.get("boundary", "none")
     if boundary not in ("dirichlet", "none"):
         raise InvalidInputError(f"boundary must be 'dirichlet' or 'none', got {boundary!r}")
@@ -327,7 +313,7 @@ def read_truth(path: str, num_terms: int) -> np.ndarray:
         raise InvalidInputError(
             f"truth must be a list of {num_terms} numbers, one per dictionary term"
         )
-    return np.array([_convert(c, float, "truth coefficient") for c in doc])
+    return np.array([require_real(f"truth coefficient {i}", c) for i, c in enumerate(doc)])
 
 
 # ---------------------------------------------------------------------------

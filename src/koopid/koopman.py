@@ -87,8 +87,8 @@ def edmd_fit(xi1: np.ndarray, xi2: np.ndarray, t_s: float) -> KoopmanFit:
     RankDeficiencyWarning.
     """
     t_s = _check_time("sampling time", t_s)
-    xi1 = _check_matrix(np.asarray(xi1, dtype=float), "Xi1")
-    xi2 = _check_matrix(np.asarray(xi2, dtype=float), "Xi2")
+    xi1 = _check_matrix(xi1, "Xi1", float)
+    xi2 = _check_matrix(xi2, "Xi2", float)
     if xi1.shape != xi2.shape:
         raise InvalidInputError(f"Xi2 must have the shape of Xi1, {xi1.shape}, got {xi2.shape}")
     m, n = xi1.shape

@@ -29,8 +29,14 @@ CONDITION_WARN_THRESHOLD = 1e8
 BRANCH_CUT_TOL = 1e-12
 
 
-def _check_matrix(a, name="matrix"):
+def _check_matrix(a, name="matrix", dtype=None):
+    """``a`` as an array (of ``dtype`` when given), or InvalidInputError naming
+    ``name`` unless it is a finite 2-D matrix of numbers, with at least one row
+    and column.  A ``bool`` entry is no number here, as in ``require_real``."""
     a = np.asarray(a)
+    if a.dtype.kind not in "iufc":
+        raise InvalidInputError(f"{name} must hold numbers, got dtype {a.dtype}")
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInputError(
             f"{name} must be 2-D with at least one row and column, got shape {a.shape}"

@@ -21,7 +21,8 @@ from typing import List, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, require_int, require_kind, require_real
+from .errors import (InvalidInputError, PreconditionError, require_bool, require_int,
+                     require_kind, require_real)
 from .fields import Grid1D, trapezoid_weights
 from .operators import IDENTITY_TERM, MAX_POWER, Dictionary, TermSpec, _int_power, term_values
 
@@ -31,7 +32,8 @@ class Bump:
     """Compact bump ``w(x) = exp(-1/(1-(x/L)^2))`` for ``|x| < L``, else 0.
 
     With ``recentered=True`` the argument is ``2x/L - 1``, giving a symmetric
-    bump on ``[0, L]`` instead of the literal half-bump.
+    bump on ``[0, L]`` instead of the literal half-bump; ``recentered`` must
+    be a bool.
     """
 
     L: float
@@ -39,6 +41,7 @@ class Bump:
 
     def __post_init__(self):
         object.__setattr__(self, "L", require_real("bump radius L", self.L))
+        object.__setattr__(self, "recentered", require_bool("recentered", self.recentered))
         if not self.L > 0:
             raise InvalidInputError(f"bump radius L must be positive, got {self.L}")
 
@@ -50,7 +53,7 @@ class PowerLaw:
     p: int
 
     def __post_init__(self):
-        require_int("power-law exponent", self.p, 0)
+        object.__setattr__(self, "p", require_int("power-law exponent", self.p, 0))
 
 
 WeightSpec = Union[Bump, PowerLaw]
@@ -80,8 +83,8 @@ class InnerProductPower:
     def __post_init__(self):
         object.__setattr__(self, "a", require_real("cosine coefficient a", self.a))
         object.__setattr__(self, "b", require_real("cosine coefficient b", self.b))
-        require_int("state_power", self.state_power, 1, MAX_POWER)
-        require_int("outer_power", self.outer_power, 1, MAX_POWER)
+        for name in ("state_power", "outer_power"):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), 1, MAX_POWER))
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ def build_burgers_basis(seed: int) -> List[FunctionalSpec]:
         a, b = rng.random(2)
         for k in (1, 2, 3):
             for l in (1, 2, 3):
-                specs.append(InnerProductPower(a=float(a), b=float(b), state_power=k, outer_power=l))
+                specs.append(InnerProductPower(a, b, state_power=k, outer_power=l))
     return specs
 
 

@@ -66,8 +66,8 @@ class MonomialDerivative:
     k: int
 
     def __post_init__(self):
-        require_int("monomial power j", self.j, 0, MAX_POWER)
-        require_int("derivative order k", self.k, 0, 3)
+        object.__setattr__(self, "j", require_int("monomial power j", self.j, 0, MAX_POWER))
+        object.__setattr__(self, "k", require_int("derivative order k", self.k, 0, 3))
 
 
 @dataclass(frozen=True)

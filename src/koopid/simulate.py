@@ -80,7 +80,8 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidInputError, PreconditionError, require_int, require_real
+from .errors import (BlowUpError, InvalidInputError, PreconditionError, require_bool,
+                     require_int, require_real)
 from .fields import Grid1D, grid_values, stencil_operator
 from .operators import Dictionary, GraphonKernel, MonomialDerivative, RhsPlan, rhs_values
 from .linalg import expm
@@ -104,7 +105,7 @@ SINE_FLOOR = 1e-20
 
 @dataclass(frozen=True)
 class Model:
-    """Dictionary-defined dynamics on a grid."""
+    """Dictionary-defined dynamics on a grid; ``dirichlet`` must be a bool."""
 
     name: str
     dictionary: Dictionary
@@ -112,6 +113,7 @@ class Model:
     dirichlet: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "dirichlet", require_bool("dirichlet", self.dirichlet))
         if self.dictionary.coefficients is None:
             raise InvalidInputError("a model dictionary must carry coefficients")
 
@@ -142,8 +144,8 @@ class SnapshotDataset:
     Row k of ``u_next`` is row k of ``u`` advanced by the sampling time, which
     must be finite and above ``MIN_SUBSTEP``.  Both arrays are copied and must
     have the same shape, at least one row, a last axis of the grid's N nodes
-    and finite values, zero at both boundaries when ``dirichlet`` is set;
-    anything else raises InvalidInputError.
+    and finite values, zero at both boundaries when the bool ``dirichlet`` is
+    set; anything else raises InvalidInputError.
     """
 
     grid: Grid1D
@@ -155,6 +157,7 @@ class SnapshotDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "sampling_time", _check_time("sampling time", self.sampling_time))
+        object.__setattr__(self, "dirichlet", require_bool("dirichlet", self.dirichlet))
         u = grid_values(self.grid, self.u, self.dirichlet, (2,))
         u_next = grid_values(self.grid, self.u_next, self.dirichlet, (2,))
         if u.shape != u_next.shape:
@@ -514,10 +517,12 @@ def _pair_datasets(
     The initial conditions and the burn-in are computed once and shared, so
     each dataset is bit-identical to a separate ``generate_pairs`` call.
     """
-    require_int("num_trajectories", num_trajectories, 1)
-    require_int("total_pairs", total_pairs, 1)
-    require_int("seed", seed, 0)
+    num_trajectories = require_int("num_trajectories", num_trajectories, 1)
+    total_pairs = require_int("total_pairs", total_pairs, 1)
+    seed = require_int("seed", seed, 0)
     ts_list = [_check_time("sampling time", t_s) for t_s in ts_list]
+    # False == 0 would skip the time rule: refuse it as every real field does
+    burn_in = require_real("burn-in (0 for none)", burn_in)
     if burn_in != 0:
         burn_in = _check_time("burn-in (0 for none)", burn_in)
 
@@ -556,10 +561,10 @@ def _pair_datasets(
         provenance = {
             "model": model.name,
             "family": family.value,
-            "seed": int(seed),
-            "trajectories": int(num_trajectories),
-            "pairs": int(total_pairs),
-            "burn_in": float(burn_in),
+            "seed": seed,
+            "trajectories": num_trajectories,
+            "pairs": total_pairs,
+            "burn_in": burn_in,
         }
         yield SnapshotDataset(
             model.grid, t_s,

@@ -17,16 +17,43 @@ def burgers_cole_hopf(u0, x, t, modes=64, fine=8193):
     agree with 128 modes on 32769 points to 7e-9.
     """
     s = np.linspace(-1.0, 1.0, fine)
-    h = s[1] - s[0]
-    v = u0(s)
-    primitive = np.concatenate(
-        (np.zeros(v.shape[:-1] + (1,)), np.cumsum(0.5 * h * (v[..., 1:] + v[..., :-1]), axis=-1)),
-        axis=-1)
-    q = np.full(fine, h)
-    q[0] = q[-1] = 0.5 * h
     wave = np.arange(modes) * np.pi / 2.0
-    a = np.exp(-0.5 * primitive) @ (q[:, None] * np.cos(wave * (s[:, None] + 1.0)))
+    a = _phi(u0(s), s) @ (_trapezoid(s)[:, None] * np.cos(wave * (s[:, None] + 1.0)))
     a[..., 0] *= 0.5  # the constant mode has norm 2, the cosines norm 1
     a *= np.exp(-wave**2 * t)
     phase = wave * (np.asarray(x)[:, None] + 1.0)
     return 2.0 * ((a * wave) @ np.sin(phase).T) / (a @ np.cos(phase).T)
+
+
+def burgers_eigenfunctional(u, x, k):
+    """The Koopman eigenfunctional ``psi_k(u) = int phi cos(k pi (x + 1) / 2)
+    dx / int phi dx`` of the viscous Burgers flow of :func:`burgers_cole_hopf`,
+    with ``phi = exp(-1/2 int_{-1}^x u)``, for each row of ``u`` on the
+    uniform nodes ``x`` of [-1, 1] (trapezoid sums).
+
+    The cosine coefficients of the heat solution ``phi`` decay by
+    ``exp(-(k pi / 2)^2 t)`` and the constant one not at all; their ratio
+    leaves out the arbitrary scale of ``phi``.  So ``psi_k`` has the eigenvalue
+    ``-(k pi / 2)^2``, and a product of them the sum of theirs (Page &
+    Kerswell, Phys. Rev. Fluids 3, 071901, 2018).
+    """
+    phi = _phi(u, x)
+    q = _trapezoid(x)
+    return (phi * np.cos(k * np.pi * (x + 1.0) / 2.0)) @ q / (phi @ q)
+
+
+def _phi(v, x):
+    """``exp(-1/2 int_{-1}^x u)`` on the uniform nodes ``x``, for each row of
+    node values ``v``, by cumulative trapezoid sums."""
+    h = x[1] - x[0]
+    primitive = np.concatenate(
+        (np.zeros(v.shape[:-1] + (1,)), np.cumsum(0.5 * h * (v[..., 1:] + v[..., :-1]), axis=-1)),
+        axis=-1)
+    return np.exp(-0.5 * primitive)
+
+
+def _trapezoid(x):
+    """The trapezoid weights of the uniform nodes ``x``."""
+    q = np.full(len(x), x[1] - x[0])
+    q[0] = q[-1] = 0.5 * q[0]
+    return q

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import copy
+import functools
 import json
 import os
 import pathlib
@@ -341,7 +343,7 @@ class TestSpectrum:
         code = main(["spectrum", "--data", str(graphon_data), "--basis", f"file:{basis_path}",
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_USAGE
-        assert "'recentered' must be a JSON boolean" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: recentered must be a boolean, got 'false'\n"
 
     def test_bad_basis_spec(self, tmp_path, graphon_data):
         code = main(["spectrum", "--data", str(graphon_data), "--basis", "what",
@@ -412,15 +414,15 @@ class TestIdentify:
         assert code == EXIT_USAGE
         assert "'k'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("record", [
-        {"kind": "monomial", "j": 1.5, "k": 0},
-        {"kind": "monomial", "j": True, "k": "2"},
+    @pytest.mark.parametrize("record, value", [
+        ({"kind": "monomial", "j": 1.5, "k": 0}, "1.5"),
+        ({"kind": "monomial", "j": True, "k": "2"}, "True"),
     ], ids=["fractional-j", "bool-j-text-k"])
     def test_term_field_not_a_json_integer_is_usage_error(self, tmp_path, graphon_data, capsys,
-                                                           record):
+                                                           record, value):
         code = self._identify(tmp_path, graphon_data, [record])
         assert code == EXIT_USAGE
-        assert "'j' must be a JSON integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: monomial power j must be in 0..64, got {value}\n"
 
     def test_dataset_flag_holding_text_is_usage_error(self, tmp_path, graphon_data, capsys):
         doc = json.loads(graphon_data.read_text())
@@ -428,7 +430,7 @@ class TestIdentify:
         graphon_data.write_text(json.dumps(doc))
         code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
         assert code == EXIT_USAGE
-        assert "'dirichlet' must be a JSON boolean" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: dirichlet must be a boolean, got 'no'\n"
 
     def test_constant_listed_under_both_spellings_is_usage_error(self, tmp_path, graphon_data,
                                                                  capsys):
@@ -627,6 +629,26 @@ class TestSweep:
         assert not (tmp_path / "x.csv").exists()
 
 
+def reading(kind, path, graphon_data, tmp_path):
+    """A command line whose one input of ``kind`` (dataset, dictionary, truth,
+    basis or model) is the file at ``path``; the others are valid, and the
+    output goes to ``out.csv`` in ``tmp_path``."""
+    good_dict = tmp_path / "dict.json"
+    good_dict.write_text(json.dumps(GRAPHON_DICT))
+    out = str(tmp_path / "out.csv")
+    identify = ["identify", "--data", str(graphon_data), "--dict", str(good_dict),
+                "--weight", "power:2", "--method", "lifting", "--out", out]
+    return {
+        "dataset": identify[:2] + [str(path)] + identify[3:],
+        "dictionary": identify[:4] + [str(path)] + identify[5:],
+        "truth": identify + ["--truth", str(path)],
+        "basis": ["spectrum", "--data", str(graphon_data), "--basis", f"file:{path}",
+                  "--out", out],
+        "model": ["simulate", "--model", f"custom:{path}", "--pairs", "2",
+                  "--trajectories", "1", "--ts", "0.1", "--seed", "1", "--out", out],
+    }[kind]
+
+
 @pytest.mark.parametrize("kind, content", [
     ("dataset", b"{bad"), ("dictionary", b"{bad"), ("truth", b"{bad"), ("basis", b"{bad"),
     ("model", b"{bad"), ("dataset", b'{"grid": \xff}'),
@@ -634,21 +656,7 @@ class TestSweep:
 def test_malformed_json_file_is_named(tmp_path, graphon_data, capsys, kind, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
-    good_dict = tmp_path / "dict.json"
-    good_dict.write_text(json.dumps(GRAPHON_DICT))
-    out = str(tmp_path / "out.csv")
-    identify = ["identify", "--data", str(graphon_data), "--dict", str(good_dict),
-                "--weight", "power:2", "--method", "lifting", "--out", out]
-    argv = {
-        "dataset": identify[:2] + [str(bad)] + identify[3:],
-        "dictionary": identify[:4] + [str(bad)] + identify[5:],
-        "truth": identify + ["--truth", str(bad)],
-        "basis": ["spectrum", "--data", str(graphon_data), "--basis", f"file:{bad}",
-                  "--out", out],
-        "model": ["simulate", "--model", f"custom:{bad}", "--pairs", "2",
-                  "--trajectories", "1", "--ts", "0.1", "--seed", "1", "--out", out],
-    }[kind]
-    assert main(argv) == EXIT_USAGE
+    assert main(reading(kind, bad, graphon_data, tmp_path)) == EXIT_USAGE
     assert f"error: {kind} is not valid JSON: " in capsys.readouterr().err
 
 
@@ -659,20 +667,8 @@ def test_deeply_nested_file_is_usage_error_without_traceback(tmp_path, graphon_d
     # interpreter that a regression kills instead of pytest
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 150_000 + "]" * 150_000)
-    good_dict = tmp_path / "dict.json"
-    good_dict.write_text(json.dumps(GRAPHON_DICT))
     out = str(tmp_path / "out.csv")
-    identify = ["identify", "--data", str(graphon_data), "--dict", str(good_dict),
-                "--weight", "power:2", "--method", "lifting", "--out", out]
-    argv = {
-        "dataset": identify[:2] + [str(deep)] + identify[3:],
-        "dictionary": identify[:4] + [str(deep)] + identify[5:],
-        "truth": identify + ["--truth", str(deep)],
-        "basis": ["spectrum", "--data", str(graphon_data), "--basis", f"file:{deep}",
-                  "--out", out],
-        "model": ["simulate", "--model", f"custom:{deep}", "--pairs", "2",
-                  "--trajectories", "1", "--ts", "0.1", "--seed", "1", "--out", out],
-    }[kind]
+    argv = reading(kind, deep, graphon_data, tmp_path)
     proc = subprocess.run([sys.executable, "-m", "koopid.cli", *argv], cwd=tmp_path,
                           env=fresh_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == EXIT_USAGE, proc.stderr
@@ -680,6 +676,77 @@ def test_deeply_nested_file_is_usage_error_without_traceback(tmp_path, graphon_d
         f"error: {kind} nests lists and objects deeper than {koopid.fileio.MAX_NESTING}\n"
     )
     assert not os.path.exists(out)
+
+
+#: a valid document of each input file kind; "dataset" is the graphon_data file
+VALID_FILES = {
+    "dictionary": [{"kind": "monomial", "j": 1, "k": 0},
+                   {"kind": "graphon", "f": {"c0": 1.0, "cx": 0.0, "cy": 0.0}}],
+    "basis": [
+        {"kind": "lifted", "term": {"kind": "monomial", "j": 1, "k": 0},
+         "weight": {"kind": "bump", "L": 1.0, "recentered": False}},
+        {"kind": "lifted", "term": {"kind": "monomial", "j": 1, "k": 0},
+         "weight": {"kind": "power", "p": 2}},
+        {"kind": "cosine", "a": 1.0, "b": 0.0, "k": 1, "l": 1},
+        {"kind": "point", "x": 0.5},
+    ],
+    "model": {"grid": {"x_min": 0.0, "x_max": 1.0, "num_points": 16},
+              "dictionary": [{"kind": "monomial", "j": 1, "k": 0}], "coefficients": [-1.0]},
+    "truth": [0.0] * len(GRAPHON_DICT),
+}
+
+#: each number and flag field a reader takes: the file kind, the keys that
+#: lead to the field in its VALID_FILES document, and the name that the
+#: constructor's message gives
+READ_FIELDS = {
+    "term-j": ("dictionary", (0, "j"), "monomial power j"),
+    "term-k": ("dictionary", (0, "k"), "derivative order k"),
+    **{f"graphon-{c}": ("dictionary", (1, "f", c), f"kernel coefficient {c}")
+       for c in ("c0", "cx", "cy")},
+    "bump-L": ("basis", (0, "weight", "L"), "bump radius L"),
+    "bump-recentered": ("basis", (0, "weight", "recentered"), "recentered"),
+    "power-p": ("basis", (1, "weight", "p"), "power-law exponent"),
+    "cosine-a": ("basis", (2, "a"), "cosine coefficient a"),
+    "cosine-b": ("basis", (2, "b"), "cosine coefficient b"),
+    "cosine-k": ("basis", (2, "k"), "state_power"),
+    "cosine-l": ("basis", (2, "l"), "outer_power"),
+    "point-x": ("basis", (3, "x"), "evaluation point x_j"),
+    **{f"{kind}-{key}": (kind, ("grid", key), name) for kind in ("dataset", "model")
+       for key, name in (("x_min", "grid endpoint x_min"), ("x_max", "grid endpoint x_max"),
+                         ("num_points", "num_points"))},
+    "dataset-sampling_time": ("dataset", ("sampling_time",), "sampling time"),
+    "dataset-dirichlet": ("dataset", ("dirichlet",), "dirichlet"),
+    "model-coefficient": ("model", ("coefficients", 0), "coefficient 0"),
+    "truth-entry": ("truth", (0,), "truth coefficient 0"),
+}
+
+READERS = {
+    "dataset": koopid.fileio.read_dataset, "dictionary": koopid.fileio.read_dictionary,
+    "basis": koopid.fileio.read_basis, "model": koopid.fileio.read_model,
+    "truth": lambda path: koopid.fileio.read_truth(path, len(GRAPHON_DICT)),
+}
+
+
+@pytest.mark.parametrize("field", list(READ_FIELDS))
+def test_every_number_and_flag_a_reader_takes_is_refused_by_its_rule(tmp_path, graphon_data,
+                                                                      capsys, field):
+    # the readers pass each value as read to the constructor, whose rule
+    # (require_int, require_real, require_bool) refuses it with its message
+    kind, keys, name = READ_FIELDS[field]
+    doc = json.loads(graphon_data.read_text()) if kind == "dataset" else VALID_FILES[kind]
+    flag = name in ("dirichlet", "recentered")
+    for value in ("false", None, [True], 1) if flag else ("2", None, [1], True):
+        bad = copy.deepcopy(doc)
+        parent = functools.reduce(lambda node, key: node[key], keys[:-1], bad)
+        parent[keys[-1]] = value
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(koopid.InvalidInputError) as exc:
+            READERS[kind](str(path))
+        message = str(exc.value)
+        assert message.startswith(f"{name} must be ") and message.endswith(f", got {value!r}")
+        assert main(reading(kind, path, graphon_data, tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -199,6 +199,15 @@ class TestRecordRoundTrips:
         record, expected = spec
         assert fileio.functional_from_record(record) == expected
 
+    def test_dictionary_of_numpy_integers(self, tmp_path):
+        # the terms keep the Python ints that require_int returns, which
+        # json.dumps takes
+        dic = koopid.Dictionary((koopid.MonomialDerivative(np.int64(1), np.int64(0)),
+                                 koopid.MonomialDerivative(np.int64(2), np.int64(1))))
+        path = tmp_path / "dict.json"
+        path.write_text(json.dumps(fileio.dictionary_to_records(dic)))
+        assert fileio.read_dictionary(str(path)) == dic
+
     def test_constant_term_record_reads_as_u_to_the_zero(self):
         term = fileio.term_from_record({"kind": "constant"})
         assert term == koopid.MonomialDerivative(0, 0)

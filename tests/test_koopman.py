@@ -19,6 +19,7 @@ from koopid.errors import InvalidInputError, KoopidError, RankDeficiencyWarning
 from koopid.observables import build_burgers_basis
 from koopid.simulate import EXPERIMENT_DEFAULTS
 from helpers import heat_model, heat_pairs, sine_mode
+from oracles import burgers_eigenfunctional
 
 
 def heat_sine_dataset(num_modes=4, ts=0.05, num_states=6, seed=0, grid_points=256):
@@ -126,7 +127,9 @@ class TestEdmdFit:
         (np.ones((3, 2)), np.ones((2, 2)), r"Xi2 must have the shape of Xi1, \(3, 2\), got \(2, 2\)"),
         (np.ones(3), np.ones(3),
          r"Xi1 must be 2-D with at least one row and column, got shape \(3,\)"),
-    ], ids=["nan-xi2", "inf-xi1", "shape", "1-D"])
+        ([["a"]], [["b"]], "Xi1 must hold numbers, got dtype <U1"),
+        (np.eye(1), [[None]], "Xi2 must hold numbers, got dtype object"),
+    ], ids=["nan-xi2", "inf-xi1", "shape", "1-D", "text-xi1", "none-xi2"])
     def test_names_the_bad_matrix(self, xi1, xi2, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             edmd_fit(xi1, xi2, 0.1)
@@ -274,3 +277,22 @@ class TestEigenfunctional:
         on_mode1, on_mode2 = coeff @ values
         assert abs(on_mode1) > 0.1
         assert abs(on_mode2) <= 1e-3
+
+    def test_criterion_1_modes_match_cole_hopf_eigenfunctionals(self):
+        # criterion 1's frozen run: seed-1 Burgers data, basis burgers:1.  Its
+        # modes nearest -alpha (pi/2)^2 among the 10 first ranked are psi_1 to
+        # the power alpha (tests/oracles.py) on the snapshots, up to one
+        # complex scale.  The misfit of the mode's values f = Xi1 v against the
+        # oracle's g is the relative least-squares distance min_c ||c f - g|| /
+        # ||g||.  Measured 1.01e-5, 2.15e-4 and 1.59e-3; each bound is about 2x
+        pairs, trajectories, ts, family, _ = EXPERIMENT_DEFAULTS["burgers"]
+        ds = koopid.generate_pairs(koopid.burgers_model(), family, trajectories, pairs, ts, 1)
+        fit = edmd_fit(*build_data_matrices(ds, build_burgers_basis(1)), ts)
+        result = spectrum(fit)
+        psi_1 = burgers_eigenfunctional(ds.u, ds.grid.nodes(), 1)
+        for alpha, bound in ((1, 2e-5), (2, 4.3e-4), (3, 3.2e-3)):
+            gap = np.abs(result.lambda_l[:10].real + alpha * (np.pi / 2) ** 2)
+            f = fit.xi1 @ result.coefficients[:, np.nanargmin(gap)]
+            g = psi_1**alpha
+            scale = np.vdot(f, g) / np.vdot(f, f)
+            assert np.linalg.norm(scale * f - g) / np.linalg.norm(g) < bound

@@ -113,6 +113,15 @@ class TestInputChecks:
         with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
             kernel(a)
 
+    @pytest.mark.parametrize("kernel", [pinv, matrix_rank, eig, expm, logm])
+    @pytest.mark.parametrize("a, dtype", [
+        ([["a"]], "<U1"), ([[None]], "object"), ([[True]], "bool"),
+    ], ids=["text", "none", "bool"])
+    def test_non_numeric(self, kernel, a, dtype):
+        # numpy raised its own TypeError ("ufunc 'isfinite' not supported")
+        with pytest.raises(InvalidInputError, match=f"^matrix must hold numbers, got dtype {dtype}$"):
+            kernel(a)
+
     @pytest.mark.parametrize("kernel", [eig, expm, logm])
     def test_non_square(self, kernel):
         with pytest.raises(InvalidInputError, match=r"^matrix must be square, got shape \(2, 3\)$"):

@@ -657,9 +657,9 @@ class TestGeneratePairs:
         assert len(ds) == 10
 
 
-def _pairs(num_trajectories=2, total_pairs=4, seed=1):
+def _pairs(num_trajectories=2, total_pairs=4, seed=1, burn_in=0.0):
     return generate_pairs(koopid.graphon_model(16), ICFamily.GRAPHON, num_trajectories,
-                          total_pairs, 0.5, seed)
+                          total_pairs, 0.5, seed, burn_in)
 
 
 # each integer field of the library API: a builder, a valid value and the
@@ -697,11 +697,11 @@ def test_integer_fields_refuse_bool(field):
         build(True)
 
 
-def _sweep(ts_list):
+def _sweep(ts_list, burn_in=0.0):
     graphon = koopid.graphon_model(16)
     return koopid.ts_convergence_study(
         graphon, Dictionary(graphon.dictionary.terms), PowerLaw(2), ts_list,
-        ICFamily.GRAPHON, 5, 10, 1)
+        ICFamily.GRAPHON, 5, 10, 1, burn_in)
 
 
 # each real-number field of the library API and the name that its message gives
@@ -757,6 +757,53 @@ def test_integers_out_of_range_keep_the_range_message(build, message):
     with pytest.raises(InvalidInputError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_integer_fields_keep_a_python_int():
+    # a numpy integer is stored as the int that require_int returns, which
+    # the JSON writer takes
+    one = np.int64(1)
+    term, cosine = MonomialDerivative(one, one), InnerProductPower(0.5, 0.5, one, one)
+    for value in (Grid1D(0.0, 1.0, np.int64(16)).num_points, term.j, term.k, PowerLaw(one).p,
+                  cosine.state_power, cosine.outer_power):
+        assert type(value) is int
+
+
+# each flag of the library API, which is also the name its message gives
+FLAG_FIELDS = {
+    "model-dirichlet": (lambda v: Model("m", koopid.graphon_model(16).dictionary,
+                                        Grid1D(0.0, 1.0, 16), dirichlet=v), "dirichlet"),
+    "dataset-dirichlet": (lambda v: SnapshotDataset(Grid1D(0.0, 1.0, 16), 0.5, np.zeros((1, 16)),
+                                                    np.zeros((1, 16)), dirichlet=v), "dirichlet"),
+    "bump-recentered": (lambda v: Bump(1.0, recentered=v), "recentered"),
+}
+
+
+@pytest.mark.parametrize("field", list(FLAG_FIELDS))
+def test_flag_fields_refuse_non_bools(field):
+    # a truthy string such as "false" must not stand for True
+    build, name = FLAG_FIELDS[field]
+    for flag in (np.True_, np.False_):  # a numpy bool is kept as the Python bool
+        assert getattr(build(flag), name) is bool(flag)
+    for value in ("false", 0, 1, None):
+        with pytest.raises(InvalidInputError) as exc:
+            build(value)
+        assert str(exc.value) == f"{name} must be a boolean, got {value!r}"
+
+
+@pytest.mark.parametrize("run", [
+    lambda burn_in: _pairs(burn_in=burn_in), lambda burn_in: _sweep([0.5, 0.25, 0.125], burn_in),
+], ids=["pairs", "sweep"])
+def test_burn_in_refuses_false(run):
+    # False == 0, so a zero test alone would take False for no burn-in
+    with pytest.raises(InvalidInputError) as exc:
+        run(False)
+    assert str(exc.value) == "burn-in (0 for none) must be a real number, got False"
+
+
+def test_zero_burn_in_is_none():
+    for burn_in in (0, 0.0, np.int64(0)):
+        assert _pairs(burn_in=burn_in).provenance["burn_in"] == 0.0
 
 
 class TestSnapshotDataset:
