@@ -9,7 +9,11 @@ and two small dense blocks for the rows at the ends.  :func:`diff_operator`
 caches one per grid size, spacing, order and boundary rule, and
 :func:`stencil_operator` builds a sum ``sum_k c_k D_k``;
 :func:`diff_values`, the right-hand-side plan of :mod:`koopid.operators` and
-the exact linear flow of :mod:`koopid.simulate` all apply them.  They need
+the exact linear flow of :mod:`koopid.simulate` all apply them.
+:meth:`BandedOperator.matrix` writes one out as a dense matrix: the flow's
+generator, and the plan's operators on grids of at most
+``operators.DENSE_STENCIL_NODES`` (128) nodes, where one BLAS product costs
+less than the ten or so numpy calls of the taps.  They need
 numpy alone: importing ``scipy.sparse`` costs a fresh process about 0.14 s
 and 21 MB, more than most CLI calls spend on their work.  For
 homogeneous-Dirichlet values the stencils reach across the boundary through
@@ -139,6 +143,12 @@ class BandedOperator:
         np.matmul(v[..., :w], self.head, out[..., :r])
         np.matmul(v[..., n - w:], self.tail, out[..., n - r:])
         return out
+
+    def matrix(self) -> np.ndarray:
+        """``A`` as a dense ``(n, n)`` array, a new one on each call: ``A``
+        applied to row i of the identity is column i of ``A``, and each entry
+        is a tap or block value exactly."""
+        return self(np.eye(self.n)).T
 
 
 def _numerators(order: int, dirichlet: bool, r: int, w: int) -> np.ndarray:

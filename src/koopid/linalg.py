@@ -32,10 +32,17 @@ BRANCH_CUT_TOL = 1e-12
 def _check_matrix(a, name="matrix", dtype=None):
     """``a`` as an array (of ``dtype`` when given), or InvalidInputError naming
     ``name`` unless it is a finite 2-D matrix of numbers, with at least one row
-    and column.  A ``bool`` entry is no number here, as in ``require_real``."""
-    a = np.asarray(a)
+    and column, and real when ``dtype`` is.  A ``bool`` entry is no number
+    here, as in ``require_real``."""
+    try:
+        a = np.asarray(a)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
     if a.dtype.kind not in "iufc":
         raise InvalidInputError(f"{name} must hold numbers, got dtype {a.dtype}")
+    if a.dtype.kind == "c" and dtype is not None and np.dtype(dtype).kind != "c":
+        # numpy would drop the imaginary part with only a ComplexWarning
+        raise InvalidInputError(f"{name} must be real, got dtype {a.dtype}")
     a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInputError(

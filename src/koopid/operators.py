@@ -26,7 +26,16 @@ A right-hand side ``sum_i c_i W_i(u)`` is compiled once into an
   by tap, into one banded operator ``A_j = sum_k c_jk D_k``
   (:func:`~koopid.fields.stencil_operator`) of the ``D_k`` that
   :func:`~koopid.fields.diff_values` (and so :func:`term_values`) applies;
-  a call applies each ``A_j`` to the whole batch at once;
+  a call applies each ``A_j`` to the whole batch at once.  On a grid of at
+  most ``DENSE_STENCIL_NODES`` (128) nodes it does so as one dense product
+  ``v @ A_j^T``, above it through the banded taps.  The taps take about ten
+  numpy calls whatever the batch, so on few rows of few nodes their
+  overhead sets the cost.  For 1-25 rows a banded application of pde1's
+  ``A_1`` took 6.6-10 us on 64 nodes against 1.3-3.9 us for the dense
+  product, and 6.8-20 us on 256 nodes against 9-62 us; on 128 nodes the
+  dense product was ahead up to 5 rows and behind from 17 (3.0 against 6.9
+  us for one row, 18 against 11 us for 25; numpy 2.4.6 on a 2-core Xeon).
+  The two forms sum a row in different orders, so they round differently;
 * graphon terms are linear in their kernel, so they fold into one kernel
   ``sum_i c_i (c0, cx, cy)_i``; its rank-2 part costs two small matrix
   products per call, and its diagonal part joins the polynomial's linear
@@ -55,6 +64,10 @@ from .fields import Grid1D, diff_values, stencil_operator, trapezoid_weights
 #: each power costs one multiplication per element, and the built-in
 #: dictionaries and bases use at most 3
 MAX_POWER = 64
+
+#: the most grid nodes on which an :class:`RhsPlan` applies each stencil as
+#: one dense product; above it the banded taps cost less (module docstring)
+DENSE_STENCIL_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,9 @@ class RhsPlan:
     """A dictionary's right-hand side compiled for one grid and boundary rule.
 
     Build it once per integration and evaluate it with :func:`rhs_values`.
+    Each of ``stencils`` maps node values to its ``A_j`` applied along the
+    last axis: a dense product on at most ``DENSE_STENCIL_NODES`` nodes,
+    otherwise the :class:`~koopid.fields.BandedOperator` itself.
     Terms with coefficient 0 are left out, since they add nothing to the
     sum.  Building raises what evaluating the other terms would raise:
     ``InvalidInputError`` without coefficients or for nonzero graphon terms
@@ -239,8 +255,12 @@ class RhsPlan:
             coeffs[1] = coeffs[1] - diagonal
         self.poly = tuple(coeffs) if poly or graphons else ()
         self.powers = tuple(groups)
-        self.stencils = tuple(stencil_operator(grid.num_points, grid.spacing, orders, dirichlet)
-                              for orders in groups.values())
+        n = grid.num_points
+        stencils = [stencil_operator(n, grid.spacing, orders, dirichlet)
+                    for orders in groups.values()]
+        if n <= DENSE_STENCIL_NODES:
+            stencils = [lambda v, a_t=op.matrix().T: v @ a_t for op in stencils]
+        self.stencils = tuple(stencils)
 
     def _polynomial(self, v: np.ndarray) -> np.ndarray:
         """The derivative-free terms at ``v``, by Horner's rule; always a new

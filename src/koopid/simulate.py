@@ -60,10 +60,14 @@ sweep over sampling times -- builds one stepper, :class:`_LawsonRK4`, and
 every horizon of it (burn-in, segment) is one call of its ``advance``.  The
 stepper reads a table of one ``(bound, j, k)`` per derivative term once,
 for the split, dt and the refinement limits, and compiles the explicitly
-integrated terms once into an :class:`~koopid.operators.RhsPlan` (one banded
+integrated terms once into an :class:`~koopid.operators.RhsPlan` (one
 derivative operator per power of u, a polynomial and a folded graphon
 kernel); every RK4 stage then evaluates ``rhs_values(plan, values)`` on the
-whole batch.
+whole batch.  Each operator is a dense matrix product on grids of at most
+``operators.DENSE_STENCIL_NODES`` (128) nodes and banded taps above: a
+refined pde1 burn-in steps groups of 1-17 rows of 64 nodes, where numpy's
+per-call overhead, not arithmetic, sets the cost of a step, and the step
+builds its stages in place for the same reason.
 ``advance`` alone refuses a substep at or below ``MIN_SUBSTEP`` and a
 Dirichlet start that does not vanish at the boundaries, and reports a
 blow-up.
@@ -320,10 +324,9 @@ class _LawsonRK4:
             lam = -(4.0 / model.grid.spacing**2) * np.sin(k * np.pi / (2 * (n - 1))) ** 2
             self._sine_rates = linear[2] * lam
         elif linear:
-            # the same entries as diff_values, so L u is the split-off terms;
-            # L applied to row i of the identity is column i of L
-            n = model.grid.num_points
-            gen = stencil_operator(n, model.grid.spacing, linear, model.dirichlet)(np.eye(n)).T
+            # the same entries as diff_values, so L u is the split-off terms
+            gen = stencil_operator(model.grid.num_points, model.grid.spacing, linear,
+                                   model.dirichlet).matrix()
             if model.dirichlet:
                 gen[[0, -1]] = 0.0
             self._generator = gen
@@ -361,14 +364,37 @@ class _LawsonRK4:
         return self._flows[h]
 
     def step(self, u: np.ndarray, h: float) -> np.ndarray:
+        """One Lawson RK4 substep of length ``h``:
+        ``P(w + h/6 (P k1 + 2 k2 + 2 k3)) + h/6 k4`` with ``w = P u``.
+
+        The stages are built in place, each IEEE operation on the operands of
+        the textbook formula (only the operands of ``+`` and ``*`` swap
+        sides), so the result rounds as the formula does.  ``u`` is never
+        written to: without a split, ``w`` is ``u`` itself.
+        """
         flow = self._half_flow(h)
+        half, sixth = 0.5 * h, h / 6.0
         w = flow(u)
         k1 = rhs_values(self.plan, u)
         pk1 = flow(k1)
-        k2 = rhs_values(self.plan, w + (0.5 * h) * pk1)
-        k3 = rhs_values(self.plan, w + (0.5 * h) * k2)
-        k4 = rhs_values(self.plan, flow(w + h * k3))
-        u = flow(w + (h / 6.0) * (pk1 + 2.0 * (k2 + k3))) + (h / 6.0) * k4
+        y = pk1 * half
+        y += w
+        k2 = rhs_values(self.plan, y)
+        y = k2 * half
+        y += w
+        k3 = rhs_values(self.plan, y)
+        y = k3 * h
+        y += w
+        k4 = rhs_values(self.plan, flow(y))
+        # k2 is free after this stage: it takes the sum
+        k2 += k3
+        k2 *= 2.0
+        k2 += pk1
+        k2 *= sixth
+        k2 += w
+        u = flow(k2)
+        k4 *= sixth
+        u += k4
         if self.model.dirichlet:
             u[..., 0] = 0.0
             u[..., -1] = 0.0

@@ -57,3 +57,23 @@ def _trapezoid(x):
     q = np.full(len(x), x[1] - x[0])
     q[0] = q[-1] = 0.5 * q[0]
     return q
+
+
+def lawson_rk4_step(flow, rhs, u, h):
+    """One Lawson (integrating-factor) RK4 step of length ``h`` for ``u' = L u
+    + f(u)``, from the half-step flow ``flow`` (``v -> P v`` with ``P =
+    exp((h/2) L)``) and the right-hand side ``rhs`` (f), written as the
+    textbook formula (Hochbruck & Ostermann, Acta Numerica 19, 2010)::
+
+        w = P u,  k1 = f(u),  k2 = f(w + h/2 P k1),  k3 = f(w + h/2 k2),
+        k4 = f(P (w + h k3)),  u1 = P (w + h/6 (P k1 + 2 k2 + 2 k3)) + h/6 k4
+
+    ``2 k2 + 2 k3`` is summed as ``2 (k2 + k3)``, which rounds the same, since
+    doubling is exact.
+    """
+    w = flow(u)
+    pk1 = flow(rhs(u))
+    k2 = rhs(w + (h / 2.0) * pk1)
+    k3 = rhs(w + (h / 2.0) * k2)
+    k4 = rhs(flow(w + h * k3))
+    return flow(w + (h / 6.0) * (pk1 + 2.0 * (k2 + k3))) + (h / 6.0) * k4

@@ -129,7 +129,13 @@ class TestEdmdFit:
          r"Xi1 must be 2-D with at least one row and column, got shape \(3,\)"),
         ([["a"]], [["b"]], "Xi1 must hold numbers, got dtype <U1"),
         (np.eye(1), [[None]], "Xi2 must hold numbers, got dtype object"),
-    ], ids=["nan-xi2", "inf-xi1", "shape", "1-D", "text-xi1", "none-xi2"])
+        ([[1, 2], [3]], [[1.0]], "Xi1 must be a rectangular array of numbers"),
+        (np.eye(1), [[1.0], [2.0, 3.0]], "Xi2 must be a rectangular array of numbers"),
+        # numpy would cast them to the zero matrix with only a ComplexWarning
+        (np.array([[1j]]), [[1.0]], "Xi1 must be real, got dtype complex128"),
+        (np.eye(1), np.array([[1.0 + 0j]]), "Xi2 must be real, got dtype complex128"),
+    ], ids=["nan-xi2", "inf-xi1", "shape", "1-D", "text-xi1", "none-xi2", "ragged-xi1",
+            "ragged-xi2", "complex-xi1", "complex-xi2"])
     def test_names_the_bad_matrix(self, xi1, xi2, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             edmd_fit(xi1, xi2, 0.1)

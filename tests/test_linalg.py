@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from koopid import BranchCutError, eig, expm, logm, pinv
 from koopid.errors import IllConditionedWarning, InvalidInputError
-from koopid.linalg import CONDITION_WARN_THRESHOLD, matrix_rank
+from koopid.linalg import CONDITION_WARN_THRESHOLD, _check_matrix, matrix_rank
 
 
 def random_matrix(seed: int, m: int, n: int) -> np.ndarray:
@@ -121,6 +121,20 @@ class TestInputChecks:
         # numpy raised its own TypeError ("ufunc 'isfinite' not supported")
         with pytest.raises(InvalidInputError, match=f"^matrix must hold numbers, got dtype {dtype}$"):
             kernel(a)
+
+    @pytest.mark.parametrize("kernel", [pinv, matrix_rank, eig, expm, logm])
+    def test_ragged(self, kernel):
+        # numpy raised its own ValueError ("... inhomogeneous shape ...")
+        with pytest.raises(InvalidInputError,
+                           match="^matrix must be a rectangular array of numbers$"):
+            kernel([[1, 2], [3]])
+
+    def test_complex_refused_only_for_a_real_dtype(self):
+        a = np.array([[1.0, 1j], [0.0, 2.0]])
+        assert _check_matrix(a) is a
+        assert pinv(a).dtype == complex
+        with pytest.raises(InvalidInputError, match="^matrix must be real, got dtype complex128$"):
+            _check_matrix(a, dtype=float)
 
     @pytest.mark.parametrize("kernel", [eig, expm, logm])
     def test_non_square(self, kernel):

@@ -211,7 +211,7 @@ class TestRhs:
             assert np.allclose(full[i], row, atol=1e-14)
 
 
-def _mixed_order_model():
+def _mixed_order_model(num_points=40):
     """A non-Dirichlet model with k = 1, 2, 3 terms at powers 0, 1 and 2, so
     that the one-sided rows 0, 1, N-2 and N-1 of every order are used."""
     dic = Dictionary(
@@ -220,7 +220,7 @@ def _mixed_order_model():
          MonomialDerivative(2, 2), MonomialDerivative(0, 3), MonomialDerivative(1, 3)),
         coefficients=(0.3, -1.0, 0.5, 0.7, -1.2, 0.05, 0.02, 0.001, -0.002),
     )
-    return koopid.Model("mixed", dic, Grid1D(-1.0, 2.0, 40), dirichlet=False)
+    return koopid.Model("mixed", dic, Grid1D(-1.0, 2.0, num_points), dirichlet=False)
 
 
 def _graphon_only_model():
@@ -274,9 +274,13 @@ class TestRhsPlan:
 
     @pytest.mark.parametrize("make_model", [
         koopid.burgers_model, heat_model, koopid.pde1_model, koopid.graphon_model,
-        _mixed_order_model, _graphon_only_model,
-    ], ids=["burgers", "heat", "pde1", "graphon", "mixed-orders", "graphon-only"])
+        _mixed_order_model, lambda: _mixed_order_model(160), _graphon_only_model,
+    ], ids=["burgers", "heat", "pde1", "graphon", "mixed-orders", "mixed-orders-160",
+            "graphon-only"])
     def test_matches_per_term_sum(self, make_model):
+        # pde1 and mixed-orders have at most DENSE_STENCIL_NODES nodes, so
+        # their plans take dense stencils; burgers, heat and mixed-orders-160
+        # take the banded ones
         model = make_model()
         rng = np.random.default_rng(3)
         batch = rng.standard_normal((6, model.grid.num_points))

@@ -20,7 +20,7 @@ from koopid.fields import diff_values
 from koopid.observables import (
     Bump, InnerProductPower, PointEvaluation, PowerLaw, build_burgers_basis,
 )
-from koopid.operators import GraphonKernel
+from koopid.operators import DENSE_STENCIL_NODES, GraphonKernel, rhs_values, term_values
 from koopid.simulate import (
     BUILTIN_MODELS,
     DT_MAX,
@@ -36,13 +36,30 @@ from koopid.simulate import (
     sample_initial_condition,
 )
 from helpers import heat_model, sine_mode
-from oracles import burgers_cole_hopf
+from oracles import burgers_cole_hopf, lawson_rk4_step
 
 
 def split(model):
     """The explicit terms and the split-off linear part that a stepper of
     ``model`` takes."""
     return _split_linear(model, _term_bounds(model.dictionary, model.grid.spacing))[:2]
+
+
+def flow_route(stepper):
+    """How a stepper applies its half-step flow: through sine modes, as a
+    dense matrix, or not at all."""
+    if stepper._sine_rates is not None:
+        return "sine"
+    return "dense" if stepper._generator is not None else "none"
+
+
+def dispersive_model(num_points):
+    """``u_t = -u u_x + 0.1 u_xx + 0.001 u_xxx`` on [-1, 1] under Dirichlet
+    conditions: the u_xx bound sets the unsplit step, so the whole linear
+    part is split off, as a dense flow."""
+    dic = Dictionary((MonomialDerivative(1, 1), MonomialDerivative(0, 2), MonomialDerivative(0, 3)),
+                     coefficients=(-1.0, 0.1, 0.001))
+    return Model("dispersive", dic, Grid1D(-1.0, 1.0, num_points), dirichlet=True)
 
 
 class TestStableSubstep:
@@ -162,10 +179,7 @@ class TestStableSubstep:
         ("burgers", "sine"), ("pde1", "dense"), ("graphon", "none"),
     ])
     def test_builtin_flow_routes(self, name, route):
-        stepper = _LawsonRK4(BUILTIN_MODELS[name]())
-        taken = ("sine" if stepper._sine_rates is not None
-                 else "dense" if stepper._generator is not None else "none")
-        assert taken == route
+        assert flow_route(_LawsonRK4(BUILTIN_MODELS[name]())) == route
 
     def test_capped_at_dt_max(self):
         # reaction-only model has no derivative terms: dt = DT_MAX
@@ -202,6 +216,58 @@ class TestStableSubstep:
         assert _LawsonRK4(m).dt <= MIN_SUBSTEP
         with pytest.raises(PreconditionError, match="1e-15"):
             integrate(m, np.cos(g.nodes()), 0.5)
+
+
+class TestLawsonStep:
+    """``_LawsonRK4.step`` against the textbook formula of
+    ``oracles.lawson_rk4_step``, one step of ``dt`` on three states."""
+
+    @staticmethod
+    def _states(model, family):
+        rng = np.random.default_rng(5)
+        return np.stack([sample_initial_condition(family, model.grid, *rng.random(2))
+                         for _ in range(3)])
+
+    @staticmethod
+    def _formula(stepper, rhs, u):
+        ref = lawson_rk4_step(stepper._half_flow(stepper.dt), rhs, u, stepper.dt)
+        if stepper.model.dirichlet:
+            ref[:, [0, -1]] = 0.0
+        return ref
+
+    @pytest.mark.parametrize("model, family, route", [
+        (koopid.graphon_model(), ICFamily.GRAPHON, "none"),
+        (koopid.burgers_model(), ICFamily.BURGERS, "sine"),
+        (dispersive_model(160), ICFamily.BURGERS, "dense"),
+    ], ids=["graphon", "burgers", "dispersive-160"])
+    def test_bit_identical_with_banded_stencils(self, model, family, route):
+        # above DENSE_STENCIL_NODES the plan applies the banded taps, so the
+        # in-place stages must round exactly as the formula does
+        assert model.grid.num_points > DENSE_STENCIL_NODES
+        stepper = _LawsonRK4(model)
+        assert flow_route(stepper) == route
+        u = self._states(model, family)
+        start = u.copy()
+        got = stepper.step(u, stepper.dt)
+        assert np.array_equal(u, start)  # the identity flow hands the stages u itself
+        assert np.array_equal(got, self._formula(stepper, lambda v: rhs_values(stepper.plan, v), u))
+
+    @pytest.mark.parametrize("num_points", [32, 64, 128])
+    def test_pde1_dense_stencils_agree_with_the_banded_terms(self, num_points):
+        model = koopid.pde1_model(num_points)
+        assert num_points <= DENSE_STENCIL_NODES
+        stepper = _LawsonRK4(model)
+        explicit, _ = split(model)
+
+        def banded(v):
+            # term by term through the banded operators of diff_values
+            return sum(c * term_values(t, v, model.grid, True)
+                       for t, c in zip(explicit.terms, explicit.coefficients) if c)
+
+        u = self._states(model, ICFamily.PDE1)
+        ref = self._formula(stepper, banded, u)
+        got = stepper.step(u, stepper.dt)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestDerivativeFreeBounds:
