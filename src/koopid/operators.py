@@ -16,9 +16,13 @@ rank-2 operator minus a diagonal one.
 Under Dirichlet conditions the two boundary nodes never move, so
 :func:`term_values` and :func:`rhs_values` both return 0 there.
 
-A right-hand side ``sum_i c_i W_i(u)`` is compiled once into an
-:class:`RhsPlan` for one grid and boundary rule, then evaluated by
-:func:`rhs_values` as often as an integrator needs it:
+A model's right-hand side ``sum_i c_i W_i(u)`` is folded by kind once, by
+:func:`fold_terms`: zero coefficients are skipped, and each term goes to the
+reaction polynomial ``{j: c}``, to the derivative group ``{j: {k: c}}`` of
+its power of u, or to one graphon kernel ``sum_i c_i (c0, cx, cy)_i``.  The
+stepper's substep table and linear split read that fold, and an
+:class:`RhsPlan` compiles it for one grid and boundary rule, to be evaluated
+by :func:`rhs_values` as often as an integrator needs it:
 
 * the derivative-free terms ``c u^j`` (j = 0: the constant) form one
   polynomial in u, evaluated by Horner's rule;
@@ -207,15 +211,45 @@ def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: boo
     return out
 
 
+def fold_terms(dictionary: Dictionary) -> tuple:
+    """``(poly, groups, kernel)``: a model dictionary's terms with nonzero
+    coefficients, folded by kind.
+
+    ``poly`` maps each power j to the coefficient of ``u^j`` (j = 0: the
+    constant), ``groups`` each power j to ``{k: coefficient of u^j d^k u}``,
+    each in dictionary order, and ``kernel`` is the folded graphon kernel
+    ``sum_i c_i (c0, cx, cy)_i``, or None without a graphon term.  Terms with
+    coefficient 0 are left out, since they add nothing to the right-hand
+    side.  A dictionary without coefficients raises InvalidInputError.
+    """
+    if dictionary.coefficients is None:
+        raise InvalidInputError("right-hand side evaluation requires coefficients")
+    poly: dict = {}
+    groups: dict = {}
+    kernel = None
+    for term, c in zip(dictionary.terms, dictionary.coefficients):
+        if c == 0.0:
+            continue
+        if isinstance(term, GraphonKernel):
+            c0, cx, cy = kernel or (0.0, 0.0, 0.0)
+            kernel = (c0 + c * term.c0, cx + c * term.cx, cy + c * term.cy)
+        elif term.k == 0:
+            poly[term.j] = c
+        else:
+            groups.setdefault(term.j, {})[term.k] = c
+    return poly, groups, kernel
+
+
 class RhsPlan:
     """A dictionary's right-hand side compiled for one grid and boundary rule.
 
     Build it once per integration and evaluate it with :func:`rhs_values`.
-    Each of ``stencils`` maps node values to its ``A_j`` applied along the
-    last axis: a dense product on at most ``DENSE_STENCIL_NODES`` nodes,
+    The dictionary's :func:`fold_terms` gives the Horner coefficients, one
+    stencil per power of u and the folded graphon kernel.  Each of
+    ``stencils`` maps node values to its ``A_j`` applied along the last
+    axis: a dense product on at most ``DENSE_STENCIL_NODES`` nodes,
     otherwise the :class:`~koopid.fields.BandedOperator` itself.
-    Terms with coefficient 0 are left out, since they add nothing to the
-    sum.  Building raises what evaluating the other terms would raise:
+    Building raises what evaluating the terms would raise:
     ``InvalidInputError`` without coefficients or for nonzero graphon terms
     off ``[0, 1]`` (even when their kernels cancel).  No grid is too short
     for a derivative order: ``Grid1D`` has at least 8 nodes, as many as
@@ -223,37 +257,19 @@ class RhsPlan:
     """
 
     def __init__(self, dictionary: Dictionary, grid: Grid1D, dirichlet: bool):
-        if dictionary.coefficients is None:
-            raise InvalidInputError("right-hand side evaluation requires coefficients")
+        poly, groups, kernel = fold_terms(dictionary)
         self.grid = grid
         self.dirichlet = dirichlet
-        poly: dict = {}    # power j -> coefficient of u^j (j = 0: the constant)
-        groups: dict = {}  # power j -> {order k: coefficient of u^j d^k u}
-        graphons = []      # (coefficient, kernel) of each graphon term
-        for term, c in zip(dictionary.terms, dictionary.coefficients):
-            if c == 0.0:
-                continue
-            if isinstance(term, MonomialDerivative) and term.k == 0:
-                poly[term.j] = c
-            elif isinstance(term, MonomialDerivative):
-                groups.setdefault(term.j, {})[term.k] = c
-            else:
-                graphons.append((c, term))
         # Horner coefficients of the derivative-free terms, constant first;
         # the graphon coupling's diagonal part joins the linear one
         coeffs = [poly.get(j, 0.0) for j in range(max(poly, default=0) + 1)]
         self.graphon = None  # the coupling's rank-2 part, (moments, spread)
-        if graphons:
-            moments, spread, diagonal = _graphon_kernel(
-                sum(c * k.c0 for c, k in graphons),
-                sum(c * k.cx for c, k in graphons),
-                sum(c * k.cy for c, k in graphons),
-                grid,
-            )
+        if kernel is not None:
+            moments, spread, diagonal = _graphon_kernel(*kernel, grid)
             self.graphon = (moments, spread)
             coeffs += [0.0] * (2 - len(coeffs))
             coeffs[1] = coeffs[1] - diagonal
-        self.poly = tuple(coeffs) if poly or graphons else ()
+        self.poly = tuple(coeffs) if poly or kernel is not None else ()
         self.powers = tuple(groups)
         n = grid.num_points
         stencils = [stencil_operator(n, grid.spacing, orders, dirichlet)

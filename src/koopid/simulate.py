@@ -58,16 +58,18 @@ refused before its first step.
 Each integration -- one ``integrate`` or ``generate_pairs`` call, or one
 sweep over sampling times -- builds one stepper, :class:`_LawsonRK4`, and
 every horizon of it (burn-in, segment) is one call of its ``advance``.  The
-stepper reads a table of one ``(bound, j, k)`` per derivative term once,
-for the split, dt and the refinement limits, and compiles the explicitly
-integrated terms once into an :class:`~koopid.operators.RhsPlan` (one
-derivative operator per power of u, a polynomial and a folded graphon
-kernel); every RK4 stage then evaluates ``rhs_values(plan, values)`` on the
-whole batch.  Each operator is a dense matrix product on grids of at most
-``operators.DENSE_STENCIL_NODES`` (128) nodes and banded taps above: a
-refined pde1 burn-in steps groups of 1-17 rows of 64 nodes, where numpy's
-per-call overhead, not arithmetic, sets the cost of a step, and the step
-builds its stages in place for the same reason.
+stepper folds the model's terms once with
+:func:`~koopid.operators.fold_terms`; from that fold it builds a table of
+one ``(bound, p, k)`` per derivative term and derivative-free part, for the
+split, dt and the refinement limits, and reads the linear part.  It
+compiles the explicitly integrated terms once into an
+:class:`~koopid.operators.RhsPlan` (one derivative operator per power of u,
+a polynomial and the folded graphon kernel); every RK4 stage then evaluates
+``rhs_values(plan, values)`` on the whole batch.  Each operator is a dense
+matrix product on grids of at most ``operators.DENSE_STENCIL_NODES`` (128)
+nodes and banded taps above: a refined pde1 burn-in steps groups of 1-17
+rows of 64 nodes, where numpy's per-call overhead, not arithmetic, sets the
+cost of a step, and the step builds its stages in place for the same reason.
 ``advance`` alone refuses a substep at or below ``MIN_SUBSTEP`` and a
 Dirichlet start that does not vanish at the boundaries, and reports a
 blow-up.
@@ -87,7 +89,8 @@ import numpy as np
 from .errors import (BlowUpError, InvalidInputError, PreconditionError, require_bool,
                      require_int, require_real)
 from .fields import Grid1D, grid_values, stencil_operator
-from .operators import Dictionary, GraphonKernel, MonomialDerivative, RhsPlan, rhs_values
+from .operators import (Dictionary, GraphonKernel, MonomialDerivative, RhsPlan, fold_terms,
+                        rhs_values)
 from .linalg import expm
 
 SAFETY = 0.25
@@ -149,7 +152,8 @@ class SnapshotDataset:
     must be finite and above ``MIN_SUBSTEP``.  Both arrays are copied and must
     have the same shape, at least one row, a last axis of the grid's N nodes
     and finite values, zero at both boundaries when the bool ``dirichlet`` is
-    set; anything else raises InvalidInputError.
+    set, and ``provenance`` must be None or a dict, the only kinds a dataset
+    file reads back; anything else raises InvalidInputError.
     """
 
     grid: Grid1D
@@ -162,6 +166,8 @@ class SnapshotDataset:
     def __post_init__(self):
         object.__setattr__(self, "sampling_time", _check_time("sampling time", self.sampling_time))
         object.__setattr__(self, "dirichlet", require_bool("dirichlet", self.dirichlet))
+        if self.provenance is not None and not isinstance(self.provenance, dict):
+            raise InvalidInputError(f"provenance must be a dict or None, got {self.provenance!r}")
         u = grid_values(self.grid, self.u, self.dirichlet, (2,))
         u_next = grid_values(self.grid, self.u_next, self.dirichlet, (2,))
         if u.shape != u_next.shape:
@@ -201,11 +207,11 @@ def _check_time(name: str, value: float) -> float:
     return value
 
 
-def _term_bounds(dictionary: Dictionary, h: float) -> list:
-    """``(bound, p, k)`` for each derivative term ``c u^j d^k u / dx^k`` with
-    c != 0, and one k = 0 entry each for the reaction polynomial and the
-    graphon coupling: the substep bound where |u| <= 1, which a larger |u|
-    divides by |u|^p.
+def _term_bounds(fold: tuple, h: float) -> list:
+    """``(bound, p, k)`` for each derivative term ``c u^j d^k u / dx^k`` of a
+    model's :func:`~koopid.operators.fold_terms` ``fold``, and one k = 0
+    entry each for the reaction polynomial and the graphon coupling: the
+    substep bound where |u| <= 1, which a larger |u| divides by |u|^p.
 
     A derivative term has p = j.  The derivative-free parts keep
     ``REAL_SHARE`` of RK4's real-axis limit ``RK4_REAL_LIMIT`` over their
@@ -219,35 +225,28 @@ def _term_bounds(dictionary: Dictionary, h: float) -> list:
     graphon term lives on, its rate is at most 2 max |f|, taken at the
     square's corners since f is affine, and p = 0.
     """
-    bounds = []
-    reaction, power = 0.0, 0
-    c0 = cx = cy = 0.0  # the folded graphon kernel
-    for term, c in zip(dictionary.terms, dictionary.coefficients):
-        if c == 0.0:
-            continue
-        if isinstance(term, GraphonKernel):
-            c0, cx, cy = c0 + c * term.c0, cx + c * term.cx, cy + c * term.cy
-        elif term.k == 0:
-            reaction += term.j * abs(c)
-            power = max(power, term.j - 1)
-        elif term.k == 1:
-            # 71% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
-            # centred stencil
-            bounds.append((2.0 * h / abs(c), term.j, 1))
-        else:
-            bounds.append((SAFETY * h**term.k / abs(c), term.j, term.k))
-    coupling = 2.0 * max(abs(c0), abs(c0 + cx), abs(c0 + cy), abs(c0 + cx + cy))
-    for rate, p in ((reaction, power), (coupling, 0)):
+    poly, groups, kernel = fold
+    # k = 1 keeps 71% of RK4's imaginary-axis limit 2 sqrt(2) h / |c| for the
+    # centred stencil
+    bounds = [((2.0 * h if k == 1 else SAFETY * h**k) / abs(c), j, k)
+              for j, orders in groups.items() for k, c in orders.items()]
+    reaction = 0.0
+    for j, c in poly.items():
+        reaction += j * abs(c)
+    c0, cx, cy = kernel or (0.0, 0.0, 0.0)
+    coupling = 2.0 * max(abs(c0 + cx * x + cy * y) for x in (0, 1) for y in (0, 1))
+    for rate, p in ((reaction, max(0, max(poly, default=0) - 1)), (coupling, 0)):
         if rate > 0.0:
             bounds.append((REAL_SHARE * RK4_REAL_LIMIT / rate, p, 0))
     return bounds
 
 
-def _split_linear(model: Model, bounds: list) -> Tuple[Dictionary, dict, float]:
+def _split_linear(model: Model, fold: tuple, bounds: list) -> Tuple[Dictionary, dict, float]:
     """The explicitly integrated terms, the linear part ``{k: c}`` of the
     terms ``c d^k u / dx^k``, k >= 1, split off for exact integration (empty
     when nothing is split off; a constant term stays explicit) and the
-    substep, read from the model's ``_term_bounds`` table ``bounds``.
+    substep, read from the model's :func:`~koopid.operators.fold_terms`
+    ``fold`` and its ``_term_bounds`` table ``bounds``.
 
     The split applies only where a k = 2 or k = 3 bound sets the unsplit
     substep and the split lengthens it: an exact flow costs up to a dense
@@ -260,10 +259,7 @@ def _split_linear(model: Model, bounds: list) -> Tuple[Dictionary, dict, float]:
     keep their place with coefficient 0.
     """
     dic = model.dictionary
-    linear = {
-        term.k: c for term, c in zip(dic.terms, dic.coefficients)
-        if isinstance(term, MonomialDerivative) and term.j == 0 and term.k and c != 0.0
-    }
+    linear = fold[1].get(0, {})  # the u^0 derivative group
 
     def substep(split):
         """The bound of the terms left explicit with the orders ``split`` of
@@ -276,10 +272,9 @@ def _split_linear(model: Model, bounds: list) -> Tuple[Dictionary, dict, float]:
         return dic, {}, unsplit
     if model.dirichlet and 2 in linear and len(linear) > 1 and substep({2}) >= substep(linear):
         linear = {2: linear[2]}
+    split_off = {MonomialDerivative(0, k) for k in linear}
     explicit = Dictionary(dic.terms, tuple(
-        0.0 if isinstance(term, MonomialDerivative) and term.j == 0 and term.k in linear
-        else c for term, c in zip(dic.terms, dic.coefficients)
-    ))
+        0.0 if term in split_off else c for term, c in zip(dic.terms, dic.coefficients)))
     return explicit, linear, substep(linear)
 
 
@@ -287,11 +282,12 @@ class _LawsonRK4:
     """Fixed-step RK4 for one model in integrating-factor (Lawson) form, and
     the integrator of every horizon of that model.
 
-    The constructor reads the model's ``_term_bounds`` table once: the split
-    and ``dt`` through ``_split_linear``, and the refinement limits from the
-    entries with p >= 1, which are never split off.  With a linear part
-    L split off, its half-step flow P = exp((h/2) L) is applied exactly, as
-    one callable per substep length from ``_half_flow``: through the rank-r
+    The constructor folds the model's terms once and reads that fold's
+    ``_term_bounds`` table: the split and ``dt`` through ``_split_linear``,
+    and the refinement limits from the entries with p >= 1, which are never
+    split off.  With a linear part L split off, its half-step flow P =
+    exp((h/2) L) is applied exactly, as one callable per substep length
+    from ``_half_flow``: through the rank-r
     sine factor of ``_sine_factor`` when L is Dirichlet ``c u_xx``, otherwise
     as ``v @ p_t`` with the dense ``p_t`` = P^T built by ``expm``.  RK4
     integrates the remaining terms f, compiled once into ``plan``; without a
@@ -307,8 +303,9 @@ class _LawsonRK4:
 
     def __init__(self, model: Model):
         self.model = model
-        bounds = _term_bounds(model.dictionary, model.grid.spacing)
-        explicit, linear, self.dt = _split_linear(model, bounds)
+        fold = fold_terms(model.dictionary)
+        bounds = _term_bounds(fold, model.grid.spacing)
+        explicit, linear, self.dt = _split_linear(model, fold, bounds)
         self.plan = RhsPlan(explicit, model.grid, model.dirichlet)
         # the bounds that a state with |u| > 1 shortens: those with p >= 1
         self._limits = np.array([b for b, p, _ in bounds if p >= 1])

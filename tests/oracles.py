@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from koopid.fields import trapezoid_weights
+from koopid.observables import weight_values
+from koopid.operators import GraphonKernel, MonomialDerivative, RhsPlan, rhs_values, term_values
+
 
 def burgers_cole_hopf(u0, x, t, modes=64, fine=8193):
     """Viscous Burgers ``u_t = -u u_x + u_xx`` on [-1, 1] with ``u(+-1) = 0``,
@@ -77,3 +81,40 @@ def lawson_rk4_step(flow, rhs, u, h):
     k3 = rhs(w + (h / 2.0) * k2)
     k4 = rhs(flow(w + h * k3))
     return flow(w + (h / 6.0) * (pk1 + 2.0 * (k2 + k3))) + (h / 6.0) * k4
+
+
+def lifted_time_derivative(model, dictionary, weight, u):
+    """The exact time derivative of the lifted basis ``xi_i(u) = <W_i(u), w>``
+    along the flow of ``model``, one row per row of ``u`` and one column per
+    term of ``dictionary``: the rows of Xi-dot in the Galerkin generator
+    ``pinv(Xi1) Xi-dot`` of gEDMD (Klus et al., Physica D 406, 2020).
+
+    With ``f`` the model's whole right-hand side at ``u``, a term ``u^j d^k u``
+    gives ``<j u^(j-1) (d^k u) f + u^j d^k f, w>`` (``<j u^(j-1) f, w>`` for
+    ``u^j``), a graphon term, which is linear, ``<W(f), w>``, and the constant
+    0.  The difference stencils are linear in the state, so these are exact
+    for the discrete functionals; on Dirichlet data the boundary entries are
+    zeroed, as ``term_values`` zeroes them.
+    """
+    grid, dirichlet = model.grid, model.dirichlet
+
+    def monomial(j, k, v):
+        return term_values(MonomialDerivative(j, k), v, grid, dirichlet)
+
+    f = rhs_values(RhsPlan(model.dictionary, grid, dirichlet), u)
+    qw = trapezoid_weights(grid) * weight_values(weight, grid)
+    columns = []
+    for term in dictionary.terms:
+        if isinstance(term, GraphonKernel):
+            dot = term_values(term, f, grid, dirichlet)
+        elif term.k == 0:
+            dot = term.j * monomial(term.j - 1, 0, u) * f if term.j else np.zeros_like(u)
+        else:
+            j, k = term.j, term.k
+            dot = monomial(j, 0, u) * monomial(0, k, f)
+            if j:
+                dot += j * monomial(j - 1, 0, u) * monomial(0, k, u) * f
+        if dirichlet:
+            dot[..., [0, -1]] = 0.0
+        columns.append(dot @ qw)
+    return np.stack(columns, axis=-1)

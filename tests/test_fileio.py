@@ -117,6 +117,13 @@ class TestDatasetText:
             fileio.write_dataset(str(p), ds)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("provenance", [[1, 2], "seed 1", 7])
+    def test_provenance_that_is_not_a_dict_is_refused(self, provenance):
+        # the reader takes only a JSON object, so no dataset holds anything else
+        g = koopid.Grid1D(0.0, 1.0, 8)
+        with pytest.raises(InvalidInputError, match="provenance must be a dict or None"):
+            koopid.SnapshotDataset(g, 0.1, np.ones((1, 8)), np.ones((1, 8)), provenance=provenance)
+
 
 class TestJsonReading:
     @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32"])

@@ -15,7 +15,8 @@ from koopid import (
 )
 from koopid.errors import InvalidInputError, PreconditionError
 from koopid.fields import stencil_operator, trapezoid_weights
-from koopid.operators import _int_power, describe_term, term_values
+from koopid.operators import _int_power, describe_term, fold_terms, term_values
+from koopid.simulate import REAL_SHARE, RK4_REAL_LIMIT, SAFETY, _term_bounds
 from helpers import heat_model
 
 
@@ -354,6 +355,53 @@ class TestRhsPlan:
         dic = Dictionary((MonomialDerivative(0, 1),), coefficients=(1.0,))
         with pytest.raises(InvalidInputError):
             rhs_values(RhsPlan(dic, unit_grid, dirichlet=False), np.zeros((2, 50)))
+
+
+def _items(fold):
+    """A fold's three parts with every mapping as a list of its items, so that
+    comparing two folds also compares their orders."""
+    poly, groups, kernel = fold
+    return list(poly.items()), [(j, list(o.items())) for j, o in groups.items()], kernel
+
+
+class TestFoldTerms:
+    @pytest.mark.parametrize("make_model, expected", [
+        (koopid.burgers_model, ([], [(1, [(1, -1.0)]), (0, [(2, 1.0)])], None)),
+        (koopid.pde1_model,
+         ([(1, -2.0)], [(0, [(1, -0.5), (2, 1.0), (3, 0.1)]), (1, [(1, -0.5), (2, -0.2)])], None)),
+        (koopid.graphon_model, ([(1, -0.5), (2, 1.5), (3, -1.0)], [], (1.0, -0.7, -0.3))),
+    ], ids=["burgers", "pde1", "graphon"])
+    def test_builtin_dictionaries(self, make_model, expected):
+        assert _items(fold_terms(make_model().dictionary)) == expected
+
+    def test_mixed_dictionary_and_its_bounds(self):
+        # a zero-coefficient term, u at orders 2 and 1, a constant, u^2 and two
+        # graphon terms whose kernels cancel: the fold keeps a zero kernel,
+        # which bounds nothing
+        dic = Dictionary(
+            (MonomialDerivative(2, 3), MonomialDerivative(1, 2), MonomialDerivative(0, 0),
+             MonomialDerivative(1, 1), MonomialDerivative(2, 0),
+             GraphonKernel(1.0, 0.5, -0.25), GraphonKernel(2.0, 1.0, -0.5)),
+            coefficients=(0.0, 0.5, 3.0, -2.0, 0.25, 2.0, -1.0),
+        )
+        fold = fold_terms(dic)
+        assert _items(fold) == ([(0, 3.0), (2, 0.25)], [(1, [(2, 0.5), (1, -2.0)])],
+                                (0.0, 0.0, 0.0))
+        h = 0.1
+        # the table's order carries no meaning: compare it sorted
+        assert sorted(_term_bounds(fold, h), key=lambda e: (e[2], e[1])) == [
+            (pytest.approx(REAL_SHARE * RK4_REAL_LIMIT / (2 * 0.25)), 1, 0),
+            (pytest.approx(2.0 * h / 2.0), 1, 1),
+            (pytest.approx(SAFETY * h**2 / 0.5), 1, 2),
+        ]
+
+    def test_requires_coefficients_as_the_plan_does(self, unit_grid):
+        dic = Dictionary((MonomialDerivative(0, 0),))
+        message = "right-hand side evaluation requires coefficients"
+        with pytest.raises(InvalidInputError, match=message):
+            fold_terms(dic)
+        with pytest.raises(InvalidInputError, match=message):
+            RhsPlan(dic, unit_grid, dirichlet=False)
 
 
 class TestDescribe:

@@ -20,7 +20,8 @@ from koopid.fields import diff_values
 from koopid.observables import (
     Bump, InnerProductPower, PointEvaluation, PowerLaw, build_burgers_basis,
 )
-from koopid.operators import DENSE_STENCIL_NODES, GraphonKernel, rhs_values, term_values
+from koopid.operators import (DENSE_STENCIL_NODES, GraphonKernel, fold_terms, rhs_values,
+                              term_values)
 from koopid.simulate import (
     BUILTIN_MODELS,
     DT_MAX,
@@ -42,7 +43,8 @@ from oracles import burgers_cole_hopf, lawson_rk4_step
 def split(model):
     """The explicit terms and the split-off linear part that a stepper of
     ``model`` takes."""
-    return _split_linear(model, _term_bounds(model.dictionary, model.grid.spacing))[:2]
+    fold = fold_terms(model.dictionary)
+    return _split_linear(model, fold, _term_bounds(fold, model.grid.spacing))[:2]
 
 
 def flow_route(stepper):
@@ -68,7 +70,8 @@ class TestStableSubstep:
         # off into the dense exact flow, and nothing else limits the step
         g = Grid1D(-1.0, 1.0, 101)  # h = 0.02
         dic = Dictionary((MonomialDerivative(0, 2),), coefficients=(1.0,))
-        assert min(b for b, _, _ in _term_bounds(dic, g.spacing)) == pytest.approx(0.25 * 0.02**2)
+        assert min(b for b, _, _ in _term_bounds(fold_terms(dic), g.spacing)) == pytest.approx(
+            0.25 * 0.02**2)
         assert _LawsonRK4(Model("heat", dic, g)).dt == DT_MAX
 
     def test_dirichlet_diffusion_split_off(self):
@@ -113,7 +116,8 @@ class TestStableSubstep:
         h = m.grid.spacing
         explicit, linear = split(m)
         assert linear == {1: -0.5, 2: 1.0, 3: 0.1}
-        assert min(b for b, _, _ in _term_bounds(m.dictionary, h)) == pytest.approx(0.25 * h**3 / 0.1)
+        assert min(b for b, _, _ in _term_bounds(fold_terms(m.dictionary), h)) == pytest.approx(
+            0.25 * h**3 / 0.1)
         assert _LawsonRK4(m).dt == pytest.approx(0.25 * h**2 / 0.2)
         assert dict(zip(explicit.terms, explicit.coefficients)) == {
             **dict(zip(m.dictionary.terms, m.dictionary.coefficients)),
@@ -126,7 +130,8 @@ class TestStableSubstep:
         # has no derivative terms
         pde1 = koopid.pde1_model()
         h = pde1.grid.spacing
-        assert min(b for b, _, _ in _term_bounds(pde1.dictionary, h)) == pytest.approx(0.25 * h**3 / 0.1)
+        assert min(b for b, _, _ in _term_bounds(fold_terms(pde1.dictionary), h)) == pytest.approx(
+            0.25 * h**3 / 0.1)
         assert _LawsonRK4(pde1).dt == pytest.approx(0.25 * h**2 / 0.2)
         assert _LawsonRK4(koopid.graphon_model()).dt == DT_MAX
 
@@ -203,7 +208,8 @@ class TestStableSubstep:
         g = Grid1D(0.0, 5.0, 128)
         dic = Dictionary((MonomialDerivative(0, 3),), coefficients=(0.1,))
         h = g.spacing
-        assert min(b for b, _, _ in _term_bounds(dic, h)) == pytest.approx(0.25 * h**3 / 0.1)
+        assert min(b for b, _, _ in _term_bounds(fold_terms(dic), h)) == pytest.approx(
+            0.25 * h**3 / 0.1)
         assert _LawsonRK4(Model("airy", dic, g)).dt == DT_MAX
 
     def test_substep_at_floor_is_refused(self):
@@ -276,7 +282,8 @@ class TestDerivativeFreeBounds:
 
     @staticmethod
     def reaction_bounds(model):
-        return [(b, p) for b, p, k in _term_bounds(model.dictionary, model.grid.spacing)
+        fold = fold_terms(model.dictionary)
+        return [(b, p) for b, p, k in _term_bounds(fold, model.grid.spacing)
                 if k == 0]
 
     def test_builtin_steps_do_not_move(self):
