@@ -1,6 +1,7 @@
 """Exception and warning types shared across the package, and the checks
-every constructor shares: integer, real-number and flag arguments and input
-kinds.  The file readers leave every number and flag to these rules."""
+every constructor shares: integer, real-number and flag arguments, numeric
+arrays (node values and fit matrices) and input kinds.  The file readers
+leave every number, flag and array to these rules."""
 
 import math
 from numbers import Integral, Real
@@ -55,6 +56,36 @@ def require_bool(name: str, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise InvalidInputError(f"{name} must be a boolean, got {value!r}")
     return bool(value)
+
+
+def require_array(name: str, value, ndims, dtype=None) -> np.ndarray:
+    """``value`` as an array (of ``dtype`` when given), or InvalidInputError
+    naming ``name`` unless it is a rectangular array whose numpy dtype is an
+    integer, float or complex one (real when ``dtype`` is), with as many axes
+    as one of ``ndims``, no empty axis and only finite entries.  An ndarray
+    that needs no conversion comes back as itself, not a copy.
+
+    Text, ``bool`` and object dtypes are refused.  numpy reads a list that
+    mixes ``bool`` and numbers as numbers before this test, so ``[True,
+    0.5]`` passes as ``[1.0, 0.5]``; only an all-``bool`` array is caught.
+    """
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
+    if a.dtype.kind not in "iufc":
+        raise InvalidInputError(f"{name} must hold numbers, got dtype {a.dtype}")
+    if a.dtype.kind == "c" and dtype is not None and np.dtype(dtype).kind != "c":
+        # numpy would drop the imaginary part with only a ComplexWarning
+        raise InvalidInputError(f"{name} must be real, got dtype {a.dtype}")
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim not in ndims or 0 in a.shape:
+        dims = " or ".join(f"{d}-D" for d in ndims)
+        raise InvalidInputError(f"{name} must be {dims} with at least one row and column, "
+                                f"got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return a
 
 
 def require_kind(what: str, value, kinds) -> None:

@@ -1,6 +1,10 @@
 """Uniform 1-D grids, checks on node values, trapezoidal quadrature and
 finite-difference derivatives.
 
+:func:`grid_values` takes node values through ``errors.require_array``, the
+one rule for numeric arrays that the fit matrices of :mod:`koopid.linalg`
+share, and adds the grid's last axis and the Dirichlet boundary zeros.
+
 A state is an array of node values whose last axis samples a grid; leading
 axes index a batch of states.  Derivatives are second-order accurate central
 differences, written down once as coefficients in ``_STENCILS`` and built
@@ -30,7 +34,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, require_int, require_real
+from .errors import InvalidInputError, PreconditionError, require_array, require_int, require_real
 
 
 @dataclass(frozen=True)
@@ -63,22 +67,18 @@ def grid_values(grid: Grid1D, values, dirichlet: bool, ndims: Tuple[int, ...]) -
     """``values`` as a read-only float copy with as many axes as one of
     ``ndims``, the last one sampling ``grid``.
 
-    The values must be finite and, when ``dirichlet`` is set, exactly zero at
-    both boundaries; anything else raises InvalidInputError.
+    The values must pass ``errors.require_array`` (finite, real numbers, no
+    empty axis) and, when ``dirichlet`` is set, be exactly zero at both
+    boundaries; anything else raises InvalidInputError.
     """
-    try:
-        v = np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError("values must be a rectangular array of numbers") from None
-    if v.ndim not in ndims or v.shape[-1] != grid.num_points:
-        raise InvalidInputError(
-            f"values must have {' or '.join(map(str, ndims))} axes, the last of length "
-            f"{grid.num_points}, got shape {v.shape}"
-        )
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("values must be finite")
+    v = require_array("values", values, ndims, float)
+    if v.shape[-1] != grid.num_points:
+        raise InvalidInputError(f"values must have a last axis of length {grid.num_points}, "
+                                f"got shape {v.shape}")
     if dirichlet and (np.any(v[..., 0] != 0.0) or np.any(v[..., -1] != 0.0)):
         raise InvalidInputError("dirichlet-tagged values must vanish at both boundaries")
+    # a list was converted to a new array; anything else may share the caller's memory
+    v = v if isinstance(values, list) else v.copy(order="K")
     v.setflags(write=False)
     return v
 

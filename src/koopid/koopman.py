@@ -18,8 +18,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, KoopidError, RankDeficiencyWarning
-from .linalg import _check_matrix, branch_cut_mask, eig, matrix_rank, pinv
+from .errors import (InsufficientDataError, InvalidInputError, KoopidError, RankDeficiencyWarning,
+                     require_array)
+from .linalg import branch_cut_mask, eig, matrix_rank, pinv
 from .observables import FunctionalSpec, functional_values
 from .simulate import SnapshotDataset, _check_time
 
@@ -80,15 +81,15 @@ def edmd_fit(xi1: np.ndarray, xi2: np.ndarray, t_s: float) -> KoopmanFit:
     """Fit ``U = pinv(Xi1) @ Xi2``, the minimum-norm least-squares solution,
     and report retained rank and residual.
 
-    ``Xi1`` and ``Xi2`` must be finite 2-D matrices of one shape, and ``t_s``
-    a sampling time by the rule of ``simulate._check_time``; anything else
-    raises InvalidInputError.  Requires at least as many snapshot pairs as
-    basis functionals; a retained rank below the column count raises a
-    RankDeficiencyWarning.
+    ``Xi1`` and ``Xi2`` must be finite, real 2-D matrices of one shape by the
+    rule of ``errors.require_array``, and ``t_s`` a sampling time by the rule
+    of ``simulate._check_time``; anything else raises InvalidInputError.
+    Requires at least as many snapshot pairs as basis functionals; a
+    retained rank below the column count raises a RankDeficiencyWarning.
     """
     t_s = _check_time("sampling time", t_s)
-    xi1 = _check_matrix(xi1, "Xi1", float)
-    xi2 = _check_matrix(xi2, "Xi2", float)
+    xi1 = require_array("Xi1", xi1, (2,), float)
+    xi2 = require_array("Xi2", xi2, (2,), float)
     if xi1.shape != xi2.shape:
         raise InvalidInputError(f"Xi2 must have the shape of Xi1, {xi1.shape}, got {xi2.shape}")
     m, n = xi1.shape

@@ -9,6 +9,9 @@ produced by short-sampling-time fits; an ill-conditioned eigenvector matrix
 triggers a warning rather than a failure, and the logarithm then falls back
 to ``scipy.linalg.logm``.
 
+Every kernel checks its matrix by ``errors.require_array``, the rule for
+numeric arrays that node values share, and names it ``matrix``.
+
 Only :func:`expm` and that fallback need scipy.  They import ``scipy.linalg``
 when called, so importing this module loads no scipy module.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError, IllConditionedWarning, InvalidInputError
+from .errors import BranchCutError, IllConditionedWarning, InvalidInputError, require_array
 
 #: cond(V) above which logm/eig results carry an IllConditionedWarning.
 CONDITION_WARN_THRESHOLD = 1e8
@@ -29,34 +32,10 @@ CONDITION_WARN_THRESHOLD = 1e8
 BRANCH_CUT_TOL = 1e-12
 
 
-def _check_matrix(a, name="matrix", dtype=None):
-    """``a`` as an array (of ``dtype`` when given), or InvalidInputError naming
-    ``name`` unless it is a finite 2-D matrix of numbers, with at least one row
-    and column, and real when ``dtype`` is.  A ``bool`` entry is no number
-    here, as in ``require_real``."""
-    try:
-        a = np.asarray(a)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
-    if a.dtype.kind not in "iufc":
-        raise InvalidInputError(f"{name} must hold numbers, got dtype {a.dtype}")
-    if a.dtype.kind == "c" and dtype is not None and np.dtype(dtype).kind != "c":
-        # numpy would drop the imaginary part with only a ComplexWarning
-        raise InvalidInputError(f"{name} must be real, got dtype {a.dtype}")
-    a = np.asarray(a, dtype=dtype)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidInputError(
-            f"{name} must be 2-D with at least one row and column, got shape {a.shape}"
-        )
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return a
-
-
-def _check_square(a, name="matrix"):
-    a = _check_matrix(a, name)
+def _check_square(a):
+    a = require_array("matrix", a, (2,))
     if a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
+        raise InvalidInputError(f"matrix must be square, got shape {a.shape}")
     return a
 
 
@@ -74,7 +53,7 @@ def pinv(a: np.ndarray) -> np.ndarray:
     Singular values at or below ``_rcond(a) * sigma_max`` are treated as
     zero, the standard rank-revealing choice.
     """
-    a = _check_matrix(a)
+    a = require_array("matrix", a, (2,))
     return np.linalg.pinv(a, rcond=_rcond(a))
 
 
@@ -82,7 +61,7 @@ def matrix_rank(a: np.ndarray) -> int:
     """Numerical rank: the number of singular values that :func:`pinv`
     keeps, those above ``_rcond(a) * sigma_max`` (numpy's default
     tolerance)."""
-    return int(np.linalg.matrix_rank(_check_matrix(a)))
+    return int(np.linalg.matrix_rank(require_array("matrix", a, (2,))))
 
 
 @dataclass(frozen=True)

@@ -149,11 +149,12 @@ class SnapshotDataset:
     """m snapshot pairs as two read-only ``(m, N)`` arrays on one grid.
 
     Row k of ``u_next`` is row k of ``u`` advanced by the sampling time, which
-    must be finite and above ``MIN_SUBSTEP``.  Both arrays are copied and must
-    have the same shape, at least one row, a last axis of the grid's N nodes
-    and finite values, zero at both boundaries when the bool ``dirichlet`` is
-    set, and ``provenance`` must be None or a dict, the only kinds a dataset
-    file reads back; anything else raises InvalidInputError.
+    must be finite and above ``MIN_SUBSTEP``.  Both arrays are copied; they
+    must hold finite real numbers by the rule of ``errors.require_array``
+    (at least one row), have the same shape and a last axis of the grid's N
+    nodes, and be zero at both boundaries when the bool ``dirichlet`` is set.
+    ``provenance`` must be None or a dict, the only kinds a dataset file
+    reads back; anything else raises InvalidInputError.
     """
 
     grid: Grid1D
@@ -172,8 +173,6 @@ class SnapshotDataset:
         u_next = grid_values(self.grid, self.u_next, self.dirichlet, (2,))
         if u.shape != u_next.shape:
             raise InvalidInputError(f"u has shape {u.shape} but u_next has shape {u_next.shape}")
-        if len(u) < 1:
-            raise InvalidInputError("dataset must contain at least one pair")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "u_next", u_next)
 

@@ -463,16 +463,41 @@ class TestIdentify:
         assert code == EXIT_USAGE
         assert "'pairs'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["ragged", "text"])
+    def _read_fails(self, tmp_path, data, capsys, message):
+        """``identify`` and ``spectrum`` on ``data`` exit 64 with ``message``."""
+        assert self._identify(tmp_path, data, GRAPHON_DICT) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        code = main(["spectrum", "--data", str(data), "--basis", "burgers:1",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("bad", ["ragged", "text", "numeric-text", "bool"])
     def test_dataset_snapshot_not_numbers_is_usage_error(self, tmp_path, graphon_data, capsys,
                                                          bad):
+        # numeric text and true were read as numbers before the array rule.
+        # numpy reads a row of true among rows of numbers as 1.0, so the bool
+        # case makes every u row true
         doc = json.loads(graphon_data.read_text())
         u = doc["pairs"][3]["u"]
-        doc["pairs"][3]["u"] = u[:-1] if bad == "ragged" else ["x"] * len(u)
+        if bad == "bool":
+            for pair in doc["pairs"]:
+                pair["u"] = [True] * len(u)
+        else:
+            doc["pairs"][3]["u"] = {"ragged": u[:-1], "text": ["x"] * len(u),
+                                    "numeric-text": [str(v) for v in u]}[bad]
         graphon_data.write_text(json.dumps(doc))
-        code = self._identify(tmp_path, graphon_data, GRAPHON_DICT)
-        assert code == EXIT_USAGE
-        assert "rectangular array of numbers" in capsys.readouterr().err
+        message = {"ragged": "values must be a rectangular array of numbers",
+                   "bool": "values must hold numbers, got dtype bool"}
+        self._read_fails(tmp_path, graphon_data, capsys,
+                         message.get(bad, "values must hold numbers, got dtype <U32"))
+
+    def test_dataset_without_pairs_is_usage_error(self, tmp_path, graphon_data, capsys):
+        doc = json.loads(graphon_data.read_text())
+        doc["pairs"] = []
+        graphon_data.write_text(json.dumps(doc))
+        self._read_fails(tmp_path, graphon_data, capsys,
+                         "values must be 2-D with at least one row and column, got shape (0,)")
 
     def test_overflowing_data_is_usage_error_without_numpy_warnings(self, tmp_path, graphon_data,
                                                                      capsys):

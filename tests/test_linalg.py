@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopid import BranchCutError, eig, expm, logm, pinv
-from koopid.errors import IllConditionedWarning, InvalidInputError
-from koopid.linalg import CONDITION_WARN_THRESHOLD, _check_matrix, matrix_rank
+from koopid.errors import IllConditionedWarning, InvalidInputError, require_array
+from koopid.linalg import CONDITION_WARN_THRESHOLD, matrix_rank
 
 
 def random_matrix(seed: int, m: int, n: int) -> np.ndarray:
@@ -131,10 +131,10 @@ class TestInputChecks:
 
     def test_complex_refused_only_for_a_real_dtype(self):
         a = np.array([[1.0, 1j], [0.0, 2.0]])
-        assert _check_matrix(a) is a
+        assert require_array("matrix", a, (2,)) is a
         assert pinv(a).dtype == complex
         with pytest.raises(InvalidInputError, match="^matrix must be real, got dtype complex128$"):
-            _check_matrix(a, dtype=float)
+            require_array("matrix", a, (2,), float)
 
     @pytest.mark.parametrize("kernel", [eig, expm, logm])
     def test_non_square(self, kernel):

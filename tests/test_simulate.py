@@ -346,6 +346,16 @@ class TestDerivativeFreeBounds:
             integrate(m, np.ones(16), 1.0)
 
 
+#: node values that are not real numbers, each with the message that
+#: refuses it; before the array rule the text and the bools were read as
+#: numbers and a complex state lost its imaginary part with a ComplexWarning
+NOT_REAL_NUMBERS = pytest.mark.parametrize("convert, message", [
+    (lambda u: u.astype(str), "values must hold numbers, got dtype <U32"),
+    (lambda u: u != 0.0, "values must hold numbers, got dtype bool"),
+    (lambda u: u + 0j, "values must be real, got dtype complex128"),
+], ids=["numeric-text", "bool", "complex"])
+
+
 class TestIntegrate:
     def test_heat_mode_decay_oracle(self):
         # mode k of the heat equation on [-1,1] decays at exp(-(k pi/2)^2 t)
@@ -569,6 +579,42 @@ class TestIntegrate:
         for coarse, fine in zip(errors[128], errors[256]):
             assert 3.6 <= coarse / fine <= 4.4
 
+    @staticmethod
+    def refinement_gaps(name, grids, horizon):
+        """The largest gap at the shared nodes between the states that
+        successive ``grids`` reach at ``horizon``, from the seed-1 starts of
+        the default dataset of the built-in model ``name``, drawn as
+        ``generate_pairs`` draws them."""
+        _, trajectories, _, family, _ = EXPERIMENT_DEFAULTS[name]
+        rng = np.random.default_rng(1)
+        params = [tuple(rng.random(2)) for _ in range(trajectories)]
+        states = []
+        for n in grids:
+            m = BUILTIN_MODELS[name](n)
+            u0 = np.stack([sample_initial_condition(family, m.grid, a, b) for a, b in params])
+            states.append(integrate(m, u0, horizon))
+        return [np.max(np.abs(coarse - fine[:, ::2])) for coarse, fine in zip(states, states[1:])]
+
+    def test_pde1_refines_below_second_order(self):
+        # to t = 1.8 (burn-in 1.5 plus ts 0.3) on 33, 65 and 129 nodes.
+        # Measured: gaps 3.01e-4 and 1.03e-4, a ratio of 2.94 (2.96 and 3.00
+        # at seeds 2 and 3), below the stencils' nominal 4; the larger gap of
+        # the finer pair sits next to the right boundary.  The bounds allow
+        # twice the gaps and the ratio 10% either way
+        gaps = self.refinement_gaps("pde1", (33, 65, 129), 1.8)
+        assert gaps[0] <= 6.0e-4 and gaps[1] <= 2.1e-4
+        assert 2.64 <= gaps[0] / gaps[1] <= 3.23
+
+    def test_graphon_refines_at_second_order(self):
+        # to t = 5 on 65, 129, 257 and 513 nodes.  Measured: gaps 4.96e-7,
+        # 1.24e-7 and 3.10e-8, ratios 4.000 and 4.000 (the trapezoid rule's
+        # h^2; graphon takes no derivative).  The bounds allow twice the gaps
+        # and the ratios 2.5% either way
+        gaps = self.refinement_gaps("graphon", (65, 129, 257, 513), 5.0)
+        assert gaps[0] <= 1.0e-6 and gaps[1] <= 2.5e-7 and gaps[2] <= 6.2e-8
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.9 <= coarse / fine <= 4.1
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan, 1e-16])
     def test_rejects_nonpositive_or_non_finite_horizon(self, horizon):
         m = koopid.graphon_model(16)
@@ -610,6 +656,20 @@ class TestIntegrate:
         candidates = Dictionary((MonomialDerivative(1, 0),))
         with pytest.raises(InvalidInputError, match="^a model dictionary must carry coefficients$"):
             Model("candidates", candidates, Grid1D(0.0, 1.0, 16))
+
+    @NOT_REAL_NUMBERS
+    def test_refuses_values_that_are_not_real_numbers(self, convert, message):
+        m = koopid.graphon_model(16)
+        with pytest.raises(InvalidInputError) as exc:
+            integrate(m, convert(np.cos(m.grid.nodes())), 0.1)
+        assert str(exc.value) == message
+
+    def test_rejects_a_third_axis(self):
+        m = koopid.graphon_model(16)
+        with pytest.raises(InvalidInputError) as exc:
+            integrate(m, np.zeros((1, 2, 16)), 0.1)
+        assert str(exc.value) == ("values must be 1-D or 2-D with at least one row and column, "
+                                  "got shape (1, 2, 16)")
 
     def test_rejects_mismatched_grid(self):
         m = heat_model(num_points=64)
@@ -894,6 +954,12 @@ class TestSnapshotDataset:
         assert ds.u[0, 1] != 7.0
         with pytest.raises(ValueError):
             ds.u_next[0, 1] = 1.0
+        # a buffer of the caller's array is copied too; a list converts to a
+        # new array, which is read-only as well
+        ds = SnapshotDataset(self.GRID, 0.1, memoryview(u), u.tolist(), dirichlet=True)
+        u[0, 1] = 8.0
+        assert ds.u[0, 1] == ds.u_next[0, 1] == 7.0
+        assert not ds.u.flags.writeable and not ds.u_next.flags.writeable
 
     @pytest.mark.parametrize(
         "case", ["non-finite", "last-axis", "shape-mismatch", "zero-pairs", "dirichlet-boundary"]
@@ -913,6 +979,13 @@ class TestSnapshotDataset:
             u_next[2, -1] = 1e-3
         with pytest.raises(KoopidError):
             SnapshotDataset(self.GRID, 0.1, u, u_next, dirichlet=True)
+
+    @NOT_REAL_NUMBERS
+    def test_refuses_values_that_are_not_real_numbers(self, convert, message):
+        u = self.rows()
+        with pytest.raises(InvalidInputError) as exc:
+            SnapshotDataset(self.GRID, 0.1, convert(u), 0.5 * u, dirichlet=True)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("ts", [1e-16, 1e-15])
     def test_rejects_sampling_time_at_or_below_min_substep(self, ts):
