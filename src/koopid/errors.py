@@ -65,9 +65,12 @@ def require_array(name: str, value, ndims, dtype=None) -> np.ndarray:
     as one of ``ndims``, no empty axis and only finite entries.  An ndarray
     that needs no conversion comes back as itself, not a copy.
 
-    Text, ``bool`` and object dtypes are refused.  numpy reads a list that
-    mixes ``bool`` and numbers as numbers before this test, so ``[True,
-    0.5]`` passes as ``[1.0, 0.5]``; only an all-``bool`` array is caught.
+    Text, ``bool`` and object dtypes are refused, and so is a ``bool``
+    among the numbers of a nested list or tuple: numpy reads ``[True,
+    0.5]`` as ``[1.0, 0.5]``, so the entries it reads as 0 or 1 are looked
+    up in ``value`` by index and their Python type checked.  Only those
+    are, since no other entry can have been a bool; an ndarray needs no
+    scan.
     """
     try:
         a = np.asarray(value)
@@ -75,6 +78,16 @@ def require_array(name: str, value, ndims, dtype=None) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
     if a.dtype.kind not in "iufc":
         raise InvalidInputError(f"{name} must hold numbers, got dtype {a.dtype}")
+    if isinstance(value, (list, tuple)):
+        # flat indices, unravelled: np.argwhere (np.nonzero) of a 2-D mask costs
+        # several times more, as much as the rest of the scan on node values
+        hits = np.unravel_index(np.flatnonzero((a == 0) | (a == 1)), a.shape)
+        for index in np.transpose(hits).tolist():
+            entry = value
+            for i in index:
+                entry = entry[i]
+            if isinstance(entry, (bool, np.bool_)):
+                raise InvalidInputError(f"{name} must hold numbers, got {entry} at index {index}")
     if a.dtype.kind == "c" and dtype is not None and np.dtype(dtype).kind != "c":
         # numpy would drop the imaginary part with only a ComplexWarning
         raise InvalidInputError(f"{name} must be real, got dtype {a.dtype}")

@@ -64,8 +64,8 @@ class Grid1D:
 
 
 def grid_values(grid: Grid1D, values, dirichlet: bool, ndims: Tuple[int, ...]) -> np.ndarray:
-    """``values`` as a read-only float copy with as many axes as one of
-    ``ndims``, the last one sampling ``grid``.
+    """``values`` as a read-only, C-ordered float copy with as many axes as
+    one of ``ndims``, the last one sampling ``grid``.
 
     The values must pass ``errors.require_array`` (finite, real numbers, no
     empty axis) and, when ``dirichlet`` is set, be exactly zero at both
@@ -78,7 +78,7 @@ def grid_values(grid: Grid1D, values, dirichlet: bool, ndims: Tuple[int, ...]) -
     if dirichlet and (np.any(v[..., 0] != 0.0) or np.any(v[..., -1] != 0.0)):
         raise InvalidInputError("dirichlet-tagged values must vanish at both boundaries")
     # a list was converted to a new array; anything else may share the caller's memory
-    v = v if isinstance(values, list) else v.copy(order="K")
+    v = v if isinstance(values, list) else v.copy()
     v.setflags(write=False)
     return v
 

@@ -242,11 +242,10 @@ def dataset_to_json(dataset: SnapshotDataset) -> str:
         "dirichlet": dataset.dirichlet,
         "provenance": dataset.provenance or {},
     }, allow_nan=False)
-    # orjson serializes only C-contiguous arrays; a Fortran-ordered input
-    # keeps its layout in SnapshotDataset
+    # orjson serializes only C-contiguous arrays, and SnapshotDataset holds
+    # C-ordered ones, whose rows are C-contiguous
     pairs = orjson.dumps(
-        [{"u": u, "u_next": un} for u, un in
-         zip(np.ascontiguousarray(dataset.u), np.ascontiguousarray(dataset.u_next))],
+        [{"u": u, "u_next": un} for u, un in zip(dataset.u, dataset.u_next)],
         option=orjson.OPT_SERIALIZE_NUMPY,
     ).decode()
     return f'{head[:-1]}, "pairs": {pairs}}}'

@@ -194,12 +194,8 @@ def term_values(term: TermSpec, values: np.ndarray, grid: Grid1D, dirichlet: boo
     """
     v = np.asarray(values, dtype=float)
     if isinstance(term, MonomialDerivative):
-        if term.k == 0:
-            out = _int_power(v, term.j)
-        elif term.j == 0:
-            out = diff_values(v, grid.spacing, term.k, dirichlet)
-        else:
-            out = _int_power(v, term.j)
+        out = _int_power(v, term.j)
+        if term.k:
             out *= diff_values(v, grid.spacing, term.k, dirichlet)
     else:
         moments, spread, diagonal = _graphon_kernel(term.c0, term.cx, term.cy, grid)

@@ -5,8 +5,9 @@ form.  A model's linear part ``L u = sum_k c_k d^k u / dx^k`` (its ``u^0``
 derivative terms, k = 1..3) is split off and integrated exactly when a k = 2
 or k = 3 bound sets the unsplit substep, the split lengthens it and the
 ``u_xx`` coefficient is not negative (backward heat stays explicit).  The
-exact half-step flow ``P = exp((h/2) L)`` is built once per substep length
-and applied to the whole batch.  It takes one of two forms:
+stepper keeps the split as its coefficients ``{k: c_k}`` and builds the exact
+half-step flow ``P = exp((h/2) L)`` from them once per substep length, then
+applies it to the whole batch.  It takes one of two forms:
 
 * ``L = c u_xx`` alone on a homogeneous-Dirichlet model (Burgers, heat): the
   odd-reflection stencil is diagonal in the orthonormal sine basis S of the
@@ -134,6 +135,10 @@ class ICFamily(enum.Enum):
 
 
 def sample_initial_condition(family: ICFamily, grid: Grid1D, a: float, b: float) -> np.ndarray:
+    """The family's start on the grid's nodes for the parameters ``a`` and
+    ``b``, which broadcast against the ``(N,)`` nodes: two floats give one
+    ``(N,)`` start, two ``(k, 1)`` columns the ``(k, N)`` starts of k
+    trajectories, row i the start of ``(a[i, 0], b[i, 0])``."""
     x = grid.nodes()
     if family is ICFamily.BURGERS:
         return (x**2 - 1.0) * np.cos(a * np.pi * x + b * np.pi)
@@ -149,10 +154,11 @@ class SnapshotDataset:
     """m snapshot pairs as two read-only ``(m, N)`` arrays on one grid.
 
     Row k of ``u_next`` is row k of ``u`` advanced by the sampling time, which
-    must be finite and above ``MIN_SUBSTEP``.  Both arrays are copied; they
-    must hold finite real numbers by the rule of ``errors.require_array``
-    (at least one row), have the same shape and a last axis of the grid's N
-    nodes, and be zero at both boundaries when the bool ``dirichlet`` is set.
+    must be finite and above ``MIN_SUBSTEP``.  Both arrays are copied, in C
+    order; they must hold finite real numbers by the rule of
+    ``errors.require_array`` (at least one row), have the same shape and a
+    last axis of the grid's N nodes, and be zero at both boundaries when the
+    bool ``dirichlet`` is set.
     ``provenance`` must be None or a dict, the only kinds a dataset file
     reads back; anything else raises InvalidInputError.
     """
@@ -284,11 +290,13 @@ class _LawsonRK4:
     The constructor folds the model's terms once and reads that fold's
     ``_term_bounds`` table: the split and ``dt`` through ``_split_linear``,
     and the refinement limits from the entries with p >= 1, which are never
-    split off.  With a linear part L split off, its half-step flow P =
-    exp((h/2) L) is applied exactly, as one callable per substep length
-    from ``_half_flow``: through the rank-r
-    sine factor of ``_sine_factor`` when L is Dirichlet ``c u_xx``, otherwise
-    as ``v @ p_t`` with the dense ``p_t`` = P^T built by ``expm``.  RK4
+    split off.  It keeps the split-off linear part L as ``{k: c}`` (empty
+    without a split), and ``_half_flow`` builds its half-step flow P =
+    exp((h/2) L) from it once per substep length, as one callable: through
+    the rank-r sine factor of ``_sine_factor`` when L is Dirichlet ``c
+    u_xx``, otherwise as ``v @ p_t`` with the dense ``p_t`` = P^T, the
+    ``expm`` of the stencil matrix of L.  Building that matrix costs O(N^2)
+    per length, next to the O(N^3) ``expm`` it feeds.  RK4
     integrates the remaining terms f, compiled once into ``plan``; without a
     split P is the identity and the step is classical RK4.
 
@@ -309,23 +317,7 @@ class _LawsonRK4:
         # the bounds that a state with |u| > 1 shortens: those with p >= 1
         self._limits = np.array([b for b, p, _ in bounds if p >= 1])
         self._powers = np.array([p for _, p, _ in bounds if p >= 1])
-        self._sine_rates = None  # the eigenvalues of L in its sine modes, or
-        self._generator = None   # L as a dense matrix
-        if model.dirichlet and linear.keys() == {2}:
-            n = model.grid.num_points
-            # the odd-reflection D2 stencil on the interior nodes is S diag(lam) S
-            # with S_jk = sqrt(2 / (N - 1)) sin(j k pi / (N - 1)), j, k = 1..N-2;
-            # lam falls with k, so the modes a step keeps are the leading ones
-            k = np.arange(1, n - 1)
-            lam = -(4.0 / model.grid.spacing**2) * np.sin(k * np.pi / (2 * (n - 1))) ** 2
-            self._sine_rates = linear[2] * lam
-        elif linear:
-            # the same entries as diff_values, so L u is the split-off terms
-            gen = stencil_operator(model.grid.num_points, model.grid.spacing, linear,
-                                   model.dirichlet).matrix()
-            if model.dirichlet:
-                gen[[0, -1]] = 0.0
-            self._generator = gen
+        self._linear = linear
         self._flows: dict = {}
 
     def _sine_factor(self, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -334,9 +326,13 @@ class _LawsonRK4:
         least SINE_FLOOR, those of the r leading sine modes, and the modes'
         columns of S zero-padded to N rows, as a contiguous ``(N, r)`` array."""
         n = self.model.grid.num_points
-        decay = np.exp((0.5 * h) * self._sine_rates)
-        r = int(np.count_nonzero(decay >= SINE_FLOOR))
+        # the odd-reflection D2 stencil on the interior nodes is S diag(lam) S
+        # with S_jk = sqrt(2 / (N - 1)) sin(j k pi / (N - 1)), j, k = 1..N-2;
+        # lam falls with k, so the modes a step keeps are the leading ones
         j = np.arange(1, n - 1)
+        lam = -(4.0 / self.model.grid.spacing**2) * np.sin(j * np.pi / (2 * (n - 1))) ** 2
+        decay = np.exp((0.5 * h) * (self._linear[2] * lam))
+        r = int(np.count_nonzero(decay >= SINE_FLOOR))
         # j k is reduced mod 2 (N - 1) so that sin sees an argument below 2 pi
         phase = np.outer(j, j[:r]) % (2 * (n - 1)) * (np.pi / (n - 1))
         a = np.zeros((n, r))
@@ -345,15 +341,23 @@ class _LawsonRK4:
 
     def _half_flow(self, h: float) -> Callable[[np.ndarray], np.ndarray]:
         """The half-step flow ``v -> P v`` on the rows of ``v`` for the
-        substep ``h``, built once per length; the identity without a split."""
+        substep ``h``, built once per length: the sine factor for Dirichlet
+        ``c u_xx``, the ``expm`` of the stencil matrix of any other split,
+        the identity without one."""
         if h not in self._flows:
-            if self._sine_rates is not None:
+            model, linear = self.model, self._linear
+            if model.dirichlet and linear.keys() == {2}:
                 a, e = self._sine_factor(h)
                 # diag(e_r) A_r^T as one contiguous (r, N) array
                 ea_t = np.ascontiguousarray(e[:, None] * a.T)
                 self._flows[h] = lambda v: (v @ a) @ ea_t
-            elif self._generator is not None:
-                p_t = np.ascontiguousarray(expm((0.5 * h) * self._generator).T)
+            elif linear:
+                # the same entries as diff_values, so L u is the split-off terms
+                gen = stencil_operator(model.grid.num_points, model.grid.spacing, linear,
+                                       model.dirichlet).matrix()
+                if model.dirichlet:
+                    gen[[0, -1]] = 0.0
+                p_t = np.ascontiguousarray(expm((0.5 * h) * gen).T)
                 self._flows[h] = lambda v: v @ p_t
             else:
                 self._flows[h] = lambda v: v
@@ -400,15 +404,13 @@ class _LawsonRK4:
         """Per state (row of ``u``), the least r >= 0 with ``h / 2^r <= b /
         s^j`` for each explicit term's bound b and power j, where s is the
         state's largest magnitude, at least 1; r is capped at MAX_REFINE.
-        None when every r is 0."""
+        None when no term has p >= 1 or no state exceeds magnitude 1."""
         if not self._limits.size:
             return None
         s = np.abs(u).max(axis=-1)
         if s.max() <= 1.0:
             return None
         ratio = h * np.max(np.maximum(s, 1.0)[:, None] ** self._powers / self._limits, axis=-1)
-        if ratio.max() <= 1.0:
-            return None
         return np.clip(np.ceil(np.log2(ratio)), 0, MAX_REFINE).astype(int)
 
     def _substep(self, u: np.ndarray, h: float) -> np.ndarray:
@@ -549,24 +551,21 @@ def _pair_datasets(
         burn_in = _check_time("burn-in (0 for none)", burn_in)
 
     base, rem = divmod(total_pairs, num_trajectories)
-    quotas = [base + (1 if i < rem else 0) for i in range(num_trajectories)]
-    max_quota = max(quotas)
-    if min(quotas) == 0:
+    if base == 0:
         raise InvalidInputError(
             f"{total_pairs} pairs over {num_trajectories} trajectories leaves idle trajectories"
         )
+    quotas = base + (np.arange(num_trajectories) < rem)
+    max_quota = base + (rem > 0)
 
-    rng = np.random.default_rng(seed)
-    params = [tuple(rng.random(2)) for _ in range(num_trajectories)]
-    start = np.stack(
-        [sample_initial_condition(family, model.grid, a, b) for a, b in params]
-    )
+    # row i holds the (a, b) of trajectory i, the doubles of its own rng.random(2)
+    a, b = np.random.default_rng(seed).random((num_trajectories, 2)).T
+    start = sample_initial_condition(family, model.grid, a[:, None], b[:, None])
     stepper = _LawsonRK4(model)
     stepper.check_substeps(burn_in + max_quota * sum(ts_list))
     if burn_in > 0:
         start = stepper.advance(start, burn_in)
 
-    quotas_arr = np.asarray(quotas)
     # pair k spans segment pair_seg[k] of trajectory pair_traj[k], trajectory-major
     pair_traj = np.repeat(np.arange(num_trajectories), quotas)
     pair_seg = np.concatenate([np.arange(q) for q in quotas])
@@ -575,7 +574,7 @@ def _pair_datasets(
         snapshots = [states]
         for seg in range(max_quota):
             # trajectories whose quota is filled no longer need stepping
-            states = np.where(quotas_arr[:, None] > seg, states, 0.0)
+            states = np.where(quotas[:, None] > seg, states, 0.0)
             states = stepper.advance(states, t_s, t0=burn_in + seg * t_s)
             snapshots.append(states)
         snapshots = np.stack(snapshots)

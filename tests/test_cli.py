@@ -472,12 +472,13 @@ class TestIdentify:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("bad", ["ragged", "text", "numeric-text", "bool"])
+    @pytest.mark.parametrize("bad", ["ragged", "text", "numeric-text", "bool", "one-true"])
     def test_dataset_snapshot_not_numbers_is_usage_error(self, tmp_path, graphon_data, capsys,
                                                          bad):
         # numeric text and true were read as numbers before the array rule.
-        # numpy reads a row of true among rows of numbers as 1.0, so the bool
-        # case makes every u row true
+        # The bool case makes every u row true, a bool array; numpy reads the
+        # one-true case's list as floats, and the entry is refused by its
+        # Python type
         doc = json.loads(graphon_data.read_text())
         u = doc["pairs"][3]["u"]
         if bad == "bool":
@@ -485,12 +486,29 @@ class TestIdentify:
                 pair["u"] = [True] * len(u)
         else:
             doc["pairs"][3]["u"] = {"ragged": u[:-1], "text": ["x"] * len(u),
-                                    "numeric-text": [str(v) for v in u]}[bad]
+                                    "numeric-text": [str(v) for v in u],
+                                    "one-true": u[:5] + [True] + u[6:]}[bad]
         graphon_data.write_text(json.dumps(doc))
         message = {"ragged": "values must be a rectangular array of numbers",
-                   "bool": "values must hold numbers, got dtype bool"}
+                   "bool": "values must hold numbers, got dtype bool",
+                   "one-true": "values must hold numbers, got True at index [3, 5]"}
         self._read_fails(tmp_path, graphon_data, capsys,
                          message.get(bad, "values must hold numbers, got dtype <U32"))
+
+    def test_false_at_a_dirichlet_boundary_is_usage_error(self, tmp_path, capsys):
+        # false reads as 0.0, which the Dirichlet boundary check would accept
+        data = tmp_path / "p.json"
+        assert main([
+            "simulate", "--model", "pde1", "--pairs", "4", "--trajectories", "2",
+            "--ts", "0.1", "--seed", "1", "--grid", "32", "--out", str(data),
+        ]) == EXIT_OK
+        doc = json.loads(data.read_text())
+        assert doc["dirichlet"] and doc["pairs"][1]["u_next"][0] == 0.0
+        doc["pairs"][1]["u_next"][0] = False
+        data.write_text(json.dumps(doc))
+        capsys.readouterr()
+        self._read_fails(tmp_path, data, capsys,
+                         "values must hold numbers, got False at index [1, 0]")
 
     def test_dataset_without_pairs_is_usage_error(self, tmp_path, graphon_data, capsys):
         doc = json.loads(graphon_data.read_text())

@@ -134,8 +134,12 @@ class TestEdmdFit:
         # numpy would cast them to the zero matrix with only a ComplexWarning
         (np.array([[1j]]), [[1.0]], "Xi1 must be real, got dtype complex128"),
         (np.eye(1), np.array([[1.0 + 0j]]), "Xi2 must be real, got dtype complex128"),
+        # numpy would read them as 1.0 and 0.0
+        ([[1.0, True], [0.0, 1.0]], np.eye(2), r"Xi1 must hold numbers, got True at index \[0, 1\]"),
+        (np.eye(2), [[1.0, 0.0], [np.False_, 1.0]],
+         r"Xi2 must hold numbers, got False at index \[1, 0\]"),
     ], ids=["nan-xi2", "inf-xi1", "shape", "1-D", "text-xi1", "none-xi2", "ragged-xi1",
-            "ragged-xi2", "complex-xi1", "complex-xi2"])
+            "ragged-xi2", "complex-xi1", "complex-xi2", "true-xi1", "numpy-false-xi2"])
     def test_names_the_bad_matrix(self, xi1, xi2, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             edmd_fit(xi1, xi2, 0.1)

@@ -122,6 +122,22 @@ class TestInputChecks:
         with pytest.raises(InvalidInputError, match=f"^matrix must hold numbers, got dtype {dtype}$"):
             kernel(a)
 
+    @pytest.mark.parametrize("a, index", [
+        ([[1, True], [0, 2]], [0, 1]), ([[0.5, 0.0], (1.0, False)], [1, 1]),
+        ([[2.0, 0.0], [np.True_, 0.5]], [1, 0]),
+    ], ids=["int-list", "tuple-row", "numpy-bool"])
+    def test_bool_among_numbers(self, a, index):
+        # numpy reads these lists as numbers, the bool as 0 or 1
+        entry = "True" if index != [1, 1] else "False"
+        with pytest.raises(InvalidInputError) as exc:
+            require_array("matrix", a, (2,))
+        assert str(exc.value) == f"matrix must hold numbers, got {entry} at index {index}"
+
+    def test_numbers_equal_to_zero_or_one_pass(self):
+        assert np.array_equal(require_array("values", [1, 0.5], (1,)), [1.0, 0.5])
+        assert np.array_equal(require_array("matrix", [[0, 1.0], (1, 0.0)], (2,), float),
+                              [[0.0, 1.0], [1.0, 0.0]])
+
     @pytest.mark.parametrize("kernel", [pinv, matrix_rank, eig, expm, logm])
     def test_ragged(self, kernel):
         # numpy raised its own ValueError ("... inhomogeneous shape ...")

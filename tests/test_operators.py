@@ -14,7 +14,7 @@ from koopid import (
     rhs_values,
 )
 from koopid.errors import InvalidInputError, PreconditionError
-from koopid.fields import stencil_operator, trapezoid_weights
+from koopid.fields import diff_values, stencil_operator, trapezoid_weights
 from koopid.operators import _int_power, describe_term, fold_terms, term_values
 from koopid.simulate import REAL_SHARE, RK4_REAL_LIMIT, SAFETY, _term_bounds
 from helpers import heat_model
@@ -86,6 +86,20 @@ class TestMonomialTerms:
             pinned = term_values(term, v, g, dirichlet=True)
             assert pinned[0] == 0.0 and pinned[-1] == 0.0
             assert np.array_equal(pinned[1:-1], free[1:-1])
+
+
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pure_derivative_is_the_stencil(self, k, dirichlet):
+        # u^0 d^k u / dx^k takes the monomial formula, 1.0 * D_k u, which is
+        # D_k u exactly
+        g = Grid1D(0.0, 5.0, 64)
+        v = np.random.default_rng(k).standard_normal((3, g.num_points))
+        v[:, [0, -1]] = 0.0
+        expected = diff_values(v, g.spacing, k, dirichlet)
+        if dirichlet:
+            expected[:, [0, -1]] = 0.0
+        assert np.array_equal(term_values(MonomialDerivative(0, k), v, g, dirichlet), expected)
 
 
 class TestGraphonTerms:

@@ -50,9 +50,9 @@ def split(model):
 def flow_route(stepper):
     """How a stepper applies its half-step flow: through sine modes, as a
     dense matrix, or not at all."""
-    if stepper._sine_rates is not None:
+    if stepper.model.dirichlet and stepper._linear.keys() == {2}:
         return "sine"
-    return "dense" if stepper._generator is not None else "none"
+    return "dense" if stepper._linear else "none"
 
 
 def dispersive_model(num_points):
@@ -148,10 +148,10 @@ class TestStableSubstep:
         assert stepper.dt == DT_MAX
         if route == "sine":
             assert linear == {2: 1.0} and explicit.coefficients == (advection, 0.0)
-            assert stepper._sine_rates is not None
+            assert flow_route(stepper) == "sine"
         else:
             assert linear == {1: advection, 2: 1.0} and explicit.coefficients == (0.0, 0.0)
-            assert stepper._generator is not None
+            assert flow_route(stepper) == "dense"
 
     def test_large_state_refines_substep(self):
         # pde1's u u_xx bound, 0.25 h^2 / 0.2, is the stable substep at
@@ -164,6 +164,17 @@ class TestStableSubstep:
         assert list(stepper._refinements(states, dt)) == [0, 0, 1, 3, MAX_REFINE]
         assert list(stepper._refinements(states, dt / 8)) == [0, 0, 0, 0, MAX_REFINE]
         assert stepper._refinements(states[:2], dt) is None
+
+    def test_large_state_within_its_bound_takes_one_step(self):
+        # at dt / 8 a state of magnitude 1.5 is within every bound (ratio
+        # 1.5 / 8 = 0.19), so all rows form one r = 0 group: the plain step
+        stepper = _LawsonRK4(koopid.pde1_model())
+        h = stepper.dt / 8
+        u = np.stack([np.full(64, v) for v in (0.5, -1.5, 1.2)])
+        u[:, [0, -1]] = 0.0
+        assert np.abs(u).max() == 1.5
+        assert list(stepper._refinements(u, h)) == [0, 0, 0]
+        assert np.array_equal(stepper._substep(u, h), stepper.step(u, h))
 
     def test_large_state_converged_at_stable_substep(self):
         # pde1 on 128 nodes from starts of magnitude up to 6.2: where u > 5
@@ -742,6 +753,18 @@ class TestGeneratePairs:
             assert np.allclose(ds.u[k], snapshots[seg][traj], rtol=0.0, atol=1e-12)
             assert np.allclose(ds.u_next[k], snapshots[seg + 1][traj], rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("model, family", [
+        (koopid.burgers_model(32), ICFamily.BURGERS), (koopid.pde1_model(32), ICFamily.PDE1),
+        (koopid.graphon_model(32), ICFamily.GRAPHON),
+    ], ids=["burgers", "pde1", "graphon"])
+    def test_starts_are_the_per_trajectory_draws(self, model, family):
+        # the first pair of each trajectory starts at its own rng.random(2)
+        # draw; 29 pairs over 7 trajectories give quotas 5, 4, 4, 4, 4, 4, 4
+        ds = generate_pairs(model, family, 7, 29, 0.01, seed=5)
+        rng = np.random.default_rng(5)
+        starts = [sample_initial_condition(family, model.grid, *rng.random(2)) for _ in range(7)]
+        assert np.array_equal(ds.u[[0, 5, 9, 13, 17, 21, 25]], np.stack(starts))
+
     def test_deterministic_per_seed(self):
         m = koopid.graphon_model(64)
         a = generate_pairs(m, ICFamily.GRAPHON, 2, 4, 0.5, seed=9)
@@ -986,6 +1009,20 @@ class TestSnapshotDataset:
         with pytest.raises(InvalidInputError) as exc:
             SnapshotDataset(self.GRID, 0.1, convert(u), 0.5 * u, dirichlet=True)
         assert str(exc.value) == message
+
+    def test_refuses_one_bool_in_a_list(self):
+        # a list mixing bools and numbers converts to floats; a True in u and
+        # a False at a boundary entry of u_next, where 0.0 would pass
+        u = self.rows().tolist()
+        u[1][3] = True
+        with pytest.raises(InvalidInputError) as exc:
+            SnapshotDataset(self.GRID, 0.1, u, self.rows(), dirichlet=True)
+        assert str(exc.value) == "values must hold numbers, got True at index [1, 3]"
+        u_next = self.rows().tolist()
+        u_next[2][-1] = False
+        with pytest.raises(InvalidInputError) as exc:
+            SnapshotDataset(self.GRID, 0.1, self.rows(), u_next, dirichlet=True)
+        assert str(exc.value) == "values must hold numbers, got False at index [2, 15]"
 
     @pytest.mark.parametrize("ts", [1e-16, 1e-15])
     def test_rejects_sampling_time_at_or_below_min_substep(self, ts):
