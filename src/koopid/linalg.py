@@ -1,8 +1,10 @@
 """Dense linear-algebra kernels: pseudoinverse, numerical rank,
 eigendecomposition, matrix exponential and principal matrix logarithm.
 
-The pseudoinverse, rank, eigendecomposition and matrix exponential delegate
-to LAPACK-backed numpy/scipy routines behind the package's error contracts.
+The pseudoinverse, rank and eigendecomposition delegate to LAPACK-backed
+numpy routines behind the package's error contracts.  The matrix exponential
+is Higham's scaling and squaring of the degree-13 Pade approximant (SIAM J.
+Matrix Anal. Appl. 26(4), 2005), written in numpy.
 The principal logarithm is computed by eigendecomposition,
 ``V log(diag(w)) V^{-1}``, which is adequate for the near-identity matrices
 produced by short-sampling-time fits; an ill-conditioned eigenvector matrix
@@ -12,8 +14,10 @@ to ``scipy.linalg.logm``.
 Every kernel checks its matrix by ``errors.require_array``, the rule for
 numeric arrays that node values share, and names it ``matrix``.
 
-Only :func:`expm` and that fallback need scipy.  They import ``scipy.linalg``
-when called, so importing this module loads no scipy module.
+Only that fallback needs scipy here, and it imports ``scipy.linalg`` when
+called, so importing this module loads no scipy module; the one other scipy
+user in the package is the pivoted QR with which ``identify`` names the
+dependent columns of a rank-deficient lift.
 """
 
 from __future__ import annotations
@@ -104,12 +108,43 @@ def eig(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, right_eigenvectors=v, condition=cond)
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximation)."""
-    a = _check_square(a)
-    import scipy.linalg
+#: Higham's degree-13 Pade coefficients b0..b13 and the 1-norm up to which
+#: that approximant needs no scaling (SIAM J. Matrix Anal. Appl. 26(4), 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
-    return scipy.linalg.expm(a)
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of the degree-13 Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), in numpy.
+
+    ``a`` is scaled by ``2^-s``, the least power that brings its 1-norm to
+    at most ``_THETA13``; the approximant ``r = (V - U)^-1 (V + U)`` is
+    formed as ``I + 2 (V - U)^-1 U`` and squared ``s`` times.  Each sum is
+    built in ascending powers of ``a``.  Integer input is taken as float64;
+    complex input gives a complex result.  No scipy is loaded: only
+    :func:`logm`'s Schur fallback and ``identify``'s pivoted QR need it.
+    """
+    a = _check_square(a)
+    norm = float(np.linalg.norm(a, 1))
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0.0 else 0
+    a = a * 2.0**-s  # a float copy of integer input
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[9] * a2 + b[11] * a4 + b[13] * a6)
+             + (b[1] * ident + b[3] * a2 + b[5] * a4 + b[7] * a6))
+    v = (a6 @ (b[8] * a2 + b[10] * a4 + b[12] * a6)
+         + (b[0] * ident + b[2] * a2 + b[4] * a4 + b[6] * a6))
+    x = 2.0 * np.linalg.solve(v - u, u)
+    x[np.diag_indices_from(x)] += 1.0
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
 def branch_cut_mask(w: np.ndarray) -> np.ndarray:

@@ -895,11 +895,12 @@ for argv in steps:
 
 
 class TestStartup:
-    """Importing koopid, and every command but a pde1 or custom-model
-    simulation, load no scipy module; a pde1 simulation loads scipy.linalg
-    for the expm of its linear flow, and no scipy.sparse.  Importing scipy
-    costs more than a whole graphon identification.  This process has scipy
-    loaded already, so each check runs in a fresh interpreter."""
+    """Importing koopid and the default command of each built-in model load
+    no scipy module: the dense linear flow of pde1 is a numpy expm, the
+    Burgers flow is built in closed form and derivatives are numpy
+    stencils.  Importing scipy costs more than a whole graphon
+    identification.  This process has scipy loaded already, so each check
+    runs in a fresh interpreter."""
 
     def run_fresh(self, steps, cwd, banned="scipy"):
         proc = subprocess.run(
@@ -942,7 +943,8 @@ class TestStartup:
              "--out", str(tmp_path / "s.csv")],
         ], tmp_path)
 
-    def test_pde1_simulate_loads_no_scipy_sparse_and_identify_no_scipy(self, tmp_path):
+    def test_pde1_simulate_and_identify_load_no_scipy(self, tmp_path):
+        # the simulation builds the dense flow of -0.5 u_x + u_xx + 0.1 u_xxx;
         # the lifting basis takes third derivatives, whose boundary rows are
         # the widest blocks of the stencils
         data, dict_path = str(tmp_path / "p.json"), tmp_path / "dict.json"
@@ -950,9 +952,14 @@ class TestStartup:
         self.run_fresh([
             ["simulate", "--model", "pde1", "--pairs", "24", "--trajectories", "12",
              "--ts", "0.3", "--seed", "1", "--grid", "32", "--out", data],
-        ], tmp_path, banned="scipy.sparse")
-        self.run_fresh([
             ["identify", "--data", data, "--dict", str(dict_path),
              "--weight", "bump:5:recentered", "--method", "lifting",
              "--out", str(tmp_path / "id.csv")],
+        ], tmp_path)
+
+    def test_pde1_sweep_loads_no_scipy(self, tmp_path):
+        # besides the dt flow, each new remainder length builds its own expm
+        self.run_fresh([
+            ["sweep-ts", "--model", "pde1", "--grid", "32", "--weight", "bump:5:recentered",
+             "--ts-list", "0.3,0.2,0.1", "--seed", "1", "--out", str(tmp_path / "sweep.csv")],
         ], tmp_path)

@@ -6,12 +6,15 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopid import BranchCutError, eig, expm, logm, pinv
+import koopid.simulate
+from koopid import (BranchCutError, Dictionary, Grid1D, Model, MonomialDerivative, eig, expm,
+                    logm, pde1_model, pinv)
 from koopid.errors import IllConditionedWarning, InvalidInputError, require_array
-from koopid.linalg import CONDITION_WARN_THRESHOLD, matrix_rank
+from koopid.linalg import _THETA13, CONDITION_WARN_THRESHOLD, matrix_rank
 
 
 def random_matrix(seed: int, m: int, n: int) -> np.ndarray:
@@ -221,3 +224,66 @@ class TestExpmLogm:
         r = np.array([[0.0, -1.0], [1.0, 0.0]])
         b = logm(r)
         assert np.allclose(b, np.array([[0.0, -np.pi / 2], [np.pi / 2, 0.0]]), atol=1e-10)
+
+
+def entry_error(got: np.ndarray, ref: np.ndarray) -> float:
+    """The largest entry difference over the largest entry of ``ref``."""
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def flow_inputs(model: Model, horizon: float) -> list:
+    """The matrices ``(h/2) L`` that the Lawson stepper of ``model`` hands
+    to ``expm`` for the substeps dt, dt/2, dt/8 and the remainder ``horizon
+    - floor(horizon/dt) dt``."""
+    stepper = koopid.simulate._LawsonRK4(model)
+    dt = stepper.dt
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(koopid.simulate, "expm", lambda a: seen.append(a) or np.eye(len(a)))
+        for h in (dt, dt / 2, dt / 8, horizon - int(horizon / dt) * dt):
+            stepper._half_flow(h)
+    assert len(seen) == 4
+    return seen
+
+
+class TestExpm:
+    """The numpy Pade kernel against ``scipy.linalg.expm`` on the flows the
+    stepper builds."""
+
+    @pytest.mark.parametrize("num_points", [32, 64, 128])
+    def test_matches_scipy_on_pde1_flows(self, num_points):
+        # measured: at most 3.2e-15, on the 128-node remainder flow
+        inputs = flow_inputs(pde1_model(num_points), 0.3)
+        # four times the dt flow's argument is past theta_13 at every size, and
+        # at 128 nodes the dt flow's own is (1-norm 6.0), so the squaring runs
+        inputs.append(4.0 * inputs[0])
+        assert np.linalg.norm(inputs[-1], 1) > _THETA13
+        assert (np.linalg.norm(inputs[0], 1) > _THETA13) == (num_points == 128)
+        for a in inputs:
+            assert entry_error(expm(a), scipy.linalg.expm(a)) <= 1e-14
+
+    def test_matches_scipy_on_non_dirichlet_advection_dispersion(self):
+        # the model and horizon of test_simulate.py's test_linear_model_is_exact.
+        # Its one-sided end stencils make L far from normal: the dt flow
+        # (1-norm 56, four squarings) differs from scipy's by 1.4e-14, of
+        # which scipy's own error against a 40-digit reference is 9.4e-15
+        # and this kernel's 4.4e-15
+        model = Model("advection-dispersion", Dictionary(
+            (MonomialDerivative(0, 1), MonomialDerivative(0, 2), MonomialDerivative(0, 3)),
+            coefficients=(0.3, 0.5, 0.01)), Grid1D(0.0, 2.0, 48))
+        for a in flow_inputs(model, 0.1234):
+            assert entry_error(expm(a), scipy.linalg.expm(a)) <= 3e-14
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(expm(np.zeros((5, 5))), np.eye(5))
+        assert np.array_equal(expm(np.zeros((3, 3), dtype=int)), np.eye(3))
+
+    def test_result_dtypes(self):
+        ints = np.array([[0, 1], [-2, 1]])
+        got = expm(ints)
+        assert got.dtype == np.float64
+        assert entry_error(got, scipy.linalg.expm(ints.astype(float))) <= 1e-14
+        a = np.array([[0.5j, 1.0], [0.0, -0.3 + 2.0j]])
+        got = expm(a)
+        assert got.dtype == np.complex128
+        assert entry_error(got, scipy.linalg.expm(a)) <= 1e-14
